@@ -47,10 +47,6 @@ class AffineFunction:
         return self.constant + points @ self.b
 
 
-def evaluate(ell: AffineFunction, grid: SphericalGrid) -> np.ndarray:
-    return ell.evaluate(grid)
-
-
 def _moment_matrix(area_weight: np.ndarray, grid: SphericalGrid) -> np.ndarray:
     """M_jk = int <grad x_j, grad x_k> dV = int (delta_jk - x_j x_k) dV."""
     M = np.empty((3, 3))

@@ -39,6 +39,7 @@ from .grid import (
     analyze,
     chart_area_factors,
     chart_gradient,
+    conformal_gradients,
     integrate,
     per_node_home_values,
     synthesize_jet,
@@ -247,13 +248,17 @@ def mc_residual_global(F: ImmersionField, H_target: np.ndarray, grid=None) -> np
     return 0.25 * (jet["lap"] + H_target[None, :, :] * wn)
 
 
+def _gauss_identity(forms: FundamentalForms, grid: SphericalGrid):
+    """(int |A|^2 dV, Gauss identity residual) from computed forms."""
+    intA2 = integrate(np.nan_to_num(forms.norm2_A), grid, forms.area_weight)
+    intH2 = integrate(np.nan_to_num(forms.mean_curvature**2), grid, forms.area_weight)
+    return intA2, intA2 - intH2 + 2.0 * FOUR_PI
+
+
 def gauss_identity_residual(F: ImmersionField, grid=None) -> float:
     """int |A|^2 dV - int H^2 dV + 8 pi (zero for every immersed sphere)."""
     grid = grid or F.grid
-    forms = fundamental_forms(F, grid)
-    intA2 = integrate(np.nan_to_num(forms.norm2_A), grid, forms.area_weight)
-    intH2 = integrate(np.nan_to_num(forms.mean_curvature**2), grid, forms.area_weight)
-    return intA2 - intH2 + 2.0 * FOUR_PI
+    return _gauss_identity(fundamental_forms(F, grid), grid)[1]
 
 
 def codazzi_residual(F: ImmersionField, grid=None) -> float:
@@ -343,18 +348,9 @@ def obstruction_vector(H_values: np.ndarray, area_weight: np.ndarray,
         raise DataError("obstruction_vector: non-finite H values")
     hf = analyze(H_values, grid)
     jet = synthesize_jet(hf, grid, which=("ft", "fp"))
-    Ht, Hp = jet["ft"][0], jet["fp"][0]
-
-    theta, phi = grid.theta[:, None], grid.phi[None, :]
-    st, ct = grid.sin_theta[:, None], grid.cos_theta[:, None]
-    # d(x_j)/dtheta and d(x_j)/dphi for x = (sin t cos p, sin t sin p, cos t)
-    dx_t = [ct * np.cos(phi), ct * np.sin(phi), -st * np.ones_like(phi)]
-    dx_p = [-st * np.sin(phi), st * np.cos(phi), np.zeros_like(st * phi)]
-    out = np.empty(3)
-    for j in range(3):
-        pairing = dx_t[j] * Ht + dx_p[j] * Hp / st**2
-        out[j] = integrate(pairing, grid, area_weight)
-    return out
+    vt, vp = conformal_gradients(grid)
+    pairing = vt * jet["ft"] + vp * jet["fp"]
+    return np.array([integrate(pairing[j], grid, area_weight) for j in range(3)])
 
 
 # ----------------------------------------------------------------------
@@ -533,7 +529,7 @@ def verify(F: ImmersionField, grid=None, scan_branches=True) -> dict:
     grid = grid or F.grid
     forms = fundamental_forms(F, grid)
     area = integrate(np.ones_like(forms.area_weight), grid, forms.area_weight)
-    intA2 = integrate(np.nan_to_num(forms.norm2_A), grid, forms.area_weight)
+    intA2, gauss_identity = _gauss_identity(forms, grid)
     intK = integrate(np.nan_to_num(forms.gauss_curvature), grid, forms.area_weight)
     obstruction = obstruction_vector(
         np.nan_to_num(forms.mean_curvature), forms.area_weight, grid
@@ -542,7 +538,7 @@ def verify(F: ImmersionField, grid=None, scan_branches=True) -> dict:
     report = {
         "area": area,
         "intA2": intA2,
-        "gauss_identity": gauss_identity_residual(F, grid),
+        "gauss_identity": gauss_identity,
         "codazzi_norm": codazzi_residual(F, grid),
         "obstruction": obstruction.tolist(),
         "branch_points": [],

@@ -211,7 +211,6 @@ class SphericalGrid:
         self._dQ, self._d2Q, self._d3Q = _alp_theta_derivatives(
             L, self._Q, self.x_gl, self.sin_theta
         )
-        self._cache: dict = {}
 
     # ------------------------------------------------------------------
     # charts
@@ -440,6 +439,22 @@ def chart_gradient(field, grid: SphericalGrid, chart: str, nodes=None) -> np.nda
     fz = np.array(fz)
     fz[..., ~mask] = np.nan
     return fz
+
+
+def conformal_gradients(grid: SphericalGrid):
+    """Round-metric gradients of the coordinate functions x_j at every node.
+
+    Returns (vt, vp), each of shape (3, n_theta, n_phi): the theta and phi
+    components of grad x_j = dx_j/dtheta d_theta + dx_j/dphi / sin^2 d_phi,
+    the conformal vector fields of the sphere.  The derivative of a field f
+    along grad x_j is vt[j] * f_theta + vp[j] * f_phi.
+    """
+    st, ct = grid.sin_theta[:, None], grid.cos_theta[:, None]
+    cp, sp = np.cos(grid.phi)[None, :], np.sin(grid.phi)[None, :]
+    shape = (grid.n_theta, grid.n_phi)
+    vt = np.stack([ct * cp, ct * sp, np.broadcast_to(-st, shape)])
+    vp = np.stack([-sp / st, cp / st, np.zeros(shape)])
+    return vt, vp
 
 
 def chart_area_factors(grid: SphericalGrid, chart: str) -> np.ndarray:

@@ -9,20 +9,21 @@ Residual blocks (stacked over all grid nodes, quadrature-weighted so the
 Euclidean norm is an L2 norm):
   * conformality: q1 = g_tt - g_pp/sin^2, q2 = 2 g_tp / sin  (2 rows/node);
   * mean curvature: (1/4)(Lap_round F + (H + ell_b) (F_t x F_p)/sin)
-    (3 rows/node) -- the chart-free form of the conformal mean-curvature
-    equation, equal to the stereographic-chart residual divided by the
-    positive chart factor;
+    (3 rows/node, geometry.mc_residual_global) -- the chart-free form of the
+    conformal mean-curvature equation, equal to the stereographic-chart
+    residual divided by the positive chart factor;
   * 6 based-immersion rows: F(p0) = 0, normal(p0) = e3, frame along e1,
     evaluated at the north pole from the coefficients.
 
-The Jacobian is a forward finite difference over coefficients (step
-config.fd_step).  Because the coefficient-to-derivative-jet map is linear,
-each difference quotient is evaluated in closed form from precomputed basis
-jets, which makes the full Jacobian a few vectorized array operations.
-Updates solve damped least-squares normal equations constrained orthogonal
-to the 9 gauge directions (3 translations, 3 ambient rotations, 3 conformal
-reparametrization fields), with a halving line search; accepted iterates are
-re-based exactly by an ambient rigid motion.
+The Jacobian of the pointwise rows is exact.  The coefficient-to-jet map is
+linear and the rows are quadratic in the jet, so each column is the
+linearization at the current jet, assembled from precomputed basis jets in a
+few vectorized array operations; the b-columns differentiate ell_b
+analytically.  The based-immersion rows are not linearized: each accepted
+iterate is re-based exactly by an ambient rigid motion.  Updates solve damped
+least-squares normal equations constrained orthogonal to the 9 gauge
+directions (3 translations, 3 ambient rotations, 3 conformal
+reparametrization fields), with a halving line search.
 
 Solutions of the continuation problem come in a 3-parameter family (the
 affine indeterminacy of the curvature class, realized as boost
@@ -43,13 +44,15 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .affine import AffineFunction
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, ConformalityError, DataError
 from .geometry import (
     ImmersionField,
     conformality_residual,
     detect_branch_points,
     fundamental_forms,
     mc_residual,
+    mc_residual_global,
+    obstruction_vector,
     pointwise_forms,
     verify,
 )
@@ -59,6 +62,7 @@ from .grid import (
     SphericalGrid,
     analyze,
     chart_area_factors,
+    conformal_gradients,
     integrate,
     per_node_home_values,
     synthesize,
@@ -67,6 +71,8 @@ from .grid import (
 )
 
 B_NORM_SMOOTHING = 1e-12
+LINE_SEARCH_FACTOR = 0.5    # step-length factor per line-search halving
+MAX_HALVINGS = 20
 
 
 @dataclass(frozen=True)
@@ -76,12 +82,8 @@ class SolverConfig:
     max_newton_iters: int = 30
     steps: int = 10
     min_step: float = 1.0 / 160.0
-    damping: float = 0.5            # line-search halving factor
-    fd_step: float = 1e-6
-    max_halvings: int = 20
     noise_amplitude: float = 0.0
     noise_seed: int = 0
-    canonicalize: bool = True       # Mobius-center the solution's gauge
 
     def __post_init__(self):
         if self.tol <= 0 or self.steps < 1:
@@ -131,22 +133,22 @@ def _smooth_norm(b, eps=B_NORM_SMOOTHING):
 
 class _Workspace:
     def __init__(self, grid: SphericalGrid):
-        self.grid = grid
         L = grid.L
         self.L = L
         self.n_nodes = grid.n_theta * grid.n_phi
-        modes = [(l, m) for l in range(L + 1) for m in range(-l, l + 1)]
-        self.modes = modes
-        self.n_modes = len(modes)
-        self.mode_index = {lm: i for i, lm in enumerate(modes)}
+        # unknowns are ordered by component, then l = 0..L, m = -l..l;
+        # mode i multiplies coeffs[c, mode_l[i], mode_col[i]]
+        self.mode_l = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
+        self.mode_col = L + np.concatenate([np.arange(-l, l + 1) for l in range(L + 1)])
+        self.n_modes = self.mode_l.size
 
+        # node-major basis jets (n_nodes, n_modes): d/dtheta, d/dphi, Laplacian
         nm, nn = self.n_modes, self.n_nodes
-        self.Yt = np.empty((nm, nn))
-        self.Yp = np.empty((nm, nn))
-        self.Ylap = np.empty((nm, nn))
-        Y = np.empty((nm, nn))
+        self.Yt = np.empty((nn, nm))
+        self.Yp = np.empty((nn, nm))
+        self.Ylap = np.empty((nn, nm))
         cos_m, sin_m = grid._cos_m, grid._sin_m
-        for i, (l, m) in enumerate(modes):
+        for i, (l, m) in enumerate(zip(self.mode_l, self.mode_col - L)):
             am = abs(m)
             q = grid._Q[am][l - am][:, None]
             dq = grid._dQ[am][l - am][:, None]
@@ -155,11 +157,9 @@ class _Workspace:
                 az, daz = cos_m[am][None, :], -am * sin_m[am][None, :]
             else:
                 az, daz = sin_m[am][None, :], am * cos_m[am][None, :]
-            Y[i] = (scale * q * az).ravel()
-            self.Yt[i] = (scale * dq * az).ravel()
-            self.Yp[i] = (scale * q * daz).ravel()
-            self.Ylap[i] = -l * (l + 1.0) * Y[i]
-        self.Y = Y
+            self.Yt[:, i] = (scale * dq * az).ravel()
+            self.Yp[:, i] = (scale * q * daz).ravel()
+            self.Ylap[:, i] = -l * (l + 1.0) * (scale * q * az).ravel()
 
         # pole-frame weights: F(p0) from m = 0, (F_u, F_v)(p0) from m = +-1
         ls = np.arange(L + 1)
@@ -188,22 +188,11 @@ class _Workspace:
     # -- packing ---------------------------------------------------------
 
     def pack(self, coeffs: np.ndarray, b: np.ndarray) -> np.ndarray:
-        L = self.L
-        x = np.empty(self.n_unknowns)
-        for c in range(3):
-            x[c * self.n_modes : (c + 1) * self.n_modes] = [
-                coeffs[c, l, L + m] for (l, m) in self.modes
-            ]
-        x[-3:] = b
-        return x
+        return np.concatenate([coeffs[:, self.mode_l, self.mode_col].ravel(), b])
 
     def unpack(self, x: np.ndarray):
-        L = self.L
-        coeffs = np.zeros((3, L + 1, 2 * L + 1))
-        for c in range(3):
-            block = x[c * self.n_modes : (c + 1) * self.n_modes]
-            for i, (l, m) in enumerate(self.modes):
-                coeffs[c, l, L + m] = block[i]
+        coeffs = np.zeros((3, self.L + 1, 2 * self.L + 1))
+        coeffs[:, self.mode_l, self.mode_col] = x[:-3].reshape(3, self.n_modes)
         return coeffs, x[-3:].copy()
 
     # -- pole frame -------------------------------------------------------
@@ -216,33 +205,19 @@ class _Workspace:
         return F0, Fu, Fv
 
 
+# one workspace per degree: the grid is a pure function of L
 _workspaces: dict = {}
 
 
 def _workspace(grid: SphericalGrid) -> _Workspace:
-    key = id(grid)
-    if key not in _workspaces:
-        _workspaces[key] = _Workspace(grid)
-    return _workspaces[key]
+    if grid.L not in _workspaces:
+        _workspaces[grid.L] = _Workspace(grid)
+    return _workspaces[grid.L]
 
 
 # ----------------------------------------------------------------------
 # residual
 # ----------------------------------------------------------------------
-
-def _pointwise_blocks(jet, Htot, grid):
-    ft, fp, lap = jet["ft"], jet["fp"], jet["lap"]
-    sin = grid.sin_theta[:, None]
-    gtt = np.einsum("ctp,ctp->tp", ft, ft)
-    gpp = np.einsum("ctp,ctp->tp", fp, fp)
-    gtp = np.einsum("ctp,ctp->tp", ft, fp)
-    q1 = gtt - gpp / sin**2
-    q2 = 2.0 * gtp / sin
-    cross = np.cross(ft, fp, axis=0)
-    wn = cross / sin[None]
-    rmc = 0.25 * (lap + Htot[None] * wn)
-    return q1, q2, rmc, wn
-
 
 def _constraint_rows(F0, Fu, Fv):
     n = np.cross(Fu, Fv)
@@ -258,19 +233,20 @@ def _ell_values(b, ws):
 
 
 def _residual_vector(coeffs, b, H_flat, grid, ws):
-    field = HarmonicField(coeffs)
-    jet = synthesize_jet(field, grid, which=("ft", "fp", "lap"))
+    F = ImmersionField(HarmonicField(coeffs), grid)
+    jet = F.jet("ft", "fp", "lap")
+    ft, fp = jet["ft"], jet["fp"]
+    sin = grid.sin_theta[:, None]
+    q1 = np.einsum("ctp,ctp->tp", ft, ft) - np.einsum("ctp,ctp->tp", fp, fp) / sin**2
+    q2 = 2.0 * np.einsum("ctp,ctp->tp", ft, fp) / sin
     Htot = (H_flat + _ell_values(b, ws)).reshape(grid.n_theta, grid.n_phi)
-    q1, q2, rmc, _ = _pointwise_blocks(jet, Htot, grid)
-    rows = [
+    rmc = mc_residual_global(F, Htot, grid).reshape(3, -1)
+    return np.concatenate([
         q1.ravel() * ws.conf_row_w,
         q2.ravel() * ws.conf_row_w,
-        rmc[0].ravel() * ws.mc_row_w,
-        rmc[1].ravel() * ws.mc_row_w,
-        rmc[2].ravel() * ws.mc_row_w,
-    ]
-    cons = _constraint_rows(*ws.pole_frame(coeffs))
-    return np.concatenate(rows + [cons])
+        (rmc * ws.mc_row_w).ravel(),
+        _constraint_rows(*ws.pole_frame(coeffs)),
+    ])
 
 
 def residual(F, b, H_target_values, grid: SphericalGrid) -> np.ndarray:
@@ -292,76 +268,40 @@ def residual(F, b, H_target_values, grid: SphericalGrid) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Jacobian (forward differences, evaluated via the linear jet map)
+# Jacobian (exact, evaluated via the linear jet map)
 # ----------------------------------------------------------------------
 
-def _jacobian(coeffs, b, H_flat, grid, ws, fd_step, chunk=256):
-    eps = fd_step
-    field = HarmonicField(coeffs)
-    jet = synthesize_jet(field, grid, which=("ft", "fp", "lap"))
+def _jacobian(coeffs, b, H_flat, grid, ws):
+    """Jacobian of the 5 * n_nodes pointwise rows of _residual_vector."""
+    jet = synthesize_jet(HarmonicField(coeffs), grid, which=("ft", "fp"))
     ft = jet["ft"].reshape(3, -1)
     fp = jet["fp"].reshape(3, -1)
     sin = ws.sin_flat
-    cw, mw = ws.conf_row_w, ws.mc_row_w
-    Htot = H_flat + _ell_values(b, ws)
-
-    n_rows = 5 * ws.n_nodes + 6
-    J = np.zeros((n_rows, ws.n_unknowns))
-    nn = ws.n_nodes
+    cw = ws.conf_row_w
+    mw = 0.25 * ws.mc_row_w     # row weight times the 1/4 of r_mc
+    hw = mw * (H_flat + _ell_values(b, ws)) / sin
+    nn, nm = ws.n_nodes, ws.n_modes
+    J = np.zeros((5 * nn, ws.n_unknowns))
 
     e = np.eye(3)
     for c in range(3):
-        exc_fp = np.cross(e[c], fp, axisb=0).T      # e_c x F_p, (3, nn)
-        ft_xec = np.cross(ft, e[c], axisa=0).T      # F_t x e_c, (3, nn)
-        col0 = c * ws.n_modes
-        for start in range(0, ws.n_modes, chunk):
-            sl = slice(start, start + chunk)
-            Yt, Yp, Ylap = ws.Yt[sl], ws.Yp[sl], ws.Ylap[sl]
-            cols = slice(col0 + start, col0 + min(start + chunk, ws.n_modes))
-            dgtt = 2.0 * ft[c] * Yt + eps * Yt * Yt
-            dgpp = 2.0 * fp[c] * Yp + eps * Yp * Yp
-            dgtp = ft[c] * Yp + fp[c] * Yt + eps * Yt * Yp
-            J[0 * nn : 1 * nn, cols] = ((dgtt - dgpp / sin**2) * cw).T
-            J[1 * nn : 2 * nn, cols] = (2.0 * dgtp / sin * cw).T
-            for a in range(3):
-                dwn = (Yt * exc_fp[a] + Yp * ft_xec[a]) / sin
-                drmc = 0.25 * (Htot * dwn)
-                if a == c:
-                    drmc = drmc + 0.25 * Ylap
-                J[(2 + a) * nn : (3 + a) * nn, cols] = (drmc * mw).T
+        # the five row blocks of the columns of component c
+        blocks = J[:, c * nm : (c + 1) * nm].reshape(5, nn, nm)
+        # d(F_t x F_p) per unit change of F_t and of F_p along e_c
+        dn_t = np.cross(e[c], fp, axisb=0).T
+        dn_p = np.cross(ft, e[c], axisa=0).T
+        coef_t = [2.0 * cw * ft[c], 2.0 * cw * fp[c] / sin, *(hw * dn_t)]
+        coef_p = [-2.0 * cw * fp[c] / sin**2, 2.0 * cw * ft[c] / sin, *(hw * dn_p)]
+        for r in range(5):
+            np.multiply(coef_t[r][:, None], ws.Yt, out=blocks[r])
+            blocks[r] += coef_p[r][:, None] * ws.Yp
+        blocks[2 + c] += mw[:, None] * ws.Ylap
 
-    # constraint rows: chain rule through the 9-dim pole frame
-    F0, Fu, Fv = ws.pole_frame(coeffs)
-    P = np.concatenate([F0, Fu, Fv])
-    base = _constraint_rows(F0, Fu, Fv)
-    dg_dP = np.empty((6, 9))
-    hp = 1e-7 * max(1.0, np.linalg.norm(P))
-    for j in range(9):
-        Pp = P.copy()
-        Pp[j] += hp
-        dg_dP[:, j] = (_constraint_rows(Pp[0:3], Pp[3:6], Pp[6:9]) - base) / hp
-    L = ws.L
-    for c in range(3):
-        for l in range(L + 1):
-            i0 = ws.mode_index[(l, 0)] + c * ws.n_modes
-            J[5 * nn :, i0] += dg_dP[:, c] * ws.pole_value_w[l]
-            if l >= 1:
-                iu = ws.mode_index[(l, 1)] + c * ws.n_modes
-                iv = ws.mode_index[(l, -1)] + c * ws.n_modes
-                J[5 * nn :, iu] += dg_dP[:, 3 + c] * ws.pole_deriv_w[l]
-                J[5 * nn :, iv] += dg_dP[:, 6 + c] * ws.pole_deriv_w[l]
-
-    # b columns: centered differences through ell (residual is linear in H)
-    jet_cross = np.cross(jet["ft"], jet["fp"], axis=0).reshape(3, -1)
-    wn = jet_cross / sin
-    for j in range(3):
-        bp = b.copy(); bp[j] += eps
-        bm = b.copy(); bm[j] -= eps
-        dH = (_ell_values(bp, ws) - _ell_values(bm, ws)) / (2 * eps)
-        for a in range(3):
-            J[(2 + a) * nn : (3 + a) * nn, 3 * ws.n_modes + j] = (
-                0.25 * dH * wn[a] * mw
-            )
+    # b columns: d(H + ell_b)/db_j = b_j / sqrt(|b|^2 + eps^2) + x_j
+    wn = np.cross(ft, fp, axis=0) / sin
+    dell = b[:, None] / np.sqrt(b @ b + B_NORM_SMOOTHING**2) + ws.xyz_flat
+    for a in range(3):
+        J[(2 + a) * nn : (3 + a) * nn, 3 * nm :] = (mw * wn[a])[:, None] * dell.T
     return J
 
 
@@ -382,30 +322,18 @@ def gauge_basis(coeffs, grid: SphericalGrid, ws=None) -> GaugeBasis:
         dirs.append(d)
     # ambient rotations: component mixing omega x F
     for k in range(3):
-        d = np.zeros_like(coeffs)
         K = np.zeros((3, 3))
         K[(k + 2) % 3, (k + 1) % 3] = 1.0
         K[(k + 1) % 3, (k + 2) % 3] = -1.0
-        d = np.einsum("dc,clm->dlm", K, coeffs)
-        dirs.append(d)
+        dirs.append(np.einsum("dc,clm->dlm", K, coeffs))
     # conformal boosts: push-forward of grad x_j through F
-    field = HarmonicField(coeffs)
-    jet = synthesize_jet(field, grid, which=("ft", "fp"))
-    theta, phi = grid.theta[:, None], grid.phi[None, :]
-    st, ct = grid.sin_theta[:, None], grid.cos_theta[:, None]
-    dx_t = [ct * np.cos(phi), ct * np.sin(phi), -st * np.ones_like(phi)]
-    dx_p = [-st * np.sin(phi), st * np.cos(phi), np.zeros((grid.n_theta, grid.n_phi))]
+    jet = synthesize_jet(HarmonicField(coeffs), grid, which=("ft", "fp"))
+    vt, vp = conformal_gradients(grid)
     for j in range(3):
-        vals = dx_t[j][None] * jet["ft"] + dx_p[j][None] * jet["fp"] / st[None] ** 2
-        dirs.append(analyze(vals, grid).coeffs)
+        dirs.append(analyze(vt[j] * jet["ft"] + vp[j] * jet["fp"], grid).coeffs)
 
-    cols = []
-    for d in dirs:
-        v = np.zeros(ws.n_unknowns)
-        v[:-3] = ws.pack(d, np.zeros(3))[:-3]
-        nrm = np.linalg.norm(v)
-        cols.append(v / nrm)
-    G = np.stack(cols, axis=1)
+    G = np.stack([ws.pack(d, np.zeros(3)) for d in dirs], axis=1)
+    G /= np.linalg.norm(G, axis=0)
     sv = np.linalg.svd(G, compute_uv=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     if cond >= 1e10:
@@ -428,27 +356,26 @@ def _rebase(coeffs, ws):
     return out
 
 
-def gauge_projected_step(state: ContinuationState, H_values, grid: SphericalGrid,
-                         config: SolverConfig) -> ContinuationState:
+def gauge_projected_step(state: ContinuationState, H_values,
+                         grid: SphericalGrid) -> ContinuationState:
     """One damped Gauss-Newton update projected off the gauge directions.
 
     Solves the KKT system of the damped normal equations subject to
-    G^T delta = 0, then line-searches with halving factor config.damping.
-    Raises StepFailure when no decrease is found.
+    G^T delta = 0, then line-searches with halving factor
+    LINE_SEARCH_FACTOR.  Raises StepFailure when no decrease is found.
     """
     ws = _workspace(grid)
     H_flat = np.asarray(H_values, dtype=float).ravel()
     r0 = _residual_vector(state.coeffs, state.b, H_flat, grid, ws)
     n0 = np.linalg.norm(r0)
-    J = _jacobian(state.coeffs, state.b, H_flat, grid, ws, config.fd_step)
+    J = _jacobian(state.coeffs, state.b, H_flat, grid, ws)
     # The based-immersion rows are enforced exactly by the rigid-motion
     # re-basing after each accepted step; only the pointwise rows drive the
     # least-squares model, so the gauge projection and the basing do not
     # compete (the competition degrades convergence from quadratic to
     # linear).
-    npw = 5 * ws.n_nodes
-    A = J[:npw].T @ J[:npw]
-    g = J[:npw].T @ r0[:npw]
+    A = J.T @ J
+    g = J.T @ r0[: J.shape[0]]
     G = gauge_basis(state.coeffs, grid, ws).matrix
     n, k = ws.n_unknowns, G.shape[1]
     lam = 1e-12 * np.trace(A) / n
@@ -466,7 +393,7 @@ def gauge_projected_step(state: ContinuationState, H_values, grid: SphericalGrid
             lam = max(lam * 1e4, 1e-10)
             continue
         alpha = 1.0
-        for _ in range(config.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             x_try = x0 + alpha * delta
             coeffs_try, b_try = ws.unpack(x_try)
             r_try = _residual_vector(coeffs_try, b_try, H_flat, grid, ws)
@@ -485,7 +412,7 @@ def gauge_projected_step(state: ContinuationState, H_values, grid: SphericalGrid
                 )
                 new.history.append(new.residual_norm)
                 return new
-            alpha *= config.damping
+            alpha *= LINE_SEARCH_FACTOR
         lam = max(lam * 1e4, 1e-10)
     raise StepFailure(f"no residual decrease from {n0:.3e}")
 
@@ -601,7 +528,7 @@ def _newton_to_tol(state, H_values, grid, config, target):
         if state.residual_norm <= target:
             return state, True
         try:
-            state = gauge_projected_step(state, H_values, grid, config)
+            state = gauge_projected_step(state, H_values, grid)
         except StepFailure:
             return state, False
     return state, state.residual_norm <= target
@@ -679,18 +606,15 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
         # final polish; row weighting makes the norm the chart-form L2 norm,
         # so driving it to tol/2 bounds both reported block residuals by tol
         state, ok = _newton_to_tol(state, H_vals, grid, config, 0.5 * config.tol)
+        if ok:
+            state, ok = _canonicalize(state, H_vals, grid, config, ws)
         if not ok:
             status = "stalled"
-        elif config.canonicalize:
-            state, ok = _canonicalize(state, H_vals, grid, config, ws)
-            if not ok:
-                status = "stalled"
 
     field = HarmonicField(state.coeffs)
     affine = AffineFunction(state.b)
     F = ImmersionField(field, grid)
     report = _solution_report(F, affine, H_vals, grid, status)
-    report["wall_time"] = time.perf_counter() - t_start
     report["residual_history"] = list(state.history)
     report["step_log"] = list(state.step_log)
     return SolveResult(
@@ -699,7 +623,7 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
         report=report,
         state=state,
         status=status,
-        wall_time=report["wall_time"],
+        wall_time=time.perf_counter() - t_start,
     )
 
 
@@ -715,11 +639,11 @@ def _solution_report(F, affine, H_vals, grid, status):
         mag2 = np.einsum("ctp,ctp->tp", mc, np.conj(mc)).real
         report["mc_l2"] = float(np.sqrt(integrate(np.nan_to_num(mag2), grid)))
         report["mc_sup"] = float(np.nanmax(np.sqrt(mag2)))
-    except Exception:
-        report["mc_l2"] = report["mc_sup"] = float("nan")
+    except ConformalityError as err:
+        # the chart residual is defined for conformal iterates only
+        report["mc_l2"] = report["mc_sup"] = None
+        report["mc_unavailable"] = str(err)
     forms = fundamental_forms(F, grid)
-    from .geometry import obstruction_vector
-
     report["obstruction_h_plus_ell"] = obstruction_vector(
         H_vals + ell, forms.area_weight, grid
     ).tolist()

@@ -6,19 +6,18 @@ from pmcsphere.affine import (
     AffineFunction,
     canonical_representative,
     class_membership,
-    evaluate,
 )
 from pmcsphere.grid import SphericalGrid
 
 
 def test_evaluate_zero_vector():
     g = SphericalGrid(8)
-    assert np.allclose(evaluate(AffineFunction(np.zeros(3)), g), 0.0)
+    assert np.allclose(AffineFunction(np.zeros(3)).evaluate(g), 0.0)
 
 
 def test_evaluate_unit_z():
     g = SphericalGrid(8)
-    vals = evaluate(AffineFunction([0, 0, 1.0]), g)
+    vals = AffineFunction([0, 0, 1.0]).evaluate(g)
     expected = 1.0 + g.cos_theta[:, None]
     assert np.allclose(vals, np.broadcast_to(expected, vals.shape), atol=1e-14)
     # zero exactly at the south pole
@@ -31,7 +30,7 @@ def test_nonnegativity_random_vectors():
     rng = np.random.default_rng(42)
     for _ in range(100):
         b = rng.standard_normal(3) * rng.uniform(0.1, 5.0)
-        assert evaluate(AffineFunction(b), g).min() >= -1e-12
+        assert AffineFunction(b).evaluate(g).min() >= -1e-12
 
 
 def test_canonical_representative_already_balanced():

@@ -214,18 +214,36 @@ def test_cli_example_and_export(tmp_path):
     assert obj_path.exists()
 
 
-def test_cli_outputs_byte_deterministic(tmp_path):
+def test_cli_outputs_byte_deterministic(tmp_path, capsys):
+    """Every JSON output but the manifest is byte-identical across runs."""
     h_path = tmp_path / "h.json"
     write_field(x3_plus_two_field(), h_path)
-    outs = []
-    for run in ("a", "b"):
-        out = tmp_path / run
-        code = cli_dispatch(["balance", "--h", str(h_path), "--weight", "round",
-                             "--L", "12", "--out-dir", str(out)])
-        assert code == 0
-        outs.append(out)
-    for name in ("affine.json", "balanced.json"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    g = SphericalGrid(8)
+    vals = g.xyz.copy()
+    vals[2] *= 1.2
+    f_path = tmp_path / "ellipsoid.json"
+    write_field(analyze(vals, g), f_path)
+    commands = {
+        "balance": ["balance", "--h", str(h_path), "--weight", "round",
+                    "--L", "12"],
+        "solve": ["solve", "--h-target", str(h_path), "--L", "8",
+                  "--steps", "2"],
+        "verify": ["verify", "--immersion", str(f_path), "--L", "16"],
+    }
+    expected = {"balance": ["affine.json", "balanced.json"],
+                "solve": ["solution.json", "affine.json", "report.json"],
+                "verify": ["report.json"]}
+    for command, argv in commands.items():
+        outs = []
+        for run in ("a", "b"):
+            out = tmp_path / command / run
+            assert cli_dispatch(argv + ["--out-dir", str(out)]) == 0
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].iterdir() if p.name != "manifest.json")
+        assert names == sorted(expected[command])
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    capsys.readouterr()
 
 
 def test_cli_solve_stall_exit_2(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Tests for the gauge-fixed Gauss-Newton continuation solver."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,13 @@ from pmcsphere.grid import (
     integrate,
     synthesize,
 )
+from pmcsphere import solver
+from pmcsphere.serialize import dumps
 from pmcsphere.solver import (
     ContinuationState,
     SolverConfig,
     StepFailure,
+    _jacobian,
     _rebase,
     _residual_vector,
     _workspace,
@@ -102,6 +107,48 @@ def test_residual_rejects_nonpositive_h():
         residual(HarmonicField(coeffs), np.zeros(3), H, g)
 
 
+def test_jacobian_matches_centred_differences():
+    """The analytic Jacobian equals centred differences of the pointwise
+    residual rows, on a perturbed sphere with b != 0."""
+    g = SphericalGrid(8)
+    ws = _workspace(g)
+    vals = g.xyz * (1.0 + 0.1 * g.xyz[0] * g.xyz[2])[None]
+    coeffs = _rebase(analyze(vals, g).coeffs.copy(), ws)
+    b = np.array([0.2, -0.1, 0.3])
+    H = (2.0 + 0.2 * g.xyz[2] + 0.1 * g.xyz[0] ** 2).ravel()
+    J = _jacobian(coeffs, b, H, g, ws)
+    assert J.shape == (5 * ws.n_nodes, ws.n_unknowns)
+    x0, h = ws.pack(coeffs, b), 1e-5
+    fd = np.empty_like(J)
+    for j in range(x0.size):
+        step = np.zeros_like(x0)
+        step[j] = h
+        rp = _residual_vector(*ws.unpack(x0 + step), H, g, ws)
+        rm = _residual_vector(*ws.unpack(x0 - step), H, g, ws)
+        fd[:, j] = (rp - rm)[: J.shape[0]] / (2 * h)
+    assert np.max(np.abs(J - fd)) <= 1e-8
+
+
+def test_pack_unpack_roundtrip():
+    g = SphericalGrid(6)
+    ws = _workspace(g)
+    x = np.random.default_rng(1).standard_normal(ws.n_unknowns)
+    coeffs, b = ws.unpack(x)
+    assert np.array_equal(ws.pack(coeffs, b), x)
+    # entries with |m| > l stay zero
+    assert np.count_nonzero(coeffs) == x.size - 3
+
+
+def test_workspace_cache_one_entry_per_degree():
+    """Repeated solves at one degree reuse one workspace."""
+    solver._workspaces.clear()
+    g = SphericalGrid(6)
+    for _ in range(2):
+        solve_pmc(np.full((g.n_theta, g.n_phi), 2.0),
+                  SolverConfig(degree=6, steps=1))
+    assert len(solver._workspaces) == 1
+
+
 def test_gauge_basis_independent():
     g = SphericalGrid(10)
     coeffs = based_sphere_coeffs(g)
@@ -127,11 +174,10 @@ def test_step_basin_of_attraction():
         residual_norm=float(np.linalg.norm(
             _residual_vector(coeffs, np.zeros(3), H.ravel(), g, ws))),
     )
-    config = SolverConfig(degree=12)
     for _ in range(10):
         if state.residual_norm < 1e-8:
             break
-        state = gauge_projected_step(state, H, g, config)
+        state = gauge_projected_step(state, H, g)
     assert state.residual_norm < 1e-8
 
 
@@ -146,7 +192,7 @@ def test_step_zero_update_at_solution():
             _residual_vector(coeffs, np.zeros(3), H.ravel(), g, ws))),
     )
     try:
-        new = gauge_projected_step(state, H, g, SolverConfig(degree=10))
+        new = gauge_projected_step(state, H, g)
         assert np.linalg.norm(new.last_update) < 1e-6
     except StepFailure:
         pass  # no strict decrease available at a machine-precision solution
@@ -168,7 +214,7 @@ def test_step_update_orthogonal_to_gauge():
             _residual_vector(coeffs, np.zeros(3), H.ravel(), g, ws))),
     )
     G = gauge_basis(coeffs, g, ws).matrix
-    new = gauge_projected_step(state, H, g, SolverConfig(degree=10))
+    new = gauge_projected_step(state, H, g)
     overlaps = G.T @ new.last_update
     assert np.max(np.abs(overlaps)) < 1e-10 * np.linalg.norm(new.last_update)
 
@@ -300,6 +346,21 @@ def test_stall_reports_partial_state():
     assert res.status == "stalled"
     assert res.report["status"] == "stalled"
     assert "stall_diagnostics" in res.report
+
+
+def test_stall_report_serializable():
+    """A stall at a non-conformal iterate reports the mean-curvature
+    residual as null with its reason, and the report serializes."""
+    g = SphericalGrid(8)
+    cfg = SolverConfig(degree=8, noise_amplitude=0.05, max_newton_iters=1)
+    res = solve_pmc(2.0 + 0.5 * g.xyz[2], cfg)
+    rep = res.report
+    assert res.status == "stalled"
+    assert rep["conformality_sup"] > 1e-6
+    assert rep["mc_l2"] is None and rep["mc_sup"] is None
+    assert "not conformal" in rep["mc_unavailable"]
+    assert "wall_time" not in rep
+    assert json.loads(dumps(rep))["mc_l2"] is None
 
 
 def test_normal_variation_operator_eigenfunctions():
