@@ -15,11 +15,12 @@ import sys
 
 
 def _apply_thread_cap():
+    """PMC_THREADS, when set, overrides the BLAS thread variables."""
     cap = os.environ.get("PMC_THREADS")
     if not cap:
         return
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
+        os.environ[var] = cap
 
 
 class _Parser(argparse.ArgumentParser):

@@ -53,8 +53,8 @@ IMMERSION_EPSILON = 1e-8
 class ImmersionField:
     """An immersion given by three harmonic component fields on a grid.
 
-    Chart gradients and derivative jets are computed lazily and cached; the
-    object is immutable.
+    Chart gradients, derivative jets and fundamental forms are computed
+    lazily and cached; the object is immutable.
     """
 
     def __init__(self, field: HarmonicField, grid: SphericalGrid):
@@ -68,6 +68,7 @@ class ImmersionField:
         self.grid = grid
         self._jets: dict = {}
         self._fz: dict = {}
+        self._forms = None
 
     @classmethod
     def from_values(cls, values: np.ndarray, grid: SphericalGrid):
@@ -158,7 +159,10 @@ def pointwise_forms(Fu, Fv, Fuu, Fuv, Fvv, singular_threshold=SINGULAR_CROSS_THR
 
 
 def fundamental_forms(F: ImmersionField, grid: SphericalGrid = None) -> FundamentalForms:
-    """First and second fundamental forms, curvatures and area weight of F."""
+    """First and second fundamental forms, curvatures and area weight of F
+    (computed once per immersion, then cached on F)."""
+    if F._forms is not None:
+        return F._forms
     grid = grid or F.grid
     jet = F.jet("ft", "fp", "ftt", "ftp", "fpp")
     p = pointwise_forms(jet["ft"], jet["fp"], jet["ftt"], jet["ftp"], jet["fpp"])
@@ -178,7 +182,7 @@ def fundamental_forms(F: ImmersionField, grid: SphericalGrid = None) -> Fundamen
     lam2 = 2.0 * np.einsum("ctp,ctp->tp", fz, np.conj(fz)).real
 
     area_weight = p["cross_norm"] / grid.sin_theta[:, None]
-    return FundamentalForms(
+    F._forms = FundamentalForms(
         gamma=gamma,
         normal=sgn * p["normal"],
         second_form=A,
@@ -190,6 +194,7 @@ def fundamental_forms(F: ImmersionField, grid: SphericalGrid = None) -> Fundamen
         singular=p["singular"],
         orientation_flipped=flipped,
     )
+    return F._forms
 
 
 # ----------------------------------------------------------------------
@@ -223,14 +228,7 @@ def mc_residual(F: ImmersionField, H_target: np.ndarray, grid=None,
     H_target = np.asarray(H_target, dtype=float)
 
     r_global = mc_residual_global(F, H_target, grid)
-    if chart == "home":
-        factor = per_node_home_values(
-            chart_area_factors(grid, NORTH)[:, None],
-            chart_area_factors(grid, SOUTH)[:, None],
-            grid,
-        )
-    else:
-        factor = chart_area_factors(grid, chart)[:, None]
+    factor = chart_area_factors(grid, chart)[:, None]
     return factor[None, :, :] * r_global.astype(complex)
 
 
@@ -261,6 +259,31 @@ def gauss_identity_residual(F: ImmersionField, grid=None) -> float:
     return _gauss_identity(fundamental_forms(F, grid), grid)[1]
 
 
+def _dot(x, y):
+    return np.einsum("ctp,ctp->tp", x, y)
+
+
+def metric_jet(jet: dict):
+    """Induced metric and its first derivatives from a jet ft..fpp of F.
+
+    Returns (d1, d2, g, dg, ginv, Gamma) as nested lists over the grid
+    coordinates (theta, phi): d1[a] = F_a, d2[a][b] = F_ab, g[a][b],
+    dg[c][a][b] = d_c g_ab, the inverse metric ginv[a][b] and the
+    Christoffel symbols Gamma[d][a][b] = Gamma^d_ab.
+    """
+    d1 = [jet["ft"], jet["fp"]]
+    d2 = [[jet["ftt"], jet["ftp"]], [jet["ftp"], jet["fpp"]]]
+    g = [[_dot(d1[a], d1[b]) for b in (0, 1)] for a in (0, 1)]
+    dg = [[[_dot(d2[c][a], d1[b]) + _dot(d1[a], d2[c][b]) for b in (0, 1)]
+           for a in (0, 1)] for c in (0, 1)]
+    det = g[0][0] * g[1][1] - g[0][1] ** 2
+    ginv = [[g[1][1] / det, -g[0][1] / det], [-g[0][1] / det, g[0][0] / det]]
+    Gamma = [[[0.5 * sum(ginv[d][c] * (dg[a][c][b] + dg[b][c][a] - dg[c][a][b])
+                         for c in (0, 1))
+               for b in (0, 1)] for a in (0, 1)] for d in (0, 1)]
+    return d1, d2, g, dg, ginv, Gamma
+
+
 def codazzi_residual(F: ImmersionField, grid=None) -> float:
     """L2 norm of the 1-form div(A - H gamma) in the induced metric.
 
@@ -273,8 +296,7 @@ def codazzi_residual(F: ImmersionField, grid=None) -> float:
     jet = F.jet(
         "ft", "fp", "ftt", "ftp", "fpp", "fttt", "fttp", "ftpp", "fppp"
     )
-    d1 = [jet["ft"], jet["fp"]]
-    d2 = [[jet["ftt"], jet["ftp"]], [jet["ftp"], jet["fpp"]]]
+    d1, d2, g, dg, ginv, Gamma = metric_jet(jet)
     d3 = {
         (0, 0, 0): jet["fttt"], (0, 0, 1): jet["fttp"],
         (0, 1, 1): jet["ftpp"], (1, 1, 1): jet["fppp"],
@@ -283,23 +305,15 @@ def codazzi_residual(F: ImmersionField, grid=None) -> float:
     def third(a, b, c):
         return d3[tuple(sorted((a, b, c)))]
 
-    dot = lambda x, y: np.einsum("ctp,ctp->tp", x, y)
-
-    g = [[dot(d1[a], d1[b]) for b in (0, 1)] for a in (0, 1)]
-    dg = [[[dot(d2[c][a], d1[b]) + dot(d1[a], d2[c][b]) for b in (0, 1)]
-           for a in (0, 1)] for c in (0, 1)]
-    det = g[0][0] * g[1][1] - g[0][1] ** 2
-    ginv = [[g[1][1] / det, -g[0][1] / det], [-g[0][1] / det, g[0][0] / det]]
-
     n = np.cross(d1[0], d1[1], axis=0)
-    W = np.sqrt(dot(n, n))
+    W = np.sqrt(_dot(n, n))
     N = n / W
     dn = [np.cross(d2[c][0], d1[1], axis=0) + np.cross(d1[0], d2[c][1], axis=0)
           for c in (0, 1)]
-    dN = [(dn[c] - N * dot(N, dn[c])[None]) / W for c in (0, 1)]
+    dN = [(dn[c] - N * _dot(N, dn[c])[None]) / W for c in (0, 1)]
 
-    A = [[-dot(d2[a][b], N) for b in (0, 1)] for a in (0, 1)]
-    dA = [[[-dot(third(c, a, b), N) - dot(d2[a][b], dN[c]) for b in (0, 1)]
+    A = [[-_dot(d2[a][b], N) for b in (0, 1)] for a in (0, 1)]
+    dA = [[[-_dot(third(c, a, b), N) - _dot(d2[a][b], dN[c]) for b in (0, 1)]
            for a in (0, 1)] for c in (0, 1)]
 
     dginv = [[[-sum(ginv[a][e] * dg[c][e][f] * ginv[f][b]
@@ -309,10 +323,6 @@ def codazzi_residual(F: ImmersionField, grid=None) -> float:
     H = sum(ginv[a][b] * A[a][b] for a in (0, 1) for b in (0, 1))
     dH = [sum(dginv[c][a][b] * A[a][b] + ginv[a][b] * dA[c][a][b]
               for a in (0, 1) for b in (0, 1)) for c in (0, 1)]
-
-    Gamma = [[[0.5 * sum(ginv[d][c] * (dg[a][c][b] + dg[b][c][a] - dg[c][a][b])
-                         for c in (0, 1))
-               for b in (0, 1)] for a in (0, 1)] for d in (0, 1)]
 
     T = [[A[a][b] - H * g[a][b] for b in (0, 1)] for a in (0, 1)]
     dT = [[[dA[c][a][b] - dH[c] * g[a][b] - H * dg[c][a][b] for b in (0, 1)]
@@ -453,15 +463,44 @@ def _scan_branch_candidates(absfz, threshold):
     return [tuple(ij) for ij in cand]
 
 
-def _cluster(points, positions, radius):
-    """Greedy clustering: keep global minima, drop neighbors within radius."""
-    order = sorted(points, key=lambda ij: positions[ij][1])
+def branch_scan(absfz, threshold_factor, cluster_radius, patch_at) -> BranchScan:
+    """The candidate -> cluster -> fit -> classify loop of sphere and disk.
+
+    ``absfz`` is |F_z| on the caller's node array.  Candidates are its local
+    minima below threshold_factor * median |F_z|, visited by increasing
+    |F_z| (ties in row-major node order); one within ``cluster_radius`` of
+    an already kept candidate is dropped.  ``patch_at(ij)`` returns the
+    candidate's (chart label, chart coordinates z, F_z samples of shape
+    (3,) + z.shape, NaN on unusable nodes).  Each kept candidate is fitted
+    over the 96 nearest usable nodes; a fit worse than 10% of the local
+    |F_z| norm, or one that is not a conformal branch point (G.G ~ 0,
+    G != 0), is reported as an unresolved singular point.
+    """
+    candidates = _scan_branch_candidates(
+        absfz, threshold_factor * float(np.median(absfz))
+    )
     kept = []
-    for ij in order:
-        z = positions[ij][0]
-        if all(abs(z - positions[k][0]) > radius for k in kept):
-            kept.append(ij)
-    return kept
+    for ij in sorted(candidates, key=lambda ij: absfz[ij]):
+        z0 = patch_at(ij)[1][ij]
+        if all(abs(z0 - zk) > cluster_radius for _, zk in kept):
+            kept.append((ij, z0))
+
+    points, unresolved = [], []
+    for ij, z0 in kept:
+        chart, zc, fz = patch_at(ij)
+        dist = np.abs(zc - z0)
+        dist[~np.isfinite(fz).all(axis=0)] = np.inf
+        idx = np.argsort(dist.ravel())[:96]
+        samples = fz.reshape(3, -1)[:, idx].T
+        fit = fit_branch_point(zc.ravel()[idx], samples, z0)
+        if fit is not None:
+            k, q, G0, rel = fit
+            bp = BranchPoint(ChartPoint(chart, complex(q)), k, G0, rel)
+            if bp.null_defect < 1e-6 and np.linalg.norm(G0) > 1e-6:
+                points.append(bp)
+                continue
+        unresolved.append(ChartPoint(chart, complex(z0)))
+    return BranchScan(points=points, unresolved=unresolved)
 
 
 def detect_branch_points(F: ImmersionField, grid=None,
@@ -469,10 +508,8 @@ def detect_branch_points(F: ImmersionField, grid=None,
                          conformality_tol: float = 1e-6) -> BranchScan:
     """Locate and classify branch points of a conformal map of the sphere.
 
-    Finds local minima of |F_z| below threshold_factor * median |F_z|, fits
-    F_z ~ (z - q)^k G over k in 1..6 in the candidate's home chart and
-    verifies G.G ~ 0, G != 0.  Fits worse than 10% of the local |F_z| norm
-    are reported as unresolved singular points.
+    Runs ``branch_scan`` on |F_z| in each node's home chart, fitting
+    F_z ~ (z - q)^k G over k in 1..6 in the candidate's home chart.
     """
     grid = grid or F.grid
     conf = conformality_residual(F, grid, chart="home")
@@ -482,42 +519,9 @@ def detect_branch_points(F: ImmersionField, grid=None,
 
     fz_home = F.chart_gradient_home()
     absfz = np.sqrt(np.einsum("ctp,ctp->tp", fz_home, np.conj(fz_home)).real)
-    med = float(np.median(absfz))
-    candidates = _scan_branch_candidates(absfz, threshold_factor * med)
-    if not candidates:
-        return BranchScan(points=[])
-
     home = grid.home_chart()
-    positions = {}
-    for (i, j) in candidates:
-        chart = home[i]
-        positions[(i, j)] = (grid.chart_z(chart)[i, j], absfz[i, j], chart)
-    cluster_radius = 0.25
-    kept = _cluster(candidates, positions, cluster_radius)
-
-    points, unresolved = [], []
-    for (i, j) in kept:
-        z0, _, chart = positions[(i, j)]
-        zc = grid.chart_z(chart)
-        mask = grid.chart_mask(chart)
-        fz = chart_gradient(F.field, grid, chart)
-        dist = np.abs(zc - z0)
-        dist[~mask] = np.inf
-        idx = np.argsort(dist.ravel())[:96]
-        zs = zc.ravel()[idx]
-        samples = fz.reshape(3, -1)[:, idx].T
-        fit = fit_branch_point(zs, samples, z0)
-        loc = ChartPoint(chart, complex(z0))
-        if fit is None:
-            unresolved.append(loc)
-            continue
-        k, q, G0, rel = fit
-        bp = BranchPoint(ChartPoint(chart, complex(q)), k, G0, rel)
-        if bp.null_defect < 1e-6 and np.linalg.norm(G0) > 1e-6:
-            points.append(bp)
-        else:
-            unresolved.append(loc)
-    return BranchScan(points=points, unresolved=unresolved)
+    patches = {c: (c, grid.chart_z(c), F.chart_gradient(c)) for c in (NORTH, SOUTH)}
+    return branch_scan(absfz, threshold_factor, 0.25, lambda ij: patches[home[ij[0]]])
 
 
 # ----------------------------------------------------------------------

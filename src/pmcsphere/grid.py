@@ -461,7 +461,11 @@ def chart_area_factors(grid: SphericalGrid, chart: str) -> np.ndarray:
     """Conformal factor mu^{-2} with flat chart metric = mu^2 * round metric.
 
     Satisfies F_{zbar z} = (mu^{-2} / 4) * Laplace_round F in the chart.
+    One value per theta-row; chart "home" takes each row's home chart.
     """
+    if chart == "home":
+        return np.where(grid.home_chart() == NORTH,
+                        chart_area_factors(grid, NORTH), chart_area_factors(grid, SOUTH))
     if chart == NORTH:
         return 4.0 * np.cos(grid.theta / 2) ** 4
     if chart == SOUTH:

@@ -36,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import BranchScan, fit_branch_point, pointwise_forms
-from .grid import ChartPoint
+from .geometry import BranchScan, branch_scan, pointwise_forms
 
 EVEN_COVER_MULTIPLICITY = 2
 
@@ -233,42 +232,8 @@ def richardson_limit(radii, values) -> float:
 
 def detect_branch_points_planar(P: PlanarImmersion,
                                 threshold_factor: float = 1e-4) -> BranchScan:
-    """Branch detection on the disk: minima of |F_z| below the threshold,
-    fitted to (z - q)^k G as on the sphere charts."""
+    """Branch detection on the disk: the sphere's ``branch_scan`` on the one
+    chart "disk", clustering within 0.15 R."""
     absfz = np.sqrt(np.einsum("crp,crp->rp", P.Fz, np.conj(P.Fz)).real)
-    med = float(np.median(absfz))
-    threshold = threshold_factor * med
-    below = absfz <= threshold
-    if not below.any():
-        return BranchScan(points=[])
-    z = P.grid.z
-    candidates = np.argwhere(below)
-    # greedy clustering by position
-    order = candidates[np.argsort(absfz[below])]
-    kept = []
-    radius = 0.15 * P.grid.radius
-    for ij in order:
-        z0 = z[tuple(ij)]
-        if all(abs(z0 - z[tuple(k)]) > radius for k in kept):
-            kept.append(tuple(ij))
-    points, unresolved = [], []
-    for ij in kept:
-        z0 = z[ij]
-        dist = np.abs(z - z0).ravel()
-        idx = np.argsort(dist)[:96]
-        zs = z.ravel()[idx]
-        samples = P.Fz.reshape(3, -1)[:, idx].T
-        fit = fit_branch_point(zs, samples, z0)
-        loc = ChartPoint("disk", complex(z0))
-        if fit is None:
-            unresolved.append(loc)
-            continue
-        k, q, G0, rel = fit
-        from .geometry import BranchPoint
-
-        bp = BranchPoint(ChartPoint("disk", complex(q)), k, G0, rel)
-        if bp.null_defect < 1e-6 and np.linalg.norm(G0) > 1e-6:
-            points.append(bp)
-        else:
-            unresolved.append(loc)
-    return BranchScan(points=points, unresolved=unresolved)
+    patch = ("disk", P.grid.z, P.Fz)
+    return branch_scan(absfz, threshold_factor, 0.15 * P.grid.radius, lambda ij: patch)

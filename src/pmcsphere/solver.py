@@ -52,6 +52,7 @@ from .geometry import (
     fundamental_forms,
     mc_residual,
     mc_residual_global,
+    metric_jet,
     obstruction_vector,
     pointwise_forms,
     verify,
@@ -64,7 +65,6 @@ from .grid import (
     chart_area_factors,
     conformal_gradients,
     integrate,
-    per_node_home_values,
     synthesize,
     synthesize_at,
     synthesize_jet,
@@ -95,10 +95,14 @@ class ContinuationState:
     s: float
     coeffs: np.ndarray          # (3, L+1, 2L+1)
     b: np.ndarray               # (3,)
-    residual_norm: float
+    residual: np.ndarray        # _residual_vector at the H of the next step
     history: list = dataclass_field(default_factory=list)
     step_log: list = dataclass_field(default_factory=list)
     last_update: np.ndarray = None  # accepted raw update, before re-basing
+
+    @property
+    def residual_norm(self) -> float:
+        return float(np.linalg.norm(self.residual))
 
 
 @dataclass(frozen=True)
@@ -175,12 +179,7 @@ class _Workspace:
         # home-chart conformal factor mu^{-2}: the row weights below make the
         # Euclidean norm of each block equal to the L2 norm of the
         # stereographic-chart residuals F_z.F_z and mc_residual
-        mu2inv = per_node_home_values(
-            chart_area_factors(grid, "north")[:, None],
-            chart_area_factors(grid, "south")[:, None],
-            grid,
-        )
-        mu2inv = np.broadcast_to(mu2inv, (grid.n_theta, grid.n_phi)).ravel()
+        mu2inv = np.repeat(chart_area_factors(grid, "home"), grid.n_phi)
         self.conf_row_w = 0.25 * mu2inv * self.sqrt_w
         self.mc_row_w = mu2inv * self.sqrt_w
         self.n_unknowns = 3 * self.n_modes + 3
@@ -366,7 +365,7 @@ def gauge_projected_step(state: ContinuationState, H_values,
     """
     ws = _workspace(grid)
     H_flat = np.asarray(H_values, dtype=float).ravel()
-    r0 = _residual_vector(state.coeffs, state.b, H_flat, grid, ws)
+    r0 = state.residual
     n0 = np.linalg.norm(r0)
     J = _jacobian(state.coeffs, state.b, H_flat, grid, ws)
     # The based-immersion rows are enforced exactly by the rigid-motion
@@ -405,7 +404,7 @@ def gauge_projected_step(state: ContinuationState, H_values,
                     s=state.s,
                     coeffs=coeffs_new,
                     b=b_try,
-                    residual_norm=float(np.linalg.norm(r_new)),
+                    residual=r_new,
                     history=state.history,
                     step_log=state.step_log,
                     last_update=alpha * delta,
@@ -445,7 +444,7 @@ def _compose_with_boost(coeffs, v, grid):
     return analyze(vals.reshape(3, grid.n_theta, grid.n_phi), grid).coeffs
 
 
-def _area_center(coeffs, grid, ws):
+def _area_center(coeffs, grid):
     """Center of the induced area measure on the domain sphere."""
     jet = synthesize_jet(HarmonicField(coeffs), grid, which=("ft", "fp"))
     cross = np.cross(jet["ft"], jet["fp"], axis=0)
@@ -466,7 +465,7 @@ def _canonicalize(state, H_vals, grid, config, ws):
     equations.
     """
     for _ in range(8):
-        c = _area_center(state.coeffs, grid, ws)
+        c = _area_center(state.coeffs, grid)
         if np.linalg.norm(c) < 1e-10:
             return state, True
         # damped Newton on v -> center(F o phi_v) with FD Jacobian
@@ -478,9 +477,7 @@ def _canonicalize(state, H_vals, grid, config, ws):
             for j in range(3):
                 vp = v.copy()
                 vp[j] += h
-                cp = _area_center(
-                    _compose_with_boost(state.coeffs, vp, grid), grid, ws
-                )
+                cp = _area_center(_compose_with_boost(state.coeffs, vp, grid), grid)
                 Jc[:, j] = (cp - center_v) / h
             try:
                 dv = np.linalg.solve(Jc, -center_v)
@@ -488,9 +485,7 @@ def _canonicalize(state, H_vals, grid, config, ws):
                 break
             step = min(1.0, 0.3 / max(np.linalg.norm(dv), 1e-30))
             v = v + step * dv
-            center_v = _area_center(
-                _compose_with_boost(state.coeffs, v, grid), grid, ws
-            )
+            center_v = _area_center(_compose_with_boost(state.coeffs, v, grid), grid)
             if np.linalg.norm(center_v) < 1e-12:
                 break
         coeffs = _rebase(_compose_with_boost(state.coeffs, v, grid), ws)
@@ -498,15 +493,14 @@ def _canonicalize(state, H_vals, grid, config, ws):
             s=state.s,
             coeffs=coeffs,
             b=state.b.copy(),
-            residual_norm=float(np.linalg.norm(
-                _residual_vector(coeffs, state.b, H_vals.ravel(), grid, ws))),
+            residual=_residual_vector(coeffs, state.b, H_vals.ravel(), grid, ws),
             history=state.history,
             step_log=state.step_log,
         )
         state, ok = _newton_to_tol(state, H_vals, grid, config, 0.5 * config.tol)
         if not ok:
             return state, False
-    return state, bool(np.linalg.norm(_area_center(state.coeffs, grid, ws)) < 1e-8)
+    return state, bool(np.linalg.norm(_area_center(state.coeffs, grid)) < 1e-8)
 
 
 def _round_start(grid, config):
@@ -560,9 +554,9 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
     coeffs = _round_start(grid, config)
     b = np.zeros(3)
     H0 = np.full_like(H_vals, 2.0)
-    r = _residual_vector(coeffs, b, H0.ravel(), grid, ws)
     state = ContinuationState(
-        s=0.0, coeffs=coeffs, b=b, residual_norm=float(np.linalg.norm(r))
+        s=0.0, coeffs=coeffs, b=b,
+        residual=_residual_vector(coeffs, b, H0.ravel(), grid, ws),
     )
 
     status = "converged"
@@ -580,11 +574,7 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
             s=s_next,
             coeffs=state.coeffs.copy(),
             b=state.b.copy(),
-            residual_norm=float(
-                np.linalg.norm(
-                    _residual_vector(state.coeffs, state.b, H_s.ravel(), grid, ws)
-                )
-            ),
+            residual=_residual_vector(state.coeffs, state.b, H_s.ravel(), grid, ws),
             history=state.history,
             step_log=state.step_log,
         )
@@ -689,30 +679,13 @@ def normal_variation_operator(F: ImmersionField, f_values, grid=None) -> np.ndar
     ff = analyze(f_values, grid)
     fj = synthesize_jet(ff, grid, which=("ft", "fp", "ftt", "ftp", "fpp"))
     jet = F.jet("ft", "fp", "ftt", "ftp", "fpp")
-    d1 = [jet["ft"], jet["fp"]]
-    d2 = [[jet["ftt"], jet["ftp"]], [jet["ftp"], jet["fpp"]]]
-    dot = lambda x, y: np.einsum("ctp,ctp->tp", x, y)
-    g = [[dot(d1[a], d1[b]) for b in (0, 1)] for a in (0, 1)]
-    dg = [[[dot(d2[c][a], d1[b]) + dot(d1[a], d2[c][b]) for b in (0, 1)]
-           for a in (0, 1)] for c in (0, 1)]
-    det = g[0][0] * g[1][1] - g[0][1] ** 2
-    W = np.sqrt(det)
-    ginv = [[g[1][1] / det, -g[0][1] / det], [-g[0][1] / det, g[0][0] / det]]
-    ddet = [dg[c][0][0] * g[1][1] + g[0][0] * dg[c][1][1]
-            - 2 * g[0][1] * dg[c][0][1] for c in (0, 1)]
-    dW = [ddet[c] / (2 * W) for c in (0, 1)]
-    dginv = [[[-sum(ginv[a][e] * dg[c][e][f] * ginv[f][b]
-                    for e in (0, 1) for f in (0, 1))
-               for b in (0, 1)] for a in (0, 1)] for c in (0, 1)]
+    _, _, _, _, ginv, Gamma = metric_jet(jet)
 
+    # Lap_gamma f = g^{ab} (d_a d_b f - Gamma^c_ab d_c f)
     fd1 = [fj["ft"][0], fj["fp"][0]]
     fd2 = [[fj["ftt"][0], fj["ftp"][0]], [fj["ftp"][0], fj["fpp"][0]]]
-    lap = sum(ginv[a][b] * fd2[a][b] for a in (0, 1) for b in (0, 1))
-    for b in (0, 1):
-        div_coeff = sum(
-            dW[a] / W * ginv[a][b] + dginv[a][a][b] for a in (0, 1)
-        )
-        lap = lap + div_coeff * fd1[b]
+    lap = sum(ginv[a][b] * (fd2[a][b] - sum(Gamma[c][a][b] * fd1[c] for c in (0, 1)))
+              for a in (0, 1) for b in (0, 1))
 
     forms = pointwise_forms(jet["ft"], jet["fp"], jet["ftt"], jet["ftp"], jet["fpp"])
     return -lap - forms["A2"] * f_values

@@ -251,6 +251,11 @@ def test_detect_branch_points_round_sphere_empty():
     assert scan.points == [] and scan.unresolved == []
 
 
+def test_fundamental_forms_cached_per_immersion():
+    F = ellipsoid(SphericalGrid(12))
+    assert fundamental_forms(F) is fundamental_forms(F)
+
+
 def test_immersion_regular_flag():
     g = SphericalGrid(12)
     assert round_sphere(g).is_regular

@@ -138,6 +138,20 @@ def x3_plus_two_field(L=4):
     return analyze(2.0 + g.xyz[2], g)
 
 
+def test_thread_cap_overrides_blas_variables(monkeypatch):
+    from pmcsphere.cli import _apply_thread_cap
+
+    blas_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in blas_vars:
+        monkeypatch.setenv(var, "4")
+    monkeypatch.delenv("PMC_THREADS", raising=False)
+    _apply_thread_cap()
+    assert all(os.environ[var] == "4" for var in blas_vars)
+    monkeypatch.setenv("PMC_THREADS", "1")
+    _apply_thread_cap()
+    assert all(os.environ[var] == "1" for var in blas_vars)
+
+
 def test_cli_unknown_flag_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         cli_dispatch(["solve", "--nonsense"])

@@ -145,6 +145,19 @@ def test_branch_detection_enneper_blowdown_limit():
     assert np.allclose(G, [-0.5, -0.5j, 0.0], atol=1e-6)
 
 
+def test_branch_detection_enneper_limit_on_example_grid():
+    """The planar Enneper limit on the 96 x 96 disk of radius 2 that
+    ``pmc example`` uses: ties in |F_z| on the innermost ring must not
+    move the fit off its best start node."""
+    P = enneper_blowdown(0.0, DiskGrid(2.0, n_r=96, n_phi=96))
+    scan = detect_branch_points_planar(P)
+    assert len(scan.points) == 1 and not scan.unresolved
+    bp = scan.points[0]
+    assert bp.order == 2
+    assert abs(bp.location.z) < 1e-6
+    assert np.allclose(bp.leading_coefficient, [-0.5, -0.5j, 0.0], rtol=0, atol=1e-6)
+
+
 def test_branch_detection_even_family_limit_orders():
     """Blow-down limits of the even family have F_z exponent 2(k+1)-1."""
     g = DiskGrid(1.0, n_r=48, n_phi=48)

@@ -171,14 +171,40 @@ def test_step_basin_of_attraction():
     H = np.full((g.n_theta, g.n_phi), 2.0)
     state = ContinuationState(
         s=1.0, coeffs=coeffs, b=np.zeros(3),
-        residual_norm=float(np.linalg.norm(
-            _residual_vector(coeffs, np.zeros(3), H.ravel(), g, ws))),
+        residual=_residual_vector(coeffs, np.zeros(3), H.ravel(), g, ws),
     )
     for _ in range(10):
         if state.residual_norm < 1e-8:
             break
         state = gauge_projected_step(state, H, g)
     assert state.residual_norm < 1e-8
+
+
+def test_accepted_full_step_evaluates_residual_twice(monkeypatch):
+    """A step accepted at alpha = 1 evaluates the residual at the trial
+    point and at the re-based iterate; the start residual comes from the
+    state."""
+    g = SphericalGrid(10)
+    ws = _workspace(g)
+    rng = np.random.default_rng(5)
+    x = ws.pack(based_sphere_coeffs(g), np.zeros(3))
+    coeffs = _rebase(ws.unpack(x + 1e-3 * rng.uniform(-1, 1, x.size))[0], ws)
+    H = np.full((g.n_theta, g.n_phi), 2.0)
+    state = ContinuationState(
+        s=1.0, coeffs=coeffs, b=np.zeros(3),
+        residual=_residual_vector(coeffs, np.zeros(3), H.ravel(), g, ws),
+    )
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _residual_vector(*args)
+
+    monkeypatch.setattr(solver, "_residual_vector", counted)
+    new = gauge_projected_step(state, H, g)
+    assert len(calls) == 2
+    assert new.residual_norm < 1e-2 * state.residual_norm
+    assert new.residual_norm == np.linalg.norm(new.residual)
 
 
 def test_step_zero_update_at_solution():
@@ -188,8 +214,7 @@ def test_step_zero_update_at_solution():
     H = np.full((g.n_theta, g.n_phi), 2.0)
     state = ContinuationState(
         s=1.0, coeffs=coeffs, b=np.zeros(3),
-        residual_norm=float(np.linalg.norm(
-            _residual_vector(coeffs, np.zeros(3), H.ravel(), g, ws))),
+        residual=_residual_vector(coeffs, np.zeros(3), H.ravel(), g, ws),
     )
     try:
         new = gauge_projected_step(state, H, g)
@@ -210,8 +235,7 @@ def test_step_update_orthogonal_to_gauge():
     H = np.full((g.n_theta, g.n_phi), 2.0)
     state = ContinuationState(
         s=1.0, coeffs=coeffs, b=np.zeros(3),
-        residual_norm=float(np.linalg.norm(
-            _residual_vector(coeffs, np.zeros(3), H.ravel(), g, ws))),
+        residual=_residual_vector(coeffs, np.zeros(3), H.ravel(), g, ws),
     )
     G = gauge_basis(coeffs, g, ws).matrix
     new = gauge_projected_step(state, H, g)
