@@ -40,7 +40,8 @@ def _build_parser() -> _Parser:
     ps.add_argument("--h-target", required=True, help="scalar HarmonicField JSON")
     ps.add_argument("--L", type=int, default=24)
     ps.add_argument("--tol", type=float, default=1e-8)
-    ps.add_argument("--steps", type=int, default=10)
+    ps.add_argument("--steps", type=int, default=10,
+                    help="initial continuation step count (first step 1/steps)")
     ps.add_argument("--out-dir", default="pmc_out")
 
     pv = sub.add_parser("verify", help="verification report for an immersion")

@@ -551,8 +551,15 @@ def verify(F: ImmersionField, grid=None, scan_branches=True) -> dict:
         "mc_convention_constant": MC_CONVENTION_CONSTANT,
     }
     if scan_branches and report["conformality_sup"] <= 1e-6:
-        scan = detect_branch_points(F, grid)
-        report["branch_points"] = [
+        report.update(branch_scan_report(detect_branch_points(F, grid)))
+    return report
+
+
+def branch_scan_report(scan: BranchScan) -> dict:
+    """The ``branch_points`` and ``unresolved_singular_points`` report
+    entries of a sphere branch scan."""
+    return {
+        "branch_points": [
             {
                 "chart": bp.location.chart,
                 "z": [bp.location.z.real, bp.location.z.imag],
@@ -562,8 +569,8 @@ def verify(F: ImmersionField, grid=None, scan_branches=True) -> dict:
                 "fit_residual": bp.fit_residual,
             }
             for bp in scan.points
-        ]
-        report["unresolved_singular_points"] = [
+        ],
+        "unresolved_singular_points": [
             {"chart": p.chart, "z": [p.z.real, p.z.imag]} for p in scan.unresolved
-        ]
-    return report
+        ],
+    }

@@ -3,7 +3,8 @@ Gauge-fixed Gauss-Newton continuation for prescribed mean curvature.
 
 Solves for a conformal immersion F: S^2 -> R^3 and an affine parameter b such
 that the mean curvature of F equals H_target + ell_b, following the straight
-homotopy H_s = (1-s) 2 + s H_target from the round sphere.
+homotopy H_s = (1-s) 2 + s H_target from the round sphere with a secant
+predictor and an adaptive step in s.
 
 Residual blocks (stacked over all grid nodes, quadrature-weighted so the
 Euclidean norm is an L2 norm):
@@ -38,6 +39,7 @@ the returned AffineFunction uses the exact norm.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field as dataclass_field
 
@@ -47,6 +49,7 @@ from .affine import AffineFunction
 from .errors import ConfigurationError, ConformalityError, DataError
 from .geometry import (
     ImmersionField,
+    branch_scan_report,
     conformality_residual,
     detect_branch_points,
     fundamental_forms,
@@ -80,7 +83,7 @@ class SolverConfig:
     degree: int = 24
     tol: float = 1e-8
     max_newton_iters: int = 30
-    steps: int = 10
+    steps: int = 10             # initial step count: the first step in s is 1/steps
     min_step: float = 1.0 / 160.0
     noise_amplitude: float = 0.0
     noise_seed: int = 0
@@ -373,19 +376,22 @@ def gauge_projected_step(state: ContinuationState, H_values,
     # least-squares model, so the gauge projection and the basing do not
     # compete (the competition degrades convergence from quadratic to
     # linear).
-    A = J.T @ J
-    g = J.T @ r0[: J.shape[0]]
     G = gauge_basis(state.coeffs, grid, ws).matrix
     n, k = ws.n_unknowns, G.shape[1]
+    K = np.zeros((n + k, n + k))
+    A = K[:n, :n]
+    np.matmul(J.T, J, out=A)
+    g = J.T @ r0[: J.shape[0]]
+    del J  # the largest array of the step: free it before the solve
+    K[:n, n:] = G
+    K[n:, :n] = G.T
+    rhs = np.concatenate([-g, np.zeros(k)])
+    diag = np.diagonal(A).copy()
     lam = 1e-12 * np.trace(A) / n
 
     x0 = ws.pack(state.coeffs, state.b)
     for attempt in range(4):
-        K = np.zeros((n + k, n + k))
-        K[:n, :n] = A + lam * np.eye(n)
-        K[:n, n:] = G
-        K[n:, :n] = G.T
-        rhs = np.concatenate([-g, np.zeros(k)])
+        np.fill_diagonal(A, diag + lam)
         try:
             delta = np.linalg.solve(K, rhs)[:n]
         except np.linalg.LinAlgError:
@@ -528,6 +534,21 @@ def _newton_to_tol(state, H_values, grid, config, target):
     return state, state.residual_norm <= target
 
 
+def _dense_step_bytes(L: int) -> int:
+    """Bytes a dense Gauss-Newton step holds at degree L: the Jacobian, the
+    KKT matrix and the copy the dense solve factors, and the workspace's
+    three basis-jet tables."""
+    n_nodes = 2 * (L + 1) ** 2
+    n_modes = (L + 1) ** 2
+    n_unknowns = 3 * n_modes + 3
+    return 8 * (5 * n_nodes * n_unknowns + 2 * (n_unknowns + 9) ** 2
+                + 3 * n_nodes * n_modes)
+
+
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
     """Continuation solve of the prescribed mean curvature problem.
 
@@ -536,8 +557,24 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
     immersion, the normalized affine function ell, and a verification
     report.  On a continuation stall the partial state is returned with
     status "stalled" and branch diagnostics in the report.
+
+    The homotopy parameter s advances by predictor-corrector continuation:
+    each stage starts from the secant extrapolation of the last two
+    accepted states and is corrected by Gauss-Newton to 10 tol.  The first
+    step is 1 / config.steps; it doubles after a stage that converged in at
+    most two iterations and halves after a failed one.
+
+    Raises ConfigurationError, before any work, when one dense Gauss-Newton
+    step at config.degree would need more bytes than the physical memory.
     """
     t_start = time.perf_counter()
+    need, have = _dense_step_bytes(config.degree), _physical_memory_bytes()
+    if need > have:
+        raise ConfigurationError(
+            f"a dense Gauss-Newton step at L = {config.degree} needs about "
+            f"{need / 1e9:.2f} GB, more than the {have / 1e9:.2f} GB of "
+            "physical memory"
+        )
     grid = SphericalGrid(config.degree)
     ws = _workspace(grid)
     if isinstance(H_target, HarmonicField):
@@ -567,25 +604,38 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
     state, ok = _newton_to_tol(state, H0, grid, config, intermediate_tol)
     if not ok:
         status = "stalled"
+    x = ws.pack(state.coeffs, state.b)
+    previous = None  # (s, x) of the accepted state before (s, x)
     while ok and s < 1.0 - 1e-14:
         s_next = min(1.0, s + ds)
+        ds = s_next - s
         H_s = (1.0 - s_next) * 2.0 + s_next * H_vals
+        if previous is None:
+            coeffs, b = state.coeffs.copy(), state.b.copy()
+        else:
+            # secant predictor through the last two accepted states
+            s_prev, x_prev = previous
+            coeffs, b = ws.unpack(x + ds / (s - s_prev) * (x - x_prev))
+            coeffs = _rebase(coeffs, ws)
         trial = ContinuationState(
-            s=s_next,
-            coeffs=state.coeffs.copy(),
-            b=state.b.copy(),
-            residual=_residual_vector(state.coeffs, state.b, H_s.ravel(), grid, ws),
+            s=s_next, coeffs=coeffs, b=b,
+            residual=_residual_vector(coeffs, b, H_s.ravel(), grid, ws),
             history=state.history,
             step_log=state.step_log,
         )
+        n_before = len(state.history)
         trial, ok_step = _newton_to_tol(trial, H_s, grid, config, intermediate_tol)
+        newton_iters = len(state.history) - n_before
         state.step_log.append(
             {"s": s_next, "ds": ds, "converged": bool(ok_step),
-             "residual": trial.residual_norm}
+             "residual": trial.residual_norm, "newton_iters": newton_iters}
         )
         if ok_step:
-            state = trial
-            s = s_next
+            previous = (s, x)
+            state, s = trial, s_next
+            x = ws.pack(state.coeffs, state.b)
+            if newton_iters <= 2:
+                ds *= 2.0
             continue
         ds /= 2.0
         if ds < config.min_step:
@@ -618,7 +668,27 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
 
 
 def _solution_report(F, affine, H_vals, grid, status):
-    report = verify(F, grid, scan_branches=(status != "converged"))
+    report = verify(F, grid, scan_branches=False)
+    if status != "converged":
+        # a stall may come from branch-point formation; scan once, with the
+        # conformality gate relaxed to the iterate's own defect.  Within the
+        # default gate this scan is the one verify would run.
+        diag = {"note": "possible branch-point formation"}
+        try:
+            tol = max(1e-6, 2.0 * report["conformality_sup"])
+            found = branch_scan_report(
+                detect_branch_points(F, grid, conformality_tol=tol)
+            )
+        except Exception as err:
+            diag["branch_scan_error"] = str(err)
+        else:
+            if report["conformality_sup"] <= 1e-6:
+                report.update(found)
+            diag["branch_points"] = [
+                {key: bp[key] for key in ("chart", "z", "order")}
+                for bp in found["branch_points"]
+            ]
+            diag["unresolved_singular_points"] = list(found["unresolved_singular_points"])
     ell = affine.evaluate(grid)
     conf = conformality_residual(F, grid, chart="home")
     report["conformality_l2"] = float(
@@ -640,24 +710,6 @@ def _solution_report(F, affine, H_vals, grid, status):
     report["affine_b"] = affine.b.tolist()
     report["status"] = status
     if status != "converged":
-        # a stall may come from branch-point formation; scan with the
-        # conformality gate relaxed to the iterate's own defect
-        diag = {"note": "possible branch-point formation"}
-        try:
-            tol = max(1e-6, 2.0 * report["conformality_sup"])
-            scan = detect_branch_points(F, grid, conformality_tol=tol)
-            diag["branch_points"] = [
-                {"chart": bp.location.chart,
-                 "z": [bp.location.z.real, bp.location.z.imag],
-                 "order": bp.order}
-                for bp in scan.points
-            ]
-            diag["unresolved_singular_points"] = [
-                {"chart": p.chart, "z": [p.z.real, p.z.imag]}
-                for p in scan.unresolved
-            ]
-        except Exception as err:
-            diag["branch_scan_error"] = str(err)
         report["stall_diagnostics"] = diag
     return report
 

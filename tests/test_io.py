@@ -260,6 +260,23 @@ def test_cli_outputs_byte_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_solve_refuses_beyond_physical_memory(tmp_path, monkeypatch, capsys):
+    """A solve whose dense step cannot fit in memory exits 1 before any
+    work and writes no outputs."""
+    from pmcsphere import solver
+
+    monkeypatch.setattr(solver, "_physical_memory_bytes", lambda: 1 << 20)
+    h_path = tmp_path / "const2.json"
+    write_field(constant_field(2.0), h_path)
+    out = tmp_path / "out"
+    code = cli_dispatch([
+        "solve", "--h-target", str(h_path), "--L", "8", "--out-dir", str(out),
+    ])
+    assert code == 1
+    assert not (out / "solution.json").exists()
+    assert "physical memory" in capsys.readouterr().err
+
+
 def test_cli_solve_stall_exit_2(tmp_path, capsys):
     h_path = tmp_path / "h.json"
     write_field(x3_plus_two_field(), h_path)

@@ -318,14 +318,36 @@ def test_solver_outputs_satisfy_obstruction_identity():
 
 
 def test_monotone_residual_history():
+    """Within each continuation stage the accepted norms strictly decrease;
+    stage boundaries re-evaluate against a new target.  The history splits
+    into stages by each stage's logged Gauss-Newton count (the noise-free
+    round start needs no iteration at s = 0)."""
     g = SphericalGrid(12)
     res = solve_pmc(2.0 + 0.5 * g.xyz[2], SolverConfig(degree=12, steps=2))
-    # within each continuation stage the accepted norms strictly decrease;
-    # stage boundaries re-evaluate against a new target
-    hist = res.state.history
-    assert len(hist) > 0
-    drops = np.diff(hist)
-    assert np.mean(drops < 0) > 0.7
+    hist, log = res.state.history, res.state.step_log
+    assert log and all(e["converged"] for e in log) and log[-1]["s"] == 1.0
+    start = 0
+    for e in log:
+        stage = hist[start : start + e["newton_iters"]]
+        if stage:
+            assert stage[-1] == e["residual"]
+            assert np.all(np.diff(stage) < 0)
+        start += e["newton_iters"]
+    # iterations of the final polish and the canonicalization follow
+    assert 0 < start <= len(hist)
+
+
+def test_predictor_corrector_step_count():
+    """Secant prediction and step doubling: H = 2 + 0.5 x3 from steps = 10
+    takes at most 15 Gauss-Newton steps (31 with ten fixed stages of two),
+    and still lands on the radius-0.8 sphere."""
+    g = SphericalGrid(12)
+    res = solve_pmc(2.0 + 0.5 * g.xyz[2], SolverConfig(degree=12, steps=10))
+    assert res.status == "converged"
+    assert len(res.state.history) <= 15
+    log = res.state.step_log
+    assert log[0]["ds"] == 0.1 and max(e["ds"] for e in log) > 0.1
+    assert abs(res.report["area"] - 4 * np.pi * 0.64) < 1e-7
 
 
 def test_gauge_invariance_two_seeds():
@@ -370,6 +392,33 @@ def test_stall_reports_partial_state():
     assert res.status == "stalled"
     assert res.report["status"] == "stalled"
     assert "stall_diagnostics" in res.report
+
+
+def test_stall_report_scans_branches_once(monkeypatch):
+    """A stall at a conformal iterate fills both the verify entries and the
+    stall diagnostics from one branch scan."""
+    from pmcsphere import geometry
+
+    scan, calls = geometry.detect_branch_points, []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "detect_branch_points", counted)
+    monkeypatch.setattr(solver, "detect_branch_points", counted)
+    g = SphericalGrid(8)
+    cfg = SolverConfig(degree=8, steps=1, min_step=0.6, max_newton_iters=1)
+    res = solve_pmc(2.0 + 0.9 * g.xyz[2], cfg)
+    rep = res.report
+    assert res.status == "stalled" and rep["conformality_sup"] <= 1e-6
+    assert len(calls) == 1
+    assert rep["unresolved_singular_points"] == (
+        rep["stall_diagnostics"]["unresolved_singular_points"]
+    )
+    assert [bp["order"] for bp in rep["branch_points"]] == [
+        bp["order"] for bp in rep["stall_diagnostics"]["branch_points"]
+    ]
 
 
 def test_stall_report_serializable():
