@@ -127,7 +127,7 @@ def _cmd_verify(args) -> int:
     if field.n_components != 3:
         raise InputError("--immersion must be a 3-component field")
     grid = SphericalGrid(max(args.L, field.degree))
-    report = verify(ImmersionField(field, grid), grid)
+    report = verify(ImmersionField(field, grid))
     print(dumps(report))
     if args.out_dir:
         out = _ensure_dir(args.out_dir)

@@ -38,7 +38,7 @@ from .grid import (
     SphericalGrid,
     analyze,
     chart_area_factors,
-    chart_gradient,
+    chart_gradient_from_jet,
     conformal_gradients,
     integrate,
     per_node_home_values,
@@ -48,6 +48,10 @@ from .grid import (
 MC_CONVENTION_CONSTANT = -0.5
 SINGULAR_CROSS_THRESHOLD = 1e-12
 IMMERSION_EPSILON = 1e-8
+CONFORMALITY_TOL = 1e-6        # sup |F_z . F_z| gate of the chart residuals
+BRANCH_THRESHOLD_FACTOR = 1e-4  # branch candidates: |F_z| below this * median
+BRANCH_MAX_ORDER = 6            # branch fits try orders k = 1..BRANCH_MAX_ORDER
+BRANCH_FIT_TOL = 0.1            # largest relative residual of a branch fit
 
 
 class ImmersionField:
@@ -81,9 +85,14 @@ class ImmersionField:
         return {k: self._jets[k] for k in keys}
 
     def chart_gradient(self, chart: str) -> np.ndarray:
-        """Cached F_z per chart, shape (3, n_theta, n_phi); NaN when masked."""
+        """Cached F_z per chart, shape (3, n_theta, n_phi); NaN when masked.
+
+        Taken from the cached (F_theta, F_phi) jet."""
         if chart not in self._fz:
-            self._fz[chart] = chart_gradient(self.field, self.grid, chart)
+            jet = self.jet("ft", "fp")
+            self._fz[chart] = chart_gradient_from_jet(
+                jet["ft"], jet["fp"], self.grid, chart
+            )
         return self._fz[chart]
 
     def chart_gradient_home(self) -> np.ndarray:
@@ -158,12 +167,11 @@ def pointwise_forms(Fu, Fv, Fuu, Fuv, Fvv, singular_threshold=SINGULAR_CROSS_THR
     }
 
 
-def fundamental_forms(F: ImmersionField, grid: SphericalGrid = None) -> FundamentalForms:
+def fundamental_forms(F: ImmersionField) -> FundamentalForms:
     """First and second fundamental forms, curvatures and area weight of F
     (computed once per immersion, then cached on F)."""
     if F._forms is not None:
         return F._forms
-    grid = grid or F.grid
     jet = F.jet("ft", "fp", "ftt", "ftp", "fpp")
     p = pointwise_forms(jet["ft"], jet["fp"], jet["ftt"], jet["ftp"], jet["fpp"])
 
@@ -181,7 +189,7 @@ def fundamental_forms(F: ImmersionField, grid: SphericalGrid = None) -> Fundamen
     fz = F.chart_gradient_home()
     lam2 = 2.0 * np.einsum("ctp,ctp->tp", fz, np.conj(fz)).real
 
-    area_weight = p["cross_norm"] / grid.sin_theta[:, None]
+    area_weight = p["cross_norm"] / F.grid.sin_theta[:, None]
     F._forms = FundamentalForms(
         gamma=gamma,
         normal=sgn * p["normal"],
@@ -201,9 +209,8 @@ def fundamental_forms(F: ImmersionField, grid: SphericalGrid = None) -> Fundamen
 # residuals of the structure equations
 # ----------------------------------------------------------------------
 
-def conformality_residual(F: ImmersionField, grid=None, chart="home") -> np.ndarray:
+def conformality_residual(F: ImmersionField, chart="home") -> np.ndarray:
     """F_z . F_z per node (zero iff the parametrization is conformal)."""
-    grid = grid or F.grid
     if chart == "home":
         fz = F.chart_gradient_home()
     else:
@@ -211,38 +218,36 @@ def conformality_residual(F: ImmersionField, grid=None, chart="home") -> np.ndar
     return np.einsum("ctp,ctp->tp", fz, fz)
 
 
-def mc_residual(F: ImmersionField, H_target: np.ndarray, grid=None,
-                chart="home", conformality_tol=1e-6) -> np.ndarray:
+def mc_residual(F: ImmersionField, H_target: np.ndarray) -> np.ndarray:
     """Calibrated mean-curvature residual F_{zbar z} + (i/2) H (Fbar_z x F_z).
 
-    Requires a conformal parametrization; raises ConformalityError carrying
-    the offending sup-norm otherwise.  Returns a complex (3, n_theta, n_phi)
-    array in the requested chart ("home" mixes the two charts per node); the
-    imaginary part is zero up to rounding.
+    Requires a conformal parametrization (sup |F_z . F_z| within
+    CONFORMALITY_TOL); raises ConformalityError carrying the offending
+    sup-norm otherwise.  Returns a real (3, n_theta, n_phi) array in each
+    node's home chart (F_{zbar z} and i Fbar_z x F_z are both real): the
+    chart-free residual times mu^{-2}.
     """
-    grid = grid or F.grid
-    conf = conformality_residual(F, grid, chart="home")
+    conf = conformality_residual(F)
     sup = float(np.nanmax(np.abs(conf)))
-    if sup > conformality_tol:
+    if sup > CONFORMALITY_TOL:
         raise ConformalityError(sup)
     H_target = np.asarray(H_target, dtype=float)
 
-    r_global = mc_residual_global(F, H_target, grid)
-    factor = chart_area_factors(grid, chart)[:, None]
-    return factor[None, :, :] * r_global.astype(complex)
+    r_global = mc_residual_global(F, H_target)
+    factor = chart_area_factors(F.grid, "home")[:, None]
+    return factor[None, :, :] * r_global
 
 
-def mc_residual_global(F: ImmersionField, H_target: np.ndarray, grid=None) -> np.ndarray:
+def mc_residual_global(F: ImmersionField, H_target: np.ndarray) -> np.ndarray:
     """Chart-free residual (1/4)(Lap_round F + H (F_theta x F_phi)/sin theta).
 
     Equals mu^2 times the chart residual in either stereographic chart;
     real-valued; vanishes iff F is a conformal immersion of mean curvature
     H_target in the chart orientation.
     """
-    grid = grid or F.grid
     jet = F.jet("ft", "fp", "lap")
     cross = np.cross(jet["ft"], jet["fp"], axis=0)
-    wn = cross / grid.sin_theta[None, :, None]
+    wn = cross / F.grid.sin_theta[None, :, None]
     return 0.25 * (jet["lap"] + H_target[None, :, :] * wn)
 
 
@@ -253,10 +258,9 @@ def _gauss_identity(forms: FundamentalForms, grid: SphericalGrid):
     return intA2, intA2 - intH2 + 2.0 * FOUR_PI
 
 
-def gauss_identity_residual(F: ImmersionField, grid=None) -> float:
+def gauss_identity_residual(F: ImmersionField) -> float:
     """int |A|^2 dV - int H^2 dV + 8 pi (zero for every immersed sphere)."""
-    grid = grid or F.grid
-    return _gauss_identity(fundamental_forms(F, grid), grid)[1]
+    return _gauss_identity(fundamental_forms(F), F.grid)[1]
 
 
 def _dot(x, y):
@@ -284,7 +288,7 @@ def metric_jet(jet: dict):
     return d1, d2, g, dg, ginv, Gamma
 
 
-def codazzi_residual(F: ImmersionField, grid=None) -> float:
+def codazzi_residual(F: ImmersionField) -> float:
     """L2 norm of the 1-form div(A - H gamma) in the induced metric.
 
     Analytically zero for any immersion into flat space; the computed value
@@ -292,7 +296,6 @@ def codazzi_residual(F: ImmersionField, grid=None) -> float:
     derivatives up to third order are evaluated pointwise from exact
     spectral tables of F, so no tensor component is re-expanded.
     """
-    grid = grid or F.grid
     jet = F.jet(
         "ft", "fp", "ftt", "ftp", "fpp", "fttt", "fttp", "ftpp", "fppp"
     )
@@ -340,8 +343,8 @@ def codazzi_residual(F: ImmersionField, grid=None) -> float:
         div.append(acc)
 
     norm2 = sum(ginv[a][b] * div[a] * div[b] for a in (0, 1) for b in (0, 1))
-    area_weight = W / grid.sin_theta[:, None]
-    return float(np.sqrt(integrate(norm2, grid, area_weight)))
+    area_weight = W / F.grid.sin_theta[:, None]
+    return float(np.sqrt(integrate(norm2, F.grid, area_weight)))
 
 
 def obstruction_vector(H_values: np.ndarray, area_weight: np.ndarray,
@@ -414,14 +417,14 @@ def _refine_location(z, Fz, q0, k, spacing):
     return q
 
 
-def fit_branch_point(z: np.ndarray, Fz: np.ndarray, q0: complex, k_max: int = 6,
-                     residual_tol: float = 0.1):
+def fit_branch_point(z: np.ndarray, Fz: np.ndarray, q0: complex):
     """Fit a branch model on a sample patch; returns (k, q, G0, rel_residual).
 
-    All orders k = 1..k_max are fitted.  Models with k below the true order
-    also fit (with a vanishing leading coefficient), so the reported order is
-    the largest k whose residual is within a small factor of the best fit;
-    returns None if even the best fit exceeds ``residual_tol``.
+    All orders k = 1..BRANCH_MAX_ORDER are fitted.  Models with k below the
+    true order also fit (with a vanishing leading coefficient), so the
+    reported order is the largest k whose residual is within a small factor
+    of the best fit; returns None if even the best fit exceeds
+    BRANCH_FIT_TOL.
     """
     z = np.asarray(z, dtype=complex).ravel()
     Fz = np.asarray(Fz, dtype=complex).reshape(z.size, -1)
@@ -432,7 +435,7 @@ def fit_branch_point(z: np.ndarray, Fz: np.ndarray, q0: complex, k_max: int = 6,
     spacing = np.median(np.abs(np.diff(np.sort_complex(z)))) + 1e-30
     patch_radius = float(np.abs(z - q0).max())
     acceptable = []
-    for k in range(1, k_max + 1):
+    for k in range(1, BRANCH_MAX_ORDER + 1):
         q = _refine_location(z, Fz, q0, k, spacing)
         res, G0 = _branch_model_residual(z, Fz, q, k)
         rel = res / norm
@@ -440,7 +443,7 @@ def fit_branch_point(z: np.ndarray, Fz: np.ndarray, q0: complex, k_max: int = 6,
         # negligible leading coefficient; demand the k-th term to matter
         # at the patch scale
         significant = np.linalg.norm(G0) * patch_radius**k >= 0.1 * rms
-        if rel <= residual_tol and significant:
+        if rel <= BRANCH_FIT_TOL and significant:
             acceptable.append((k, q, G0, float(rel)))
     if not acceptable:
         return None
@@ -463,11 +466,11 @@ def _scan_branch_candidates(absfz, threshold):
     return [tuple(ij) for ij in cand]
 
 
-def branch_scan(absfz, threshold_factor, cluster_radius, patch_at) -> BranchScan:
+def branch_scan(absfz, cluster_radius, patch_at) -> BranchScan:
     """The candidate -> cluster -> fit -> classify loop of sphere and disk.
 
     ``absfz`` is |F_z| on the caller's node array.  Candidates are its local
-    minima below threshold_factor * median |F_z|, visited by increasing
+    minima below BRANCH_THRESHOLD_FACTOR * median |F_z|, visited by increasing
     |F_z| (ties in row-major node order); one within ``cluster_radius`` of
     an already kept candidate is dropped.  ``patch_at(ij)`` returns the
     candidate's (chart label, chart coordinates z, F_z samples of shape
@@ -477,7 +480,7 @@ def branch_scan(absfz, threshold_factor, cluster_radius, patch_at) -> BranchScan
     G != 0), is reported as an unresolved singular point.
     """
     candidates = _scan_branch_candidates(
-        absfz, threshold_factor * float(np.median(absfz))
+        absfz, BRANCH_THRESHOLD_FACTOR * float(np.median(absfz))
     )
     kept = []
     for ij in sorted(candidates, key=lambda ij: absfz[ij]):
@@ -503,55 +506,54 @@ def branch_scan(absfz, threshold_factor, cluster_radius, patch_at) -> BranchScan
     return BranchScan(points=points, unresolved=unresolved)
 
 
-def detect_branch_points(F: ImmersionField, grid=None,
-                         threshold_factor: float = 1e-4,
-                         conformality_tol: float = 1e-6) -> BranchScan:
+def detect_branch_points(F: ImmersionField,
+                         conformality_tol: float = CONFORMALITY_TOL) -> BranchScan:
     """Locate and classify branch points of a conformal map of the sphere.
 
     Runs ``branch_scan`` on |F_z| in each node's home chart, fitting
-    F_z ~ (z - q)^k G over k in 1..6 in the candidate's home chart.
+    F_z ~ (z - q)^k G over k in 1..BRANCH_MAX_ORDER in the candidate's home
+    chart.
     """
-    grid = grid or F.grid
-    conf = conformality_residual(F, grid, chart="home")
+    conf = conformality_residual(F)
     sup = float(np.nanmax(np.abs(conf)))
     if sup > conformality_tol:
         raise ConformalityError(sup)
 
     fz_home = F.chart_gradient_home()
     absfz = np.sqrt(np.einsum("ctp,ctp->tp", fz_home, np.conj(fz_home)).real)
-    home = grid.home_chart()
-    patches = {c: (c, grid.chart_z(c), F.chart_gradient(c)) for c in (NORTH, SOUTH)}
-    return branch_scan(absfz, threshold_factor, 0.25, lambda ij: patches[home[ij[0]]])
+    home = F.grid.home_chart()
+    patches = {c: (c, F.grid.chart_z(c), F.chart_gradient(c)) for c in (NORTH, SOUTH)}
+    return branch_scan(absfz, 0.25, lambda ij: patches[home[ij[0]]])
 
 
 # ----------------------------------------------------------------------
 # verification report
 # ----------------------------------------------------------------------
 
-def verify(F: ImmersionField, grid=None, scan_branches=True) -> dict:
-    """Assemble the verification report for an immersion."""
-    grid = grid or F.grid
-    forms = fundamental_forms(F, grid)
+def verify(F: ImmersionField, scan_branches=True) -> dict:
+    """Assemble the verification report for an immersion on its grid."""
+    grid = F.grid
+    forms = fundamental_forms(F)
     area = integrate(np.ones_like(forms.area_weight), grid, forms.area_weight)
     intA2, gauss_identity = _gauss_identity(forms, grid)
     intK = integrate(np.nan_to_num(forms.gauss_curvature), grid, forms.area_weight)
     obstruction = obstruction_vector(
         np.nan_to_num(forms.mean_curvature), forms.area_weight, grid
     )
-    conf = conformality_residual(F, grid, chart="home")
+    conf = conformality_residual(F)
     report = {
         "area": area,
         "intA2": intA2,
         "gauss_identity": gauss_identity,
-        "codazzi_norm": codazzi_residual(F, grid),
+        "codazzi_norm": codazzi_residual(F),
         "obstruction": obstruction.tolist(),
         "branch_points": [],
         "gauss_bonnet_residual": intK - FOUR_PI,
         "conformality_sup": float(np.nanmax(np.abs(conf))),
         "mc_convention_constant": MC_CONVENTION_CONSTANT,
     }
-    if scan_branches and report["conformality_sup"] <= 1e-6:
-        report.update(branch_scan_report(detect_branch_points(F, grid)))
+    if scan_branches and report["conformality_sup"] <= CONFORMALITY_TOL:
+        report.update(branch_scan_report(detect_branch_points(F)))
     return report
 
 

@@ -399,18 +399,21 @@ def integrate(values: np.ndarray, grid: SphericalGrid, weight=None) -> float:
 # chart-coordinate derivatives
 # ----------------------------------------------------------------------
 
-def _chart_gradient_from_jet(ft, fp, grid: SphericalGrid, chart: str) -> np.ndarray:
-    """F_z from (theta, phi) derivatives by the exact stereographic chain rule."""
+def chart_gradient_from_jet(ft, fp, grid: SphericalGrid, chart: str) -> np.ndarray:
+    """F_z from (theta, phi) derivatives by the exact stereographic chain
+    rule; nodes masked in the chart are NaN."""
     theta = grid.theta[:, None]
+    half = theta / 2
     if chart == NORTH:
         phase = np.exp(-1j * grid.phi)[None, :]
-        half = theta / 2
-        return 0.5 * phase * (2 * np.cos(half) ** 2 * ft - 1j / np.tan(half) * fp)
-    if chart == SOUTH:
+        fz = 0.5 * phase * (2 * np.cos(half) ** 2 * ft - 1j / np.tan(half) * fp)
+    elif chart == SOUTH:
         phase = np.exp(1j * grid.phi)[None, :]
-        half = theta / 2
-        return 0.5 * phase * (-2 * np.sin(half) ** 2 * ft + 1j * np.tan(half) * fp)
-    raise ConfigurationError(f"unknown chart {chart!r}")
+        fz = 0.5 * phase * (-2 * np.sin(half) ** 2 * ft + 1j * np.tan(half) * fp)
+    else:
+        raise ConfigurationError(f"unknown chart {chart!r}")
+    fz[..., ~grid.chart_mask(chart)] = np.nan
+    return fz
 
 
 def chart_gradient(field, grid: SphericalGrid, chart: str, nodes=None) -> np.ndarray:
@@ -425,19 +428,16 @@ def chart_gradient(field, grid: SphericalGrid, chart: str, nodes=None) -> np.nda
     if not isinstance(field, HarmonicField):
         field = analyze(field, grid)
     jet = synthesize_jet(field, grid, which=("ft", "fp"))
-    fz = _chart_gradient_from_jet(jet["ft"], jet["fp"], grid, chart)
+    fz = chart_gradient_from_jet(jet["ft"], jet["fp"], grid, chart)
     if field.n_components == 1:
         fz = fz[0]
-    mask = grid.chart_mask(chart)
     if nodes is not None:
         i_idx, j_idx = nodes
-        if not np.all(mask[i_idx, j_idx]):
+        if not np.all(grid.chart_mask(chart)[i_idx, j_idx]):
             raise ChartDomainError(
                 f"requested node(s) are masked in the {chart} chart"
             )
         return fz[..., i_idx, j_idx]
-    fz = np.array(fz)
-    fz[..., ~mask] = np.nan
     return fz
 
 

@@ -12,16 +12,13 @@ reflected family.
 
 Families
 --------
-enneper_blowdown(t):
-    x1 = Re(t^2 z - z^3/3),  x2 = Im(t^2 z + z^3/3),  x3 = t Re(z^2).
-odd family (parameter k >= 1):
-    x1 = Re(t^{2k} z - z^{2k+1}/(2k+1)),
-    x2 = Im(t^{2k} z + z^{2k+1}/(2k+1)),
-    x3 = t^k Re(2 z^{k+1}/(k+1)).
-even family (parameter k >= 1, a 2-fold branched cover):
-    x1 = Re(t^{2k} z^2/2 - z^{2k+2}/(2k+2)),
-    x2 = Im(t^{2k} z^2/2 + z^{2k+2}/(2k+2)),
-    x3 = t^k Re(2 z^{k+2}/(k+2)).
+One closed form of order k >= 1 and base power a, with p = 2k + a and
+q = k + a:
+    x1 = Re(t^{2k} z^a/a - z^p/p),
+    x2 = Im(t^{2k} z^a/a + z^p/p),
+    x3 = t^k Re(2 z^q/q).
+The odd family has a = 1, and enneper_blowdown(t) is its k = 1 member; the
+even family (a 2-fold branched cover) has a = 2.
 
 Total curvature is reported as the classical quantized integral
 int (-K) dA (equal to |A|^2/2 pointwise on minimal surfaces), which tends to
@@ -68,66 +65,27 @@ class DiskGrid:
         )
 
 
-def _holomorphic_triple(family: str, k: int, t: float):
-    """Return (h, h', h'') as callables of complex z for the family."""
-    t = float(t)
+def _holomorphic_triple(family: str, k: int, t: float, z):
+    """(h, h', h'') of the family at z, each a triple of complex arrays:
+    h = (t^{2k} z^a/a - z^p/p, t^{2k} z^a/a + z^p/p, t^k (2/q) z^q)."""
+    if family not in ("enneper", "odd", "even"):
+        raise ConfigurationError(f"unknown family {family!r}")
     if family == "enneper":
         k = 1
     if k < 1:
         raise ConfigurationError("family order k must be >= 1")
+    a = 2 if family == "even" else 1
+    p, q = 2 * k + a, k + a
+    t = float(t)
+    t2k, c = t ** (2 * k), t**k * (2.0 / q)
 
-    if family in ("enneper", "odd"):
-        p = 2 * k + 1
-        c3, q = 2.0 / (k + 1), k + 1
-
-        def h(z):
-            return (
-                t ** (2 * k) * z - z**p / p,
-                t ** (2 * k) * z + z**p / p,
-                t**k * c3 * z**q,
-            )
-
-        def dh(z):
-            return (
-                t ** (2 * k) - z ** (p - 1),
-                t ** (2 * k) + z ** (p - 1),
-                t**k * c3 * q * z ** (q - 1),
-            )
-
-        def d2h(z):
-            return (
-                -(p - 1) * z ** (p - 2),
-                (p - 1) * z ** (p - 2),
-                t**k * c3 * q * (q - 1) * z ** (q - 2),
-            )
-
-    elif family == "even":
-        p = 2 * k + 2
-        c3, q = 2.0 / (k + 2), k + 2
-
-        def h(z):
-            return (
-                t ** (2 * k) * z**2 / 2 - z**p / p,
-                t ** (2 * k) * z**2 / 2 + z**p / p,
-                t**k * c3 * z**q,
-            )
-
-        def dh(z):
-            return (
-                t ** (2 * k) * z - z ** (p - 1),
-                t ** (2 * k) * z + z ** (p - 1),
-                t**k * c3 * q * z ** (q - 1),
-            )
-
-        def d2h(z):
-            return (
-                t ** (2 * k) - (p - 1) * z ** (p - 2),
-                t ** (2 * k) + (p - 1) * z ** (p - 2),
-                t**k * c3 * q * (q - 1) * z ** (q - 2),
-            )
-
-    else:
-        raise ConfigurationError(f"unknown family {family!r}")
+    base, tail = t2k * z**a / a, z**p / p
+    h = (base - tail, base + tail, c * z**q)
+    base, tail = t2k * z ** (a - 1), z ** (p - 1)
+    dh = (base - tail, base + tail, c * q * z ** (q - 1))
+    # the t^{2k} term of h'' is t^{2k} (a - 1) z^(a - 2): zero at a = 1
+    base, tail = (t2k if a == 2 else 0.0), (p - 1) * z ** (p - 2)
+    d2h = (base - tail, base + tail, c * q * (q - 1) * z ** (q - 2))
     return h, dh, d2h
 
 
@@ -139,14 +97,10 @@ class PlanarImmersion:
         self.k = int(k)
         self.t = float(t)
         self.grid = grid
-        h, dh, d2h = _holomorphic_triple(family, k, t)
-        z = grid.z
-        h1, h2, h3 = h(z)
-        self.F = np.stack([h1.real, h2.imag, h3.real])
-        d1 = dh(z)
-        d2 = d2h(z)
-        self.Fz = np.stack([d1[0] / 2, -1j * np.asarray(d1[1]) / 2, d1[2] / 2])
-        self.Fzz = np.stack([d2[0] / 2, -1j * np.asarray(d2[1]) / 2, d2[2] / 2])
+        h, d1, d2 = _holomorphic_triple(family, k, t, grid.z)
+        self.F = np.stack([h[0].real, h[1].imag, h[2].real])
+        self.Fz = np.stack([d1[0] / 2, -1j * d1[1] / 2, d1[2] / 2])
+        self.Fzz = np.stack([d2[0] / 2, -1j * d2[1] / 2, d2[2] / 2])
         # real-coordinate jets from the holomorphic data
         Fu, Fv = 2 * self.Fz.real, -2 * self.Fz.imag
         Fuu, Fuv = 2 * self.Fzz.real, -2 * self.Fzz.imag
@@ -230,10 +184,9 @@ def richardson_limit(radii, values) -> float:
     return float((v2 * x1 - v1 * x2) / (x1 - x2))
 
 
-def detect_branch_points_planar(P: PlanarImmersion,
-                                threshold_factor: float = 1e-4) -> BranchScan:
+def detect_branch_points_planar(P: PlanarImmersion) -> BranchScan:
     """Branch detection on the disk: the sphere's ``branch_scan`` on the one
     chart "disk", clustering within 0.15 R."""
     absfz = np.sqrt(np.einsum("crp,crp->rp", P.Fz, np.conj(P.Fz)).real)
     patch = ("disk", P.grid.z, P.Fz)
-    return branch_scan(absfz, threshold_factor, 0.15 * P.grid.radius, lambda ij: patch)
+    return branch_scan(absfz, 0.15 * P.grid.radius, lambda ij: patch)

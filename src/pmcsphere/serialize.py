@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import InputError
-from .grid import HarmonicField, SphericalGrid, synthesize_at
+from .grid import HarmonicField, SphericalGrid, synthesize, synthesize_at
 from .planar import PlanarImmersion
 
 
@@ -146,77 +146,45 @@ def export_obj(surface, path: str, grid: SphericalGrid = None) -> None:
     n_r * n_phi vertices.  Vertices carry 17 significant digits.
     """
     if isinstance(surface, PlanarImmersion):
-        _export_obj_planar(surface, path)
+        _write_obj_mesh(path, surface.F)
         return
     if isinstance(surface, HarmonicField):
         if grid is None:
             grid = SphericalGrid(max(surface.degree, 2))
-        _export_obj_sphere(surface, grid, path)
+        vals = synthesize(surface, grid)
+        if vals.ndim == 2:
+            raise InputError("OBJ export of sphere fields needs 3 components")
+        poles = [synthesize_at(surface, theta, 0.0)[:, 0] for theta in (0.0, np.pi)]
+        _write_obj_mesh(path, vals, poles)
         return
     raise InputError(f"cannot export {type(surface).__name__} as OBJ")
 
 
-def _write_lines(path, lines):
+def _write_obj_mesh(path, vals, poles=()):
+    """OBJ of a (3, n_rows, n_cols) vertex grid, periodic in the column:
+    quads between consecutive rows and, given (north, south) pole vertices,
+    a triangle fan from each pole to the first and to the last row."""
+    n_rows, n_cols = vals.shape[1:]
+    lines = [f"v {format_float(x)} {format_float(y)} {format_float(z)}"
+             for x, y, z in np.vstack([vals.reshape(3, -1).T, *poles])]
+
+    def vid(i, j):
+        return i * n_cols + (j % n_cols) + 1
+
+    cols, last = range(n_cols), n_rows - 1
+    north, south = n_rows * n_cols + 1, n_rows * n_cols + 2
+    if poles:
+        lines += [f"f {north} {vid(0, j + 1)} {vid(0, j)}" for j in cols]
+    lines += [f"f {vid(i, j)} {vid(i, j + 1)} {vid(i + 1, j + 1)} {vid(i + 1, j)}"
+              for i in range(last) for j in cols]
+    if poles:
+        lines += [f"f {south} {vid(last, j)} {vid(last, j + 1)}" for j in cols]
     try:
         with open(path, "w") as fh:
             fh.write("\n".join(lines))
             fh.write("\n")
     except OSError as err:
         raise InputError(f"cannot write {path}: {err}") from err
-
-
-def _export_obj_sphere(field: HarmonicField, grid: SphericalGrid, path: str):
-    from .grid import synthesize
-
-    vals = synthesize(field, grid)
-    if vals.ndim == 2:
-        raise InputError("OBJ export of sphere fields needs 3 components")
-    nt, npz = grid.n_theta, grid.n_phi
-    lines = []
-    for i in range(nt):
-        for j in range(npz):
-            x, y, z = vals[:, i, j]
-            lines.append(f"v {format_float(x)} {format_float(y)} {format_float(z)}")
-    north = synthesize_at(field, 0.0, 0.0)[:, 0]
-    south = synthesize_at(field, np.pi, 0.0)[:, 0]
-    for p in (north, south):
-        lines.append(f"v {format_float(p[0])} {format_float(p[1])} {format_float(p[2])}")
-
-    def vid(i, j):
-        return i * npz + (j % npz) + 1
-
-    vn, vs = nt * npz + 1, nt * npz + 2
-    faces = []
-    for j in range(npz):
-        faces.append(f"f {vn} {vid(0, j + 1)} {vid(0, j)}")
-    for i in range(nt - 1):
-        for j in range(npz):
-            faces.append(
-                f"f {vid(i, j)} {vid(i, j + 1)} {vid(i + 1, j + 1)} {vid(i + 1, j)}"
-            )
-    for j in range(npz):
-        faces.append(f"f {vs} {vid(nt - 1, j)} {vid(nt - 1, j + 1)}")
-    _write_lines(path, lines + faces)
-
-
-def _export_obj_planar(P: PlanarImmersion, path: str):
-    nr, npz = P.grid.n_r, P.grid.n_phi
-    lines = []
-    for i in range(nr):
-        for j in range(npz):
-            x, y, z = P.F[:, i, j]
-            lines.append(f"v {format_float(x)} {format_float(y)} {format_float(z)}")
-
-    def vid(i, j):
-        return i * npz + (j % npz) + 1
-
-    faces = []
-    for i in range(nr - 1):
-        for j in range(npz):
-            faces.append(
-                f"f {vid(i, j)} {vid(i, j + 1)} {vid(i + 1, j + 1)} {vid(i + 1, j)}"
-            )
-    _write_lines(path, lines + faces)
 
 
 # ----------------------------------------------------------------------

@@ -48,6 +48,7 @@ import numpy as np
 from .affine import AffineFunction
 from .errors import ConfigurationError, ConformalityError, DataError
 from .geometry import (
+    CONFORMALITY_TOL,
     ImmersionField,
     branch_scan_report,
     conformality_residual,
@@ -110,7 +111,8 @@ class ContinuationState:
 
 @dataclass(frozen=True)
 class GaugeBasis:
-    """Orthonormalized span of the 9 residual-invariance directions."""
+    """The 9 residual-invariance directions as unit-norm columns, not
+    orthogonalized: the KKT solve needs only their full rank."""
 
     matrix: np.ndarray          # (n_unknowns, 9)
     gram_condition: float
@@ -242,7 +244,7 @@ def _residual_vector(coeffs, b, H_flat, grid, ws):
     q1 = np.einsum("ctp,ctp->tp", ft, ft) - np.einsum("ctp,ctp->tp", fp, fp) / sin**2
     q2 = 2.0 * np.einsum("ctp,ctp->tp", ft, fp) / sin
     Htot = (H_flat + _ell_values(b, ws)).reshape(grid.n_theta, grid.n_phi)
-    rmc = mc_residual_global(F, Htot, grid).reshape(3, -1)
+    rmc = mc_residual_global(F, Htot).reshape(3, -1)
     return np.concatenate([
         q1.ravel() * ws.conf_row_w,
         q2.ravel() * ws.conf_row_w,
@@ -668,21 +670,19 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
 
 
 def _solution_report(F, affine, H_vals, grid, status):
-    report = verify(F, grid, scan_branches=False)
+    report = verify(F, scan_branches=False)
     if status != "converged":
         # a stall may come from branch-point formation; scan once, with the
         # conformality gate relaxed to the iterate's own defect.  Within the
         # default gate this scan is the one verify would run.
         diag = {"note": "possible branch-point formation"}
         try:
-            tol = max(1e-6, 2.0 * report["conformality_sup"])
-            found = branch_scan_report(
-                detect_branch_points(F, grid, conformality_tol=tol)
-            )
+            tol = max(CONFORMALITY_TOL, 2.0 * report["conformality_sup"])
+            found = branch_scan_report(detect_branch_points(F, conformality_tol=tol))
         except Exception as err:
             diag["branch_scan_error"] = str(err)
         else:
-            if report["conformality_sup"] <= 1e-6:
+            if report["conformality_sup"] <= CONFORMALITY_TOL:
                 report.update(found)
             diag["branch_points"] = [
                 {key: bp[key] for key in ("chart", "z", "order")}
@@ -690,20 +690,20 @@ def _solution_report(F, affine, H_vals, grid, status):
             ]
             diag["unresolved_singular_points"] = list(found["unresolved_singular_points"])
     ell = affine.evaluate(grid)
-    conf = conformality_residual(F, grid, chart="home")
+    conf = conformality_residual(F)
     report["conformality_l2"] = float(
         np.sqrt(integrate(np.abs(np.nan_to_num(conf)) ** 2, grid))
     )
     try:
-        mc = mc_residual(F, H_vals + ell, grid, chart="home")
-        mag2 = np.einsum("ctp,ctp->tp", mc, np.conj(mc)).real
+        mc = mc_residual(F, H_vals + ell)
+        mag2 = np.einsum("ctp,ctp->tp", mc, mc)
         report["mc_l2"] = float(np.sqrt(integrate(np.nan_to_num(mag2), grid)))
         report["mc_sup"] = float(np.nanmax(np.sqrt(mag2)))
     except ConformalityError as err:
         # the chart residual is defined for conformal iterates only
         report["mc_l2"] = report["mc_sup"] = None
         report["mc_unavailable"] = str(err)
-    forms = fundamental_forms(F, grid)
+    forms = fundamental_forms(F)
     report["obstruction_h_plus_ell"] = obstruction_vector(
         H_vals + ell, forms.area_weight, grid
     ).tolist()
@@ -718,7 +718,7 @@ def _solution_report(F, affine, H_vals, grid, status):
 # linearization utilities
 # ----------------------------------------------------------------------
 
-def normal_variation_operator(F: ImmersionField, f_values, grid=None) -> np.ndarray:
+def normal_variation_operator(F: ImmersionField, f_values) -> np.ndarray:
     """-Lap_gamma f - |A|^2 f: the normal-variation linearization of H.
 
     Lap_gamma is the Laplace-Beltrami operator of the induced metric
@@ -726,10 +726,9 @@ def normal_variation_operator(F: ImmersionField, f_values, grid=None) -> np.ndar
     finite-difference calibration of the prefactor is unity: d/dt of the
     computed H under F -> F + t f N equals this operator's output.
     """
-    grid = grid or F.grid
     f_values = np.asarray(f_values, dtype=float)
-    ff = analyze(f_values, grid)
-    fj = synthesize_jet(ff, grid, which=("ft", "fp", "ftt", "ftp", "fpp"))
+    ff = analyze(f_values, F.grid)
+    fj = synthesize_jet(ff, F.grid, which=("ft", "fp", "ftt", "ftp", "fpp"))
     jet = F.jet("ft", "fp", "ftt", "ftp", "fpp")
     _, _, _, _, ginv, Gamma = metric_jet(jet)
 

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmcsphere.affine import AffineFunction
 from pmcsphere.cli import cli_dispatch
@@ -44,6 +46,30 @@ def test_field_json_roundtrip(tmp_path):
     write_field(f, path)
     f3 = load_field(str(path))
     assert np.array_equal(f3.coeffs, f.coeffs)
+
+
+@st.composite
+def sparse_fields(draw):
+    """1- or 3-component fields of degree <= 8 with a few nonzero coefficients."""
+    ncomp = draw(st.sampled_from([1, 3]))
+    L = draw(st.integers(0, 8))
+    coeffs = np.zeros((ncomp, L + 1, 2 * L + 1))
+    entries = draw(st.lists(st.tuples(
+        st.integers(0, ncomp - 1), st.integers(0, L), st.integers(-L, L),
+        st.floats(allow_nan=False, allow_infinity=False)), max_size=12))
+    for c, l, m, v in entries:
+        if abs(m) <= l:
+            coeffs[c, l, L + m] = v
+    return HarmonicField(coeffs)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(sparse_fields())
+def test_field_json_roundtrip_bit_exact(f):
+    f2 = field_from_dict(json.loads(dumps(field_to_dict(f))))
+    assert f2.coeffs.shape == f.coeffs.shape
+    # bit-exact; a -0.0 coefficient is omitted like any zero and reads as +0.0
+    assert f2.coeffs.tobytes() == (f.coeffs + 0.0).tobytes()
 
 
 def test_missing_triples_are_zero():

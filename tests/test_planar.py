@@ -74,13 +74,21 @@ def test_odd_k1_is_classical_enneper():
     P = weierstrass_family("odd", 1, g)
     E = enneper_blowdown(1.0, g)
     assert np.max(np.abs(P.F - E.F)) < 1e-14
+    # and order k: (Re(z - z^p/p), Im(z + z^p/p), Re(2 z^(k+1)/(k+1))), p = 2k+1
+    z = g.z
+    for k in (1, 2):
+        p = 2 * k + 1
+        expected = np.stack([(z - z**p / p).real, (z + z**p / p).imag,
+                             (2.0 / (k + 1) * z ** (k + 1)).real])
+        assert np.max(np.abs(weierstrass_family("odd", k, g).F - expected)) < 1e-14
 
 
 def test_even_k1_x3_formula():
     g = DiskGrid(1.2, n_r=10, n_phi=10)
-    P = weierstrass_family("even", 1, g)
-    expected = (2.0 / 3.0 * g.z**3).real
-    assert np.max(np.abs(P.F[2] - expected)) < 1e-13
+    for k in (1, 2):
+        P = weierstrass_family("even", k, g)
+        expected = (2.0 / (k + 2) * g.z ** (k + 2)).real
+        assert np.max(np.abs(P.F[2] - expected)) < 1e-13
 
 
 def test_total_curvature_enneper():
