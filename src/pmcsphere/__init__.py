@@ -1,7 +1,26 @@
 """Spectral toolkit for conformal immersions of S^2 with prescribed mean
 curvature: harmonic analysis on the sphere, immersion geometry and its
 structure-equation residuals, explicit minimal families, and a gauge-fixed
-Gauss-Newton continuation solver."""
+Gauss-Newton continuation solver.
+
+PMC_THREADS, when set, caps BLAS-level parallelism.  BLAS reads its thread
+variables when numpy is first imported, so the cap is applied here, before
+any submodule imports numpy.
+"""
+
+import os as _os
+
+
+def _apply_thread_cap():
+    """PMC_THREADS, when set, overrides the BLAS thread variables."""
+    cap = _os.environ.get("PMC_THREADS")
+    if not cap:
+        return
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ[var] = cap
+
+
+_apply_thread_cap()
 
 from .affine import AffineFunction, canonical_representative, class_membership
 from .errors import (

@@ -2,9 +2,8 @@
 Command-line surface: solve / verify / balance / example / export-obj.
 
 Exit codes: 0 success, 1 input error, 2 solver stall (partial outputs are
-still written).  PMC_THREADS caps BLAS-level parallelism and must be applied
-before numpy is first imported, so this module defers all heavy imports to
-run time.
+still written).  PMC_THREADS caps BLAS-level parallelism; the package applies
+it on import, before numpy loads.
 """
 
 from __future__ import annotations
@@ -12,16 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-
-def _apply_thread_cap():
-    """PMC_THREADS, when set, overrides the BLAS thread variables."""
-    cap = os.environ.get("PMC_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = cap
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse, but usage errors exit with code 1."""
@@ -248,7 +237,6 @@ _COMMANDS = {
 
 def cli_dispatch(argv) -> int:
     """Parse and run; returns the process exit code."""
-    _apply_thread_cap()
     args = _build_parser().parse_args(argv)
     from .errors import ConfigurationError, DataError, InputError
 

@@ -72,6 +72,8 @@ class ImmersionField:
         self.grid = grid
         self._jets: dict = {}
         self._fz: dict = {}
+        self._fz_home = None
+        self._conf_home = None
         self._forms = None
 
     @classmethod
@@ -96,9 +98,12 @@ class ImmersionField:
         return self._fz[chart]
 
     def chart_gradient_home(self) -> np.ndarray:
-        return per_node_home_values(
-            self.chart_gradient(NORTH), self.chart_gradient(SOUTH), self.grid
-        )
+        """Cached F_z in each node's home chart."""
+        if self._fz_home is None:
+            self._fz_home = per_node_home_values(
+                self.chart_gradient(NORTH), self.chart_gradient(SOUTH), self.grid
+            )
+        return self._fz_home
 
     @property
     def is_regular(self) -> bool:
@@ -210,12 +215,15 @@ def fundamental_forms(F: ImmersionField) -> FundamentalForms:
 # ----------------------------------------------------------------------
 
 def conformality_residual(F: ImmersionField, chart="home") -> np.ndarray:
-    """F_z . F_z per node (zero iff the parametrization is conformal)."""
-    if chart == "home":
-        fz = F.chart_gradient_home()
-    else:
+    """F_z . F_z per node (zero iff the parametrization is conformal); the
+    home-chart residual is computed once per immersion, then cached on F."""
+    if chart != "home":
         fz = F.chart_gradient(chart)
-    return np.einsum("ctp,ctp->tp", fz, fz)
+        return _dot(fz, fz)
+    if F._conf_home is None:
+        fz = F.chart_gradient_home()
+        F._conf_home = _dot(fz, fz)
+    return F._conf_home
 
 
 def mc_residual(F: ImmersionField, H_target: np.ndarray) -> np.ndarray:

@@ -374,13 +374,6 @@ def synthesize_at(field: HarmonicField, theta, phi) -> np.ndarray:
     return vals
 
 
-def laplacian(field: HarmonicField) -> HarmonicField:
-    """Laplace-Beltrami operator in coefficient space: Y_lm -> -l(l+1) Y_lm."""
-    L = field.degree
-    lam = -(np.arange(L + 1) * (np.arange(L + 1) + 1.0))[None, :, None]
-    return HarmonicField(field.coeffs * lam)
-
-
 def integrate(values: np.ndarray, grid: SphericalGrid, weight=None) -> float:
     """Quadrature of ``values`` (optionally against an area-weight field)."""
     values = np.asarray(values, dtype=float)

@@ -4,7 +4,8 @@ Gauge-fixed Gauss-Newton continuation for prescribed mean curvature.
 Solves for a conformal immersion F: S^2 -> R^3 and an affine parameter b such
 that the mean curvature of F equals H_target + ell_b, following the straight
 homotopy H_s = (1-s) 2 + s H_target from the round sphere with a secant
-predictor and an adaptive step in s.
+predictor and an adaptive step in s, coarse to fine: the path is followed at
+degree COARSEST_DEGREE and finished at the requested degree.
 
 Residual blocks (stacked over all grid nodes, quadrature-weighted so the
 Euclidean norm is an L2 norm):
@@ -77,6 +78,7 @@ from .grid import (
 B_NORM_SMOOTHING = 1e-12
 LINE_SEARCH_FACTOR = 0.5    # step-length factor per line-search halving
 MAX_HALVINGS = 20
+COARSEST_DEGREE = 12        # first rung of the coarse-to-fine degree ladder
 
 
 @dataclass(frozen=True)
@@ -470,12 +472,13 @@ def _canonicalize(state, H_vals, grid, config, ws):
     boost reparametrizations); the member with vanishing area center
     int p dV_gamma = 0 is the canonical, path-independent representative.
     Alternates a boost composition fixing the center with a re-polish of the
-    equations.
+    equations.  Returns (state, stall reason or None); running out of
+    rounds is an "iteration_cap".
     """
     for _ in range(8):
         c = _area_center(state.coeffs, grid)
         if np.linalg.norm(c) < 1e-10:
-            return state, True
+            return state, None
         # damped Newton on v -> center(F o phi_v) with FD Jacobian
         v = np.zeros(3)
         center_v = c
@@ -505,10 +508,11 @@ def _canonicalize(state, H_vals, grid, config, ws):
             history=state.history,
             step_log=state.step_log,
         )
-        state, ok = _newton_to_tol(state, H_vals, grid, config, 0.5 * config.tol)
-        if not ok:
-            return state, False
-    return state, bool(np.linalg.norm(_area_center(state.coeffs, grid)) < 1e-8)
+        state, reason = _newton_to_tol(state, H_vals, grid, config, 0.5 * config.tol)
+        if reason is not None:
+            return state, reason
+    centered = np.linalg.norm(_area_center(state.coeffs, grid)) < 1e-8
+    return state, None if centered else "iteration_cap"
 
 
 def _round_start(grid, config):
@@ -526,14 +530,114 @@ def _round_start(grid, config):
 
 
 def _newton_to_tol(state, H_values, grid, config, target):
+    """Gauss-Newton until the residual norm is at most ``target``.
+
+    Returns (state, None) on success, else the last accepted state and the
+    stall reason: "line_search_exhausted" or "iteration_cap".
+    """
     for it in range(config.max_newton_iters):
         if state.residual_norm <= target:
-            return state, True
+            return state, None
         try:
             state = gauge_projected_step(state, H_values, grid)
         except StepFailure:
-            return state, False
-    return state, state.residual_norm <= target
+            return state, "line_search_exhausted"
+    return state, None if state.residual_norm <= target else "iteration_cap"
+
+
+def _homotopy(s, H_vals):
+    return (1.0 - s) * 2.0 + s * H_vals
+
+
+def _ladder(L: int) -> list:
+    """Degrees of the coarse-to-fine solve: COARSEST_DEGREE, doubled while
+    below L, then L itself; [L] when L <= COARSEST_DEGREE."""
+    rungs, d = [], COARSEST_DEGREE
+    while d < L:
+        rungs.append(d)
+        d *= 2
+    return rungs + [L]
+
+
+def _rung_start(state, H_vals, grid, config):
+    """The first rung starts from the round sphere at s = 0; a later rung
+    starts from the previous rung's state, zero-padded to its degree."""
+    ws = _workspace(grid)
+    if state is None:
+        coeffs, b, s, history, log = _round_start(grid, config), np.zeros(3), 0.0, [], []
+    else:
+        coeffs = _rebase(HarmonicField(state.coeffs).truncated(grid.L).coeffs, ws)
+        b, s, history, log = state.b.copy(), state.s, state.history, state.step_log
+    return ContinuationState(
+        s=s, coeffs=coeffs, b=b,
+        residual=_residual_vector(coeffs, b, _homotopy(s, H_vals).ravel(), grid, ws),
+        history=history, step_log=log,
+    )
+
+
+def _continue(state, H_vals, grid, config, final):
+    """Predictor-corrector continuation on one rung, from state.s to s = 1.
+
+    Corrects ``state`` at its own s (logged with ds = 0), then advances s:
+    each stage starts from the secant extrapolation of the last two accepted
+    states and is corrected by Gauss-Newton to 10 tol.  The first step is
+    1 / config.steps; it doubles after a stage that converged in at most two
+    iterations.  On the final rung a failed stage halves the step, and the
+    solve stalls once it falls below config.min_step; on a coarse rung a
+    failed stage ends the rung.  Returns (last accepted state, stall reason
+    or None).
+    """
+    ws = _workspace(grid)
+
+    def correct(trial, ds):
+        n_before = len(trial.history)
+        trial, reason = _newton_to_tol(
+            trial, _homotopy(trial.s, H_vals), grid, config, 10.0 * config.tol
+        )
+        iters = len(trial.history) - n_before
+        trial.step_log.append(
+            {"degree": grid.L, "s": trial.s, "ds": ds, "converged": reason is None,
+             "residual": trial.residual_norm, "newton_iters": iters}
+        )
+        return trial, reason, iters
+
+    state, reason, _ = correct(state, 0.0)
+    if reason is not None:
+        return state, reason
+    s, ds = state.s, 1.0 / config.steps
+    x = ws.pack(state.coeffs, state.b)
+    previous = None  # (s, x) of the accepted state before (s, x)
+    while s < 1.0 - 1e-14:
+        s_next = min(1.0, s + ds)
+        ds = s_next - s
+        if previous is None:
+            coeffs, b = state.coeffs.copy(), state.b.copy()
+        else:
+            # secant predictor through the last two accepted states
+            s_prev, x_prev = previous
+            coeffs, b = ws.unpack(x + ds / (s - s_prev) * (x - x_prev))
+            coeffs = _rebase(coeffs, ws)
+        trial = ContinuationState(
+            s=s_next, coeffs=coeffs, b=b,
+            residual=_residual_vector(coeffs, b, _homotopy(s_next, H_vals).ravel(),
+                                      grid, ws),
+            history=state.history,
+            step_log=state.step_log,
+        )
+        trial, reason, iters = correct(trial, ds)
+        if reason is None:
+            previous = (s, x)
+            state, s = trial, s_next
+            x = ws.pack(state.coeffs, state.b)
+            if iters <= 2:
+                ds *= 2.0
+            continue
+        if not final:
+            return state, reason
+        ds /= 2.0
+        if ds < config.min_step:
+            return state, "min_step"
+    return state, None
 
 
 def _dense_step_bytes(L: int) -> int:
@@ -557,14 +661,15 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
     ``H_target`` is a scalar HarmonicField (degree <= config.degree) or node
     values on the solver grid; it must be positive everywhere.  Returns the
     immersion, the normalized affine function ell, and a verification
-    report.  On a continuation stall the partial state is returned with
-    status "stalled" and branch diagnostics in the report.
+    report.  On a stall the partial state is returned with status "stalled",
+    the report's "stall_reason" and branch diagnostics.
 
-    The homotopy parameter s advances by predictor-corrector continuation:
-    each stage starts from the secant extrapolation of the last two
-    accepted states and is corrected by Gauss-Newton to 10 tol.  The first
-    step is 1 / config.steps; it doubles after a stage that converged in at
-    most two iterations and halves after a failed one.
+    The homotopy is followed coarse to fine over the degrees of
+    ``_ladder(config.degree)`` (``_continue`` on each).  A coarse rung
+    solves the target truncated to its degree and is skipped when that
+    truncation is not positive; its last accepted state, zero-padded, starts
+    the next rung at the same s.  Only config.degree is polished to tol / 2
+    and slid to the Mobius-centered member.
 
     Raises ConfigurationError, before any work, when one dense Gauss-Newton
     step at config.degree would need more bytes than the physical memory.
@@ -590,73 +695,32 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
     if np.min(H_vals) <= 0:
         raise DataError("H_target must be positive everywhere")
 
-    coeffs = _round_start(grid, config)
-    b = np.zeros(3)
-    H0 = np.full_like(H_vals, 2.0)
-    state = ContinuationState(
-        s=0.0, coeffs=coeffs, b=b,
-        residual=_residual_vector(coeffs, b, H0.ravel(), grid, ws),
-    )
+    rungs = _ladder(grid.L)
+    if len(rungs) > 1 and not isinstance(H_target, HarmonicField):
+        H_target = analyze(H_vals, grid)
+    state = None
+    for L in rungs:
+        final = L == grid.L
+        rung_grid, rung_H = grid, H_vals
+        if not final:
+            rung_grid = SphericalGrid(L)
+            rung_H = synthesize(H_target.truncated(L), rung_grid)
+            if np.min(rung_H) <= 0:
+                continue
+        state = _rung_start(state, rung_H, rung_grid, config)
+        state, reason = _continue(state, rung_H, rung_grid, config, final)
 
-    status = "converged"
-    ds = 1.0 / config.steps
-    intermediate_tol = 10.0 * config.tol
-    s = 0.0
-    # converge the (possibly noisy) start at s = 0 first
-    state, ok = _newton_to_tol(state, H0, grid, config, intermediate_tol)
-    if not ok:
-        status = "stalled"
-    x = ws.pack(state.coeffs, state.b)
-    previous = None  # (s, x) of the accepted state before (s, x)
-    while ok and s < 1.0 - 1e-14:
-        s_next = min(1.0, s + ds)
-        ds = s_next - s
-        H_s = (1.0 - s_next) * 2.0 + s_next * H_vals
-        if previous is None:
-            coeffs, b = state.coeffs.copy(), state.b.copy()
-        else:
-            # secant predictor through the last two accepted states
-            s_prev, x_prev = previous
-            coeffs, b = ws.unpack(x + ds / (s - s_prev) * (x - x_prev))
-            coeffs = _rebase(coeffs, ws)
-        trial = ContinuationState(
-            s=s_next, coeffs=coeffs, b=b,
-            residual=_residual_vector(coeffs, b, H_s.ravel(), grid, ws),
-            history=state.history,
-            step_log=state.step_log,
-        )
-        n_before = len(state.history)
-        trial, ok_step = _newton_to_tol(trial, H_s, grid, config, intermediate_tol)
-        newton_iters = len(state.history) - n_before
-        state.step_log.append(
-            {"s": s_next, "ds": ds, "converged": bool(ok_step),
-             "residual": trial.residual_norm, "newton_iters": newton_iters}
-        )
-        if ok_step:
-            previous = (s, x)
-            state, s = trial, s_next
-            x = ws.pack(state.coeffs, state.b)
-            if newton_iters <= 2:
-                ds *= 2.0
-            continue
-        ds /= 2.0
-        if ds < config.min_step:
-            status = "stalled"
-            break
-
-    if status == "converged":
+    if reason is None:
         # final polish; row weighting makes the norm the chart-form L2 norm,
         # so driving it to tol/2 bounds both reported block residuals by tol
-        state, ok = _newton_to_tol(state, H_vals, grid, config, 0.5 * config.tol)
-        if ok:
-            state, ok = _canonicalize(state, H_vals, grid, config, ws)
-        if not ok:
-            status = "stalled"
+        state, reason = _newton_to_tol(state, H_vals, grid, config, 0.5 * config.tol)
+    if reason is None:
+        state, reason = _canonicalize(state, H_vals, grid, config, ws)
 
     field = HarmonicField(state.coeffs)
     affine = AffineFunction(state.b)
     F = ImmersionField(field, grid)
-    report = _solution_report(F, affine, H_vals, grid, status)
+    report = _solution_report(F, affine, H_vals, grid, reason)
     report["residual_history"] = list(state.history)
     report["step_log"] = list(state.step_log)
     return SolveResult(
@@ -664,13 +728,18 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
         affine=affine,
         report=report,
         state=state,
-        status=status,
+        status=report["status"],
         wall_time=time.perf_counter() - t_start,
     )
 
 
-def _solution_report(F, affine, H_vals, grid, status):
+def _solution_report(F, affine, H_vals, grid, stall_reason):
+    """Verification report of a solve; a solve that met its residual
+    tolerance but not the conformality gate stalls as "non_conformal"."""
     report = verify(F, scan_branches=False)
+    if stall_reason is None and report["conformality_sup"] > CONFORMALITY_TOL:
+        stall_reason = "non_conformal"
+    status = "converged" if stall_reason is None else "stalled"
     if status != "converged":
         # a stall may come from branch-point formation; scan once, with the
         # conformality gate relaxed to the iterate's own defect.  Within the
@@ -710,6 +779,7 @@ def _solution_report(F, affine, H_vals, grid, status):
     report["affine_b"] = affine.b.tolist()
     report["status"] = status
     if status != "converged":
+        report["stall_reason"] = stall_reason
         report["stall_diagnostics"] = diag
     return report
 

