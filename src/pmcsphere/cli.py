@@ -12,6 +12,18 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
+from .affine import canonical_representative
+from .errors import ConfigurationError, DataError, InputError
+from .geometry import ImmersionField, verify
+from .grid import SphericalGrid, analyze, synthesize
+from .planar import DiskGrid, enneper_blowdown, weierstrass_family
+from .serialize import (affine_to_dict, dumps, export_obj, field_to_dict,
+                        load_field, write_json, write_manifest)
+from .solver import SolverConfig, solve_pmc
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse, but usage errors exit with code 1."""
 
@@ -67,16 +79,8 @@ def _ensure_dir(path):
 
 
 def _cmd_solve(args) -> int:
-    import numpy as np
-
-    from .serialize import (affine_to_dict, field_to_dict, load_field,
-                            write_json, write_manifest)
-    from .solver import SolverConfig, solve_pmc
-
     field = load_field(args.h_target)
     if field.n_components != 1:
-        from .errors import InputError
-
         raise InputError("--h-target must be a scalar (1-component) field")
     config = SolverConfig(degree=args.L, tol=args.tol, steps=args.steps)
     result = solve_pmc(field, config)
@@ -107,11 +111,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .errors import InputError
-    from .geometry import ImmersionField, verify
-    from .grid import SphericalGrid
-    from .serialize import dumps, load_field, write_json, write_manifest
-
     field = load_field(args.immersion)
     if field.n_components != 3:
         raise InputError("--immersion must be a 3-component field")
@@ -128,14 +127,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_balance(args) -> int:
-    import numpy as np
-
-    from .affine import canonical_representative
-    from .errors import InputError
-    from .grid import SphericalGrid, analyze, synthesize
-    from .serialize import (affine_to_dict, field_to_dict, load_field,
-                            write_json, write_manifest)
-
     h_field = load_field(args.h)
     if h_field.n_components != 1:
         raise InputError("--h must be a scalar field")
@@ -173,10 +164,6 @@ def _cmd_balance(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    from .errors import InputError
-    from .planar import DiskGrid, enneper_blowdown, weierstrass_family
-    from .serialize import export_obj, write_json, write_manifest
-
     grid = DiskGrid(args.radius, n_r=96, n_phi=96)
     if args.family == "enneper":
         t = float(args.param)
@@ -190,8 +177,6 @@ def _cmd_example(args) -> int:
         surface = weierstrass_family(args.family, k, grid, t=args.blowdown)
         label = f"{args.family}_k{k}"
     out = _ensure_dir(args.out_dir)
-    import numpy as np
-
     obj_path = os.path.join(out, f"{label}.obj")
     export_obj(surface, obj_path)
     summary = {
@@ -213,10 +198,6 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_export_obj(args) -> int:
-    from .errors import InputError
-    from .grid import SphericalGrid
-    from .serialize import export_obj, load_field
-
     field = load_field(args.infile)
     if field.n_components != 3:
         raise InputError("--in must be a 3-component immersion field")
@@ -238,8 +219,6 @@ _COMMANDS = {
 def cli_dispatch(argv) -> int:
     """Parse and run; returns the process exit code."""
     args = _build_parser().parse_args(argv)
-    from .errors import ConfigurationError, DataError, InputError
-
     try:
         return _COMMANDS[args.command](args)
     except (InputError, ConfigurationError, DataError) as err:

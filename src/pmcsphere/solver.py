@@ -550,13 +550,9 @@ def _homotopy(s, H_vals):
 
 
 def _ladder(L: int) -> list:
-    """Degrees of the coarse-to-fine solve: COARSEST_DEGREE, doubled while
-    below L, then L itself; [L] when L <= COARSEST_DEGREE."""
-    rungs, d = [], COARSEST_DEGREE
-    while d < L:
-        rungs.append(d)
-        d *= 2
-    return rungs + [L]
+    """Degrees of the coarse-to-fine solve: [COARSEST_DEGREE, L], or [L]
+    when L <= COARSEST_DEGREE."""
+    return [COARSEST_DEGREE, L] if L > COARSEST_DEGREE else [L]
 
 
 def _rung_start(state, H_vals, grid, config):
@@ -666,10 +662,11 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
 
     The homotopy is followed coarse to fine over the degrees of
     ``_ladder(config.degree)`` (``_continue`` on each).  A coarse rung
-    solves the target truncated to its degree and is skipped when that
-    truncation is not positive; its last accepted state, zero-padded, starts
-    the next rung at the same s.  Only config.degree is polished to tol / 2
-    and slid to the Mobius-centered member.
+    solves the target truncated to its degree.  It is skipped when the
+    target's coefficient norm above that degree exceeds config.tol or the
+    truncation is not positive; else its last accepted state, zero-padded,
+    starts the final rung at the same s.  Only config.degree is polished to
+    tol / 2 and slid to the Mobius-centered member.
 
     Raises ConfigurationError, before any work, when one dense Gauss-Newton
     step at config.degree would need more bytes than the physical memory.
@@ -703,6 +700,9 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
         final = L == grid.L
         rung_grid, rung_H = grid, H_vals
         if not final:
+            # a coarse rung pays off only on a target it resolves
+            if np.linalg.norm(H_target.coeffs[:, L + 1:]) > config.tol:
+                continue
             rung_grid = SphericalGrid(L)
             rung_H = synthesize(H_target.truncated(L), rung_grid)
             if np.min(rung_H) <= 0:

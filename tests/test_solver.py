@@ -467,7 +467,7 @@ def test_stall_reason_non_conformal(monkeypatch):
 
 def test_ladder_schedule():
     assert [_ladder(L) for L in (8, 12, 16, 24, 32)] == [
-        [8], [12], [12, 16], [12, 24], [12, 24, 32]
+        [8], [12], [12, 16], [12, 24], [12, 32]
     ]
 
 
@@ -550,6 +550,19 @@ def test_nonpositive_truncation_skips_its_rung():
     res = solve_pmc(H, SolverConfig(degree=16, steps=1, min_step=0.6,
                                     max_newton_iters=1))
     assert {e["degree"] for e in res.report["step_log"]} == {16}
+
+
+def test_target_unresolved_at_degree_12_skips_its_rung():
+    """A target whose coefficient norm above degree 12 exceeds tol is solved
+    at L = 16 only; one whose norm there is below tol keeps the degree-12
+    rung."""
+    config = SolverConfig(degree=16, steps=1, min_step=0.6, max_newton_iters=1)
+    for tail, degrees in ((1e-6, {16}), (1e-10, {12, 16})):
+        c = np.zeros((1, 17, 33))
+        c[0, 0, 16] = 2.0 * np.sqrt(4.0 * np.pi)
+        c[0, 14, 16] = tail
+        res = solve_pmc(HarmonicField(c), config)
+        assert {e["degree"] for e in res.report["step_log"]} == degrees
 
 
 def test_normal_variation_operator_eigenfunctions():
