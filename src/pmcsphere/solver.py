@@ -23,15 +23,17 @@ linearization at the current jet, assembled from precomputed basis jets in a
 few vectorized array operations; the b-columns differentiate ell_b
 analytically.  The based-immersion rows are not linearized: each accepted
 iterate is re-based exactly by an ambient rigid motion.  Updates solve damped
-least-squares normal equations constrained orthogonal to the 9 gauge
-directions (3 translations, 3 ambient rotations, 3 conformal
-reparametrization fields), with a halving line search.
+least-squares normal equations under 9 linear constraints, with a halving
+line search: the update is orthogonal to the 3 translations and the 3
+ambient rotations, and it cancels the linearized area center,
+grad c . delta = -c.
 
 Solutions of the continuation problem come in a 3-parameter family (the
 affine indeterminacy of the curvature class, realized as boost
-reparametrizations); converged solves are slid to the Mobius-centered
-member (area center int p dV = 0) so results do not depend on the starting
-noise or the path.
+reparametrizations).  The centering rows keep every iterate near the
+Mobius-centered member (area center c = int p dV / int dV = 0), and the
+final polish runs until |c| <= CENTER_TOL, so results do not depend on the
+starting noise or the path.
 
 The affine constant a = |b| is smoothed as sqrt(|b|^2 + eps^2) - eps
 (eps = 1e-12) inside the solve to keep the model differentiable at b = 0;
@@ -68,10 +70,8 @@ from .grid import (
     SphericalGrid,
     analyze,
     chart_area_factors,
-    conformal_gradients,
     integrate,
     synthesize,
-    synthesize_at,
     synthesize_jet,
 )
 
@@ -79,6 +79,7 @@ B_NORM_SMOOTHING = 1e-12
 LINE_SEARCH_FACTOR = 0.5    # step-length factor per line-search halving
 MAX_HALVINGS = 20
 COARSEST_DEGREE = 12        # first rung of the coarse-to-fine degree ladder
+CENTER_TOL = 1e-10          # |area center| of a converged solve
 
 
 @dataclass(frozen=True)
@@ -113,10 +114,15 @@ class ContinuationState:
 
 @dataclass(frozen=True)
 class GaugeBasis:
-    """The 9 residual-invariance directions as unit-norm columns, not
-    orthogonalized: the KKT solve needs only their full rank."""
+    """The 9 constraint columns of the KKT step, unit-norm and not
+    orthogonalized (the solve needs only their full rank): 3 translations
+    and 3 ambient rotations, then the gradients of the 3 area-center
+    components.  An update delta obeys matrix.T @ delta = rhs: it is
+    orthogonal to the rigid motions and cancels the linearized center."""
 
     matrix: np.ndarray          # (n_unknowns, 9)
+    rhs: np.ndarray             # (9,): 0 on the rigid columns, -c / |grad c|
+    center: np.ndarray          # (3,) area center c
     gram_condition: float
 
 
@@ -315,9 +321,34 @@ def _jacobian(coeffs, b, H_flat, grid, ws):
 # gauge basis and projected step
 # ----------------------------------------------------------------------
 
+def _area_center(coeffs, grid: SphericalGrid, ws):
+    """Center c = int p dV / int dV of the induced area measure on the domain
+    sphere, and its exact gradient (3, n_unknowns) in the packed unknowns.
+
+    dV = |n| / sin dsigma with n = F_t x F_p, and d|n| = (F_p x N).dF_t +
+    (N x F_t).dF_p (N = n / |n|): the gradient is a Yt^T / Yp^T product."""
+    jet = synthesize_jet(HarmonicField(coeffs), grid, which=("ft", "fp"))
+    ft = jet["ft"].reshape(3, -1)
+    fp = jet["fp"].reshape(3, -1)
+    n = np.cross(ft, fp, axis=0)
+    area = np.linalg.norm(n, axis=0)
+    w = grid.w.ravel() / ws.sin_flat
+    total = w @ area
+    c = ws.xyz_flat @ (w * area) / total
+    N = n / area
+    dc_darea = (ws.xyz_flat - c[:, None]) * (w / total)     # (3, n_nodes)
+    # rows (a, k): d c_k through F_t and F_p of component a
+    rows_t = (np.cross(fp, N, axis=0)[:, None] * dc_darea[None]).reshape(9, -1)
+    rows_p = (np.cross(N, ft, axis=0)[:, None] * dc_darea[None]).reshape(9, -1)
+    grad = ws.Yt.T @ rows_t.T + ws.Yp.T @ rows_p.T           # (n_modes, 9)
+    dc = np.zeros((3, ws.n_unknowns))
+    dc[:, : 3 * ws.n_modes] = grad.reshape(-1, 3, 3).transpose(2, 1, 0).reshape(3, -1)
+    return c, dc
+
+
 def gauge_basis(coeffs, grid: SphericalGrid, ws=None) -> GaugeBasis:
-    """Translations, ambient rotations and conformal reparametrization
-    fields at the current immersion, as unit coefficient-space vectors."""
+    """Translations, ambient rotations and area-center gradients at the
+    current immersion, as unit coefficient-space columns, with the center."""
     ws = ws or _workspace(grid)
     L = grid.L
     dirs = []
@@ -332,21 +363,20 @@ def gauge_basis(coeffs, grid: SphericalGrid, ws=None) -> GaugeBasis:
         K[(k + 2) % 3, (k + 1) % 3] = 1.0
         K[(k + 1) % 3, (k + 2) % 3] = -1.0
         dirs.append(np.einsum("dc,clm->dlm", K, coeffs))
-    # conformal boosts: push-forward of grad x_j through F
-    jet = synthesize_jet(HarmonicField(coeffs), grid, which=("ft", "fp"))
-    vt, vp = conformal_gradients(grid)
-    for j in range(3):
-        dirs.append(analyze(vt[j] * jet["ft"] + vp[j] * jet["fp"], grid).coeffs)
+    center, dc = _area_center(coeffs, grid, ws)
 
-    G = np.stack([ws.pack(d, np.zeros(3)) for d in dirs], axis=1)
-    G /= np.linalg.norm(G, axis=0)
+    G = np.concatenate([np.stack([ws.pack(d, np.zeros(3)) for d in dirs], axis=1),
+                        dc.T], axis=1)
+    norms = np.linalg.norm(G, axis=0)
+    G /= norms
     sv = np.linalg.svd(G, compute_uv=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     if cond >= 1e10:
         raise ConfigurationError(
             f"gauge directions degenerate (condition {cond:.2e})"
         )
-    return GaugeBasis(matrix=G, gram_condition=cond)
+    rhs = np.concatenate([np.zeros(6), -center]) / norms
+    return GaugeBasis(matrix=G, rhs=rhs, center=center, gram_condition=cond)
 
 
 def _rebase(coeffs, ws):
@@ -364,32 +394,36 @@ def _rebase(coeffs, ws):
 
 def gauge_projected_step(state: ContinuationState, H_values,
                          grid: SphericalGrid) -> ContinuationState:
-    """One damped Gauss-Newton update projected off the gauge directions.
+    """One damped Gauss-Newton update under the gauge constraints.
 
     Solves the KKT system of the damped normal equations subject to
-    G^T delta = 0, then line-searches with halving factor
+    G^T delta = rhs (gauge_basis: no rigid motion, and the linearized area
+    center cancelled), then line-searches with halving factor
     LINE_SEARCH_FACTOR.  Raises StepFailure when no decrease is found.
     """
     ws = _workspace(grid)
     H_flat = np.asarray(H_values, dtype=float).ravel()
-    r0 = state.residual
-    n0 = np.linalg.norm(r0)
-    J = _jacobian(state.coeffs, state.b, H_flat, grid, ws)
     # The based-immersion rows are enforced exactly by the rigid-motion
     # re-basing after each accepted step; only the pointwise rows drive the
-    # least-squares model, so the gauge projection and the basing do not
-    # compete (the competition degrades convergence from quadratic to
-    # linear).
-    G = gauge_basis(state.coeffs, grid, ws).matrix
+    # least-squares model and the line search, so the gauge constraints and
+    # the basing do not compete (the competition degrades convergence from
+    # quadratic to linear, and a centering step that moves the base point
+    # would fail the line search).
+    rows = 5 * ws.n_nodes
+    r0 = state.residual[:rows]
+    n0 = np.linalg.norm(r0)
+    J = _jacobian(state.coeffs, state.b, H_flat, grid, ws)
+    basis = gauge_basis(state.coeffs, grid, ws)
+    G = basis.matrix
     n, k = ws.n_unknowns, G.shape[1]
     K = np.zeros((n + k, n + k))
     A = K[:n, :n]
     np.matmul(J.T, J, out=A)
-    g = J.T @ r0[: J.shape[0]]
+    g = J.T @ r0
     del J  # the largest array of the step: free it before the solve
     K[:n, n:] = G
     K[n:, :n] = G.T
-    rhs = np.concatenate([-g, np.zeros(k)])
+    rhs = np.concatenate([-g, basis.rhs])
     diag = np.diagonal(A).copy()
     lam = 1e-12 * np.trace(A) / n
 
@@ -406,7 +440,7 @@ def gauge_projected_step(state: ContinuationState, H_values,
             x_try = x0 + alpha * delta
             coeffs_try, b_try = ws.unpack(x_try)
             r_try = _residual_vector(coeffs_try, b_try, H_flat, grid, ws)
-            n_try = np.linalg.norm(r_try)
+            n_try = np.linalg.norm(r_try[:rows])
             if n_try < n0:
                 coeffs_new = _rebase(coeffs_try, ws)
                 r_new = _residual_vector(coeffs_new, b_try, H_flat, grid, ws)
@@ -430,91 +464,6 @@ def gauge_projected_step(state: ContinuationState, H_values,
 # continuation driver
 # ----------------------------------------------------------------------
 
-def _mobius_boost_points(v, xyz):
-    """Conformal boost of S^2: phi_v(p) = ((1-|v|^2) p + 2(1 + p.v) v) / den.
-
-    Smooth for |v| < 1, identity at v = 0; its derivative at v = 0 is twice
-    the conformal gradient field of the linear function v.x.
-    """
-    v = np.asarray(v, dtype=float)
-    v2 = float(v @ v)
-    if v2 >= 1.0:
-        raise ConfigurationError("Mobius boost parameter must satisfy |v| < 1")
-    t = np.einsum("c,ctp->tp", v, xyz)
-    den = 1.0 + 2.0 * t + v2
-    return ((1.0 - v2) * xyz + 2.0 * (1.0 + t)[None] * v[:, None, None]) / den[None]
-
-
-def _compose_with_boost(coeffs, v, grid):
-    """Coefficients of F o phi_v (spectral projection of the composition)."""
-    pts = _mobius_boost_points(v, grid.xyz)
-    theta = np.arccos(np.clip(pts[2], -1.0, 1.0)).ravel()
-    phi = np.arctan2(pts[1], pts[0]).ravel()
-    vals = synthesize_at(HarmonicField(coeffs), theta, phi)
-    return analyze(vals.reshape(3, grid.n_theta, grid.n_phi), grid).coeffs
-
-
-def _area_center(coeffs, grid):
-    """Center of the induced area measure on the domain sphere."""
-    jet = synthesize_jet(HarmonicField(coeffs), grid, which=("ft", "fp"))
-    cross = np.cross(jet["ft"], jet["fp"], axis=0)
-    W = np.sqrt(np.einsum("ctp,ctp->tp", cross, cross))
-    aw = W / grid.sin_theta[:, None]
-    total = integrate(np.ones_like(aw), grid, aw)
-    return np.array([integrate(grid.xyz[c], grid, aw) for c in range(3)]) / total
-
-
-def _canonicalize(state, H_vals, grid, config, ws):
-    """Slide to the Mobius-centered member of the solution family.
-
-    The solutions of the continuation problem form a 3-parameter family
-    (the affine indeterminacy of the prescribed-curvature class realized as
-    boost reparametrizations); the member with vanishing area center
-    int p dV_gamma = 0 is the canonical, path-independent representative.
-    Alternates a boost composition fixing the center with a re-polish of the
-    equations.  Returns (state, stall reason or None); running out of
-    rounds is an "iteration_cap".
-    """
-    for _ in range(8):
-        c = _area_center(state.coeffs, grid)
-        if np.linalg.norm(c) < 1e-10:
-            return state, None
-        # damped Newton on v -> center(F o phi_v) with FD Jacobian
-        v = np.zeros(3)
-        center_v = c
-        for _ in range(12):
-            h = 1e-6
-            Jc = np.empty((3, 3))
-            for j in range(3):
-                vp = v.copy()
-                vp[j] += h
-                cp = _area_center(_compose_with_boost(state.coeffs, vp, grid), grid)
-                Jc[:, j] = (cp - center_v) / h
-            try:
-                dv = np.linalg.solve(Jc, -center_v)
-            except np.linalg.LinAlgError:
-                break
-            step = min(1.0, 0.3 / max(np.linalg.norm(dv), 1e-30))
-            v = v + step * dv
-            center_v = _area_center(_compose_with_boost(state.coeffs, v, grid), grid)
-            if np.linalg.norm(center_v) < 1e-12:
-                break
-        coeffs = _rebase(_compose_with_boost(state.coeffs, v, grid), ws)
-        state = ContinuationState(
-            s=state.s,
-            coeffs=coeffs,
-            b=state.b.copy(),
-            residual=_residual_vector(coeffs, state.b, H_vals.ravel(), grid, ws),
-            history=state.history,
-            step_log=state.step_log,
-        )
-        state, reason = _newton_to_tol(state, H_vals, grid, config, 0.5 * config.tol)
-        if reason is not None:
-            return state, reason
-    centered = np.linalg.norm(_area_center(state.coeffs, grid)) < 1e-8
-    return state, None if centered else "iteration_cap"
-
-
 def _round_start(grid, config):
     coeffs = analyze(grid.xyz, grid).coeffs.copy()
     ws = _workspace(grid)
@@ -529,20 +478,27 @@ def _round_start(grid, config):
     return _rebase(coeffs, ws)
 
 
-def _newton_to_tol(state, H_values, grid, config, target):
-    """Gauss-Newton until the residual norm is at most ``target``.
+def _newton_to_tol(state, H_values, grid, config, target, center=False):
+    """Gauss-Newton until the residual norm is at most ``target`` and, with
+    ``center``, the area center is at most CENTER_TOL from 0.
 
     Returns (state, None) on success, else the last accepted state and the
     stall reason: "line_search_exhausted" or "iteration_cap".
     """
-    for it in range(config.max_newton_iters):
-        if state.residual_norm <= target:
+    def met():
+        return state.residual_norm <= target and not (
+            center and np.linalg.norm(
+                _area_center(state.coeffs, grid, _workspace(grid))[0]) > CENTER_TOL
+        )
+
+    for _ in range(config.max_newton_iters):
+        if met():
             return state, None
         try:
             state = gauge_projected_step(state, H_values, grid)
         except StepFailure:
             return state, "line_search_exhausted"
-    return state, None if state.residual_norm <= target else "iteration_cap"
+    return state, None if met() else "iteration_cap"
 
 
 def _homotopy(s, H_vals):
@@ -665,8 +621,8 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
     solves the target truncated to its degree.  It is skipped when the
     target's coefficient norm above that degree exceeds config.tol or the
     truncation is not positive; else its last accepted state, zero-padded,
-    starts the final rung at the same s.  Only config.degree is polished to
-    tol / 2 and slid to the Mobius-centered member.
+    starts the final rung at the same s.  Only config.degree is polished, to
+    tol / 2 and an area center of at most CENTER_TOL.
 
     Raises ConfigurationError, before any work, when one dense Gauss-Newton
     step at config.degree would need more bytes than the physical memory.
@@ -680,7 +636,6 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
             "physical memory"
         )
     grid = SphericalGrid(config.degree)
-    ws = _workspace(grid)
     if isinstance(H_target, HarmonicField):
         if H_target.degree > grid.L:
             raise ConfigurationError("H_target degree exceeds solver degree")
@@ -713,9 +668,8 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
     if reason is None:
         # final polish; row weighting makes the norm the chart-form L2 norm,
         # so driving it to tol/2 bounds both reported block residuals by tol
-        state, reason = _newton_to_tol(state, H_vals, grid, config, 0.5 * config.tol)
-    if reason is None:
-        state, reason = _canonicalize(state, H_vals, grid, config, ws)
+        state, reason = _newton_to_tol(state, H_vals, grid, config,
+                                       0.5 * config.tol, center=True)
 
     field = HarmonicField(state.coeffs)
     affine = AffineFunction(state.b)

@@ -1,7 +1,7 @@
 """Tests for normalized affine functions and the balanced representative."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from pmcsphere.affine import (
@@ -137,7 +137,6 @@ def test_class_membership_rejects_unnormalized():
     assert class_membership(H1, H3, g) is None
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(L=st.integers(4, 12), log_norm=st.floats(-3.0, 1.0),
        seed=st.integers(0, 2**32 - 1))
 def test_affine_function_invariants_property(L, log_norm, seed):

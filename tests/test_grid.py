@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from pmcsphere.errors import ChartDomainError, ConfigurationError, DataError
@@ -64,7 +64,6 @@ def test_roundtrip_random_fields():
         assert np.max(np.abs(f2.coeffs - f.coeffs)) < 1e-10
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(L=st.integers(1, 12), data=st.data(), ncomp=st.sampled_from([1, 3]),
        log_amplitude=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
 def test_synthesize_analyze_roundtrip_property(L, data, ncomp, log_amplitude, seed):

@@ -8,7 +8,7 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from pmcsphere.affine import AffineFunction
@@ -66,7 +66,6 @@ def sparse_fields(draw):
     return HarmonicField(coeffs)
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(sparse_fields())
 def test_field_json_roundtrip_bit_exact(f):
     f2 = field_from_dict(json.loads(dumps(field_to_dict(f))))

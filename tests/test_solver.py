@@ -17,9 +17,11 @@ from pmcsphere.grid import (
 from pmcsphere import solver
 from pmcsphere.serialize import dumps
 from pmcsphere.solver import (
+    CENTER_TOL,
     ContinuationState,
     SolverConfig,
     StepFailure,
+    _area_center,
     _jacobian,
     _ladder,
     _rebase,
@@ -32,6 +34,7 @@ from pmcsphere.solver import (
     residual,
     solve_pmc,
 )
+from test_acceptance import _mobius_reparametrize
 
 
 def based_sphere_coeffs(grid):
@@ -237,6 +240,8 @@ def test_step_zero_update_at_solution():
 
 
 def test_step_update_orthogonal_to_gauge():
+    """A full step is orthogonal to the rigid motions and cancels the
+    linearized area center, both to 1e-10 relative to the update."""
     g = SphericalGrid(10)
     ws = _workspace(g)
     rng = np.random.default_rng(2)
@@ -250,10 +255,16 @@ def test_step_update_orthogonal_to_gauge():
         s=1.0, coeffs=coeffs, b=np.zeros(3),
         residual=_residual_vector(coeffs, np.zeros(3), H.ravel(), g, ws),
     )
-    G = gauge_basis(coeffs, g, ws).matrix
+    basis = gauge_basis(coeffs, g, ws)
     new = gauge_projected_step(state, H, g)
-    overlaps = G.T @ new.last_update
-    assert np.max(np.abs(overlaps)) < 1e-10 * np.linalg.norm(new.last_update)
+    delta = new.last_update
+    scale = 1e-10 * np.linalg.norm(delta)
+    # orthogonal to the 3 translations and 3 rotations
+    assert np.max(np.abs(basis.matrix[:, :6].T @ delta)) < scale
+    # the linearized centering holds: C . delta = -c
+    _, C = _area_center(coeffs, g, ws)
+    assert np.linalg.norm(basis.center) > 1e-6
+    assert np.max(np.abs(C @ delta + basis.center)) < scale
 
 
 def test_solve_hopf_constant_two():
@@ -499,9 +510,16 @@ def ladder_vs_direct():
     return out
 
 
+def _center_norm(field):
+    g = SphericalGrid(field.degree)
+    return np.linalg.norm(_area_center(field.coeffs, g, _workspace(g))[0])
+
+
 def test_ladder_matches_single_degree_solution(ladder_vs_direct):
     for H, ladder, _, direct in ladder_vs_direct.values():
         assert ladder.status == direct.status == "converged"
+        assert _center_norm(ladder.field) <= CENTER_TOL
+        assert _center_norm(direct.field) <= CENTER_TOL
         assert {e["degree"] for e in ladder.report["step_log"]} == {12, 16}
         assert {e["degree"] for e in direct.report["step_log"]} == {16}
         assert np.max(np.abs(ladder.field.coeffs - direct.field.coeffs)) < 1e-10
@@ -510,14 +528,40 @@ def test_ladder_matches_single_degree_solution(ladder_vs_direct):
 
 def test_ladder_takes_few_top_degree_steps(ladder_vs_direct):
     """The single-degree path takes 10 Gauss-Newton steps at L = 16 on
-    target 103; the ladder takes at most 3 there, all after the degree-12
+    target 103; the ladder takes at most 1 there, after the degree-12
     steps, and opens the L = 16 rung with a logged correction at ds = 0."""
     _, ladder, degrees, _ = ladder_vs_direct["103"]
-    assert degrees.count(16) <= 3
+    assert degrees.count(16) <= 1
     assert degrees == sorted(degrees) and set(degrees) == {12, 16}
     log = ladder.report["step_log"]
     assert sum(e["newton_iters"] for e in log if e["degree"] == 12) == degrees.count(12)
     assert [e["ds"] for e in log if e["degree"] == 16][0] == 0.0
+
+
+def test_polish_centers_without_stall(ladder_vs_direct):
+    """A state that meets tol / 2 but is off center by more than CENTER_TOL
+    (a converged solve composed with a boost of |v| = 1e-9) is polished to
+    a converged, centered state."""
+    H, ladder, _, _ = ladder_vs_direct["103"]
+    g = SphericalGrid(16)
+    ws = _workspace(g)
+    v = 1e-9 * np.array([0.6, -0.48, 0.64])
+    boosted = _mobius_reparametrize(ladder.field, g, g, v, np.eye(3)).coeffs
+    coeffs = _rebase(boosted, ws)
+    b = ladder.affine.b
+    state = ContinuationState(
+        s=1.0, coeffs=coeffs, b=b,
+        residual=_residual_vector(coeffs, b, H.ravel(), g, ws),
+    )
+    config = SolverConfig(degree=16)
+    assert state.residual_norm <= 0.5 * config.tol
+    assert _center_norm(HarmonicField(coeffs)) > CENTER_TOL
+    polished, reason = solver._newton_to_tol(state, H, g, config,
+                                             0.5 * config.tol, center=True)
+    assert reason is None
+    assert len(polished.history) >= 1
+    assert polished.residual_norm <= 0.5 * config.tol
+    assert _center_norm(HarmonicField(polished.coeffs)) <= CENTER_TOL
 
 
 def test_bad_coarse_rung_is_harmless(ladder_vs_direct, monkeypatch):
