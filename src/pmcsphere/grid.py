@@ -211,6 +211,24 @@ class SphericalGrid:
         self._dQ, self._d2Q, self._d3Q = _alp_theta_derivatives(
             L, self._Q, self.x_gl, self.sin_theta
         )
+        # the transforms sum over m in one batched product: the n-th theta
+        # derivative tables zero-padded to [n, m, l, node] (zero where
+        # l < m), and the p-th phi-derivatives of sqrt(2) cos(m phi) and
+        # sqrt(2) sin(m phi) as [p, (cos, sin), m, longitude] (1 and 0 at
+        # m = 0)
+        # (the ragged lists become views into the padded tables)
+        self._theta_tables = np.zeros((4, L + 1, L + 1, L + 1))
+        for n, tab in enumerate((self._Q, self._dQ, self._d2Q, self._d3Q)):
+            for k in range(L + 1):
+                self._theta_tables[n, k, k:] = tab[k]
+        self._Q, self._dQ, self._d2Q, self._d3Q = (
+            [padded[k, k:] for k in range(L + 1)] for padded in self._theta_tables
+        )
+        scale = np.where(m == 0, 1.0, np.sqrt(2.0))[:, None]
+        c, s, mm = scale * self._cos_m, scale * self._sin_m, m[:, None]
+        self._azimuthal_tables = np.stack([
+            (c, s), (-mm * s, mm * c), (-mm**2 * c, -mm**2 * s), (mm**3 * s, -mm**3 * c)
+        ])
 
     # ------------------------------------------------------------------
     # charts
@@ -273,42 +291,51 @@ def synthesize_jet(field: HarmonicField, grid: SphericalGrid, which=("f",)):
         raise ConfigurationError(
             f"field degree {field.degree} exceeds grid degree {grid.L}"
         )
-    L, Lf = grid.L, field.degree
-    nc = field.n_components
-    out = {k: np.zeros((nc, grid.n_theta, grid.n_phi)) for k in which}
-    tables = (grid._Q, grid._dQ, grid._d2Q, grid._d3Q)
-
-    for m in range(Lf + 1):
-        nl = Lf + 1 - m
-        ls = np.arange(m, Lf + 1)
-        # coefficient slices (nl, nc)
-        ca = field.coeffs[:, m : Lf + 1, Lf + m].T
-        cb = field.coeffs[:, m : Lf + 1, Lf - m].T if m > 0 else None
-        cos_m, sin_m = grid._cos_m[m], grid._sin_m[m]
-        scale = 1.0 if m == 0 else np.sqrt(2.0)
-        for key in which:
-            tab = tables[_THETA_TABLE[key]][m][:nl]
-            if key == "lap":
-                lam = -(ls * (ls + 1.0))[:, None]
-                profA = (grid._Q[m][:nl].T @ (lam * ca)) * scale
-                profB = (grid._Q[m][:nl].T @ (lam * cb)) * scale if m else None
-            else:
-                profA = (tab.T @ ca) * scale
-                profB = (tab.T @ cb) * scale if m else None
-            p = _AZIMUTHAL_POWERS[key]
-            if p == 0:
-                az_a, az_b = cos_m, sin_m
-            elif p == 1:
-                az_a, az_b = -m * sin_m, m * cos_m
-            elif p == 2:
-                az_a, az_b = -m * m * cos_m, -m * m * sin_m
-            else:
-                az_a, az_b = m**3 * sin_m, -(m**3) * cos_m
-            acc = np.einsum("tc,p->ctp", profA, az_a)
-            if m > 0:
-                acc += np.einsum("tc,p->ctp", profB, az_b)
-            out[key] += acc
+    Lf = field.degree
+    # [c, m, l]: the cos(m phi) coefficients, and the sin(m phi) ones (m >= 1;
+    # the m = 0 row meets the vanishing sin(0 phi) factors below)
+    ca = field.coeffs[:, :, Lf:].transpose(0, 2, 1)
+    cb = field.coeffs[:, :, Lf::-1].transpose(0, 2, 1)
+    lam = -np.arange(Lf + 1) * (np.arange(Lf + 1) + 1.0)
+    out = {}
+    for key in which:
+        tab = grid._theta_tables[_THETA_TABLE[key]][: Lf + 1, : Lf + 1]  # [m, l, t]
+        az_a, az_b = grid._azimuthal_tables[_AZIMUTHAL_POWERS[key]]
+        wa, wb = (ca, cb) if key != "lap" else (ca * lam, cb * lam)
+        # theta profiles [c, t, m], then the sum over m against the longitudes
+        out[key] = (np.einsum("mlt,cml->ctm", tab, wa) @ az_a[: Lf + 1]
+                    + np.einsum("mlt,cml->ctm", tab, wb) @ az_b[: Lf + 1])
     return out
+
+
+def synthesize_jet_adjoint(jet: dict, grid: SphericalGrid) -> np.ndarray:
+    """Adjoint of ``synthesize_jet`` at the grid's degree.
+
+    ``jet`` maps keys of ``synthesize_jet`` to node arrays of shape
+    (ncomp, n_theta, n_phi) (or (ncomp, n_nodes)), any number of components.
+    Returns coefficients a of shape (ncomp, L+1, 2L+1), zero where |m| > l,
+    with sum_k <synthesize_jet(f, grid, jet.keys())[k], jet[k]> = <f, a> in
+    the Euclidean products of node values and of coefficients, for every
+    field f of degree L.  No quadrature weights enter: ``analyze`` is the
+    weighted projection, this is the transpose.
+    """
+    L = grid.L
+    lam = -np.arange(L + 1) * (np.arange(L + 1) + 1.0)
+    ca = cb = 0.0
+    for key, vals in jet.items():
+        vals = np.asarray(vals, dtype=float)
+        vals = vals.reshape(vals.shape[0], grid.n_theta, grid.n_phi)
+        tab = grid._theta_tables[_THETA_TABLE[key]]
+        az_a, az_b = grid._azimuthal_tables[_AZIMUTHAL_POWERS[key]]
+        pa = np.einsum("mlt,ctm->cml", tab, vals @ az_a.T)
+        pb = np.einsum("mlt,ctm->cml", tab, vals @ az_b.T)
+        if key == "lap":
+            pa, pb = pa * lam, pb * lam
+        ca, cb = ca + pa, cb + pb
+    coeffs = np.zeros((ca.shape[0], L + 1, 2 * L + 1))
+    coeffs[:, :, L:] = ca.transpose(0, 2, 1)
+    coeffs[:, :, L - 1 :: -1] = cb[:, 1:].transpose(0, 2, 1)
+    return coeffs
 
 
 def synthesize(field: HarmonicField, grid: SphericalGrid) -> np.ndarray:

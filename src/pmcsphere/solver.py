@@ -17,16 +17,26 @@ Euclidean norm is an L2 norm):
   * 6 based-immersion rows: F(p0) = 0, normal(p0) = e3, frame along e1,
     evaluated at the north pole from the coefficients.
 
-The Jacobian of the pointwise rows is exact.  The coefficient-to-jet map is
-linear and the rows are quadratic in the jet, so each column is the
-linearization at the current jet, assembled from precomputed basis jets in a
-few vectorized array operations; the b-columns differentiate ell_b
-analytically.  The based-immersion rows are not linearized: each accepted
+The Jacobian J of the pointwise rows is exact and never formed.  The
+coefficient-to-jet map is linear and the rows are quadratic in the jet, so
+J v is one jet synthesis of v times pointwise linearization coefficients
+(_linearization), and J^T w is the adjoint jet synthesis of w times the same
+coefficients; the b-columns differentiate ell_b analytically.  Each product
+costs O(L^3).  The based-immersion rows are not linearized: each accepted
 iterate is re-based exactly by an ambient rigid motion.  Updates solve damped
 least-squares normal equations under 9 linear constraints, with a halving
 line search: the update is orthogonal to the 3 translations and the 3
 ambient rotations, and it cancels the linearized area center,
 grad c . delta = -c.
+
+One linear solver serves every degree: projected conjugate gradients in the
+null space of the constraints (_projected_cg), preconditioned by the round
+sphere's normal matrix split into its 2L + 3 charge sectors
+(_SectorPreconditioner, built in O(L^4) once per degree from the rows of the
+round Jacobian on one meridian).  It takes 8 to 14 iterations at L = 12 to 24
+and holds O(L^3) memory.  A dense step (J, J^T J and an LU of the KKT
+matrix: O(L^6) time, O(L^4) memory) measured no faster at L = 8, three
+times slower at L = 12 and 25 times slower at L = 24, and is gone.
 
 Solutions of the continuation problem come in a 3-parameter family (the
 affine indeterminacy of the curvature class, realized as boost
@@ -45,6 +55,8 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
+from itertools import product
 
 import numpy as np
 
@@ -73,6 +85,7 @@ from .grid import (
     integrate,
     synthesize,
     synthesize_jet,
+    synthesize_jet_adjoint,
 )
 
 B_NORM_SMOOTHING = 1e-12
@@ -80,6 +93,9 @@ LINE_SEARCH_FACTOR = 0.5    # step-length factor per line-search halving
 MAX_HALVINGS = 20
 COARSEST_DEGREE = 12        # first rung of the coarse-to-fine degree ladder
 CENTER_TOL = 1e-10          # |area center| of a converged solve
+SECTOR_SHIFT = 1e-5         # preconditioner shift, relative to trace(A0) / n
+KRYLOV_TOL = 1e-10          # relative residual at which projected CG stops
+KRYLOV_MAX_ITERS = 100      # projected CG iterations before the damping rises
 
 
 @dataclass(frozen=True)
@@ -105,6 +121,7 @@ class ContinuationState:
     residual: np.ndarray        # _residual_vector at the H of the next step
     history: list = dataclass_field(default_factory=list)
     step_log: list = dataclass_field(default_factory=list)
+    newton_log: list = dataclass_field(default_factory=list)  # one record per step
     last_update: np.ndarray = None  # accepted raw update, before re-basing
 
     @property
@@ -145,38 +162,20 @@ def _smooth_norm(b, eps=B_NORM_SMOOTHING):
 
 
 # ----------------------------------------------------------------------
-# workspace: precomputed basis jets and pole weights
+# workspace: packing, pole weights and the per-degree preconditioner
 # ----------------------------------------------------------------------
 
 class _Workspace:
     def __init__(self, grid: SphericalGrid):
         L = grid.L
         self.L = L
+        self.grid = grid
         self.n_nodes = grid.n_theta * grid.n_phi
         # unknowns are ordered by component, then l = 0..L, m = -l..l;
         # mode i multiplies coeffs[c, mode_l[i], mode_col[i]]
         self.mode_l = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
         self.mode_col = L + np.concatenate([np.arange(-l, l + 1) for l in range(L + 1)])
         self.n_modes = self.mode_l.size
-
-        # node-major basis jets (n_nodes, n_modes): d/dtheta, d/dphi, Laplacian
-        nm, nn = self.n_modes, self.n_nodes
-        self.Yt = np.empty((nn, nm))
-        self.Yp = np.empty((nn, nm))
-        self.Ylap = np.empty((nn, nm))
-        cos_m, sin_m = grid._cos_m, grid._sin_m
-        for i, (l, m) in enumerate(zip(self.mode_l, self.mode_col - L)):
-            am = abs(m)
-            q = grid._Q[am][l - am][:, None]
-            dq = grid._dQ[am][l - am][:, None]
-            scale = 1.0 if m == 0 else np.sqrt(2.0)
-            if m >= 0:
-                az, daz = cos_m[am][None, :], -am * sin_m[am][None, :]
-            else:
-                az, daz = sin_m[am][None, :], am * cos_m[am][None, :]
-            self.Yt[:, i] = (scale * dq * az).ravel()
-            self.Yp[:, i] = (scale * q * daz).ravel()
-            self.Ylap[:, i] = -l * (l + 1.0) * (scale * q * az).ravel()
 
         # pole-frame weights: F(p0) from m = 0, (F_u, F_v)(p0) from m = +-1
         ls = np.arange(L + 1)
@@ -196,6 +195,23 @@ class _Workspace:
         self.conf_row_w = 0.25 * mu2inv * self.sqrt_w
         self.mc_row_w = mu2inv * self.sqrt_w
         self.n_unknowns = 3 * self.n_modes + 3
+
+        # per-node sums over all modes Y of Y_t^2, Y_p^2, (Lap Y)^2 and
+        # Y_t Lap Y (phi-independent; Y_t Y_p sums to 0): the trace of J^T J
+        s_t, s_p, s_l, s_tl = np.zeros((4, grid.n_theta))
+        for m in range(L + 1):
+            q, dq = grid._Q[m], grid._dQ[m]
+            lam = (np.arange(m, L + 1) * (np.arange(m, L + 1) + 1.0))[:, None]
+            mult = 1.0 if m == 0 else 2.0
+            s_t += mult * np.sum(dq * dq, axis=0)
+            s_p += mult * m * m * np.sum(q * q, axis=0)
+            s_l += mult * np.sum((lam * q) ** 2, axis=0)
+            s_tl -= mult * np.sum(lam * q * dq, axis=0)
+        self.mode_sums = np.repeat(np.stack([s_t, s_p, s_l, s_tl]), grid.n_phi, axis=1)
+
+    @cached_property
+    def sectors(self) -> "_SectorPreconditioner":
+        return _SectorPreconditioner(self)
 
     # -- packing ---------------------------------------------------------
 
@@ -283,8 +299,20 @@ def residual(F, b, H_target_values, grid: SphericalGrid) -> np.ndarray:
 # Jacobian (exact, evaluated via the linear jet map)
 # ----------------------------------------------------------------------
 
-def _jacobian(coeffs, b, H_flat, grid, ws):
-    """Jacobian of the 5 * n_nodes pointwise rows of _residual_vector."""
+@dataclass(frozen=True)
+class _Linearization:
+    """Pointwise coefficients of the Jacobian of the 5 * n_nodes pointwise
+    rows of _residual_vector: for an update (dF, db), row block r is
+    sum_c t[r, c] dF_t^c + p[r, c] dF_p^c, plus lap * Lap dF^c on block 2 + c
+    and sum_j b[r - 2, j] db_j on blocks 2..4."""
+
+    t: np.ndarray               # (5, 3, n_nodes)
+    p: np.ndarray               # (5, 3, n_nodes)
+    lap: np.ndarray             # (n_nodes,)
+    b: np.ndarray               # (3, 3, n_nodes)
+
+
+def _linearization(coeffs, b, H_flat, grid, ws) -> _Linearization:
     jet = synthesize_jet(HarmonicField(coeffs), grid, which=("ft", "fp"))
     ft = jet["ft"].reshape(3, -1)
     fp = jet["fp"].reshape(3, -1)
@@ -292,29 +320,148 @@ def _jacobian(coeffs, b, H_flat, grid, ws):
     cw = ws.conf_row_w
     mw = 0.25 * ws.mc_row_w     # row weight times the 1/4 of r_mc
     hw = mw * (H_flat + _ell_values(b, ws)) / sin
-    nn, nm = ws.n_nodes, ws.n_modes
-    J = np.zeros((5 * nn, ws.n_unknowns))
-
-    e = np.eye(3)
-    for c in range(3):
-        # the five row blocks of the columns of component c
-        blocks = J[:, c * nm : (c + 1) * nm].reshape(5, nn, nm)
-        # d(F_t x F_p) per unit change of F_t and of F_p along e_c
-        dn_t = np.cross(e[c], fp, axisb=0).T
-        dn_p = np.cross(ft, e[c], axisa=0).T
-        coef_t = [2.0 * cw * ft[c], 2.0 * cw * fp[c] / sin, *(hw * dn_t)]
-        coef_p = [-2.0 * cw * fp[c] / sin**2, 2.0 * cw * ft[c] / sin, *(hw * dn_p)]
-        for r in range(5):
-            np.multiply(coef_t[r][:, None], ws.Yt, out=blocks[r])
-            blocks[r] += coef_p[r][:, None] * ws.Yp
-        blocks[2 + c] += mw[:, None] * ws.Ylap
-
+    # d(F_t x F_p) per unit change of F_t and of F_p along e_c: [c, a, node]
+    e = np.eye(3)[:, :, None]
+    dn_t = np.cross(e, fp[None], axis=1)
+    dn_p = np.cross(ft[None], e, axis=1)
+    t = np.stack([2.0 * cw * ft, 2.0 * cw * fp / sin, *(hw * dn_t.transpose(1, 0, 2))])
+    p = np.stack([-2.0 * cw * fp / sin**2, 2.0 * cw * ft / sin,
+                  *(hw * dn_p.transpose(1, 0, 2))])
     # b columns: d(H + ell_b)/db_j = b_j / sqrt(|b|^2 + eps^2) + x_j
     wn = np.cross(ft, fp, axis=0) / sin
     dell = b[:, None] / np.sqrt(b @ b + B_NORM_SMOOTHING**2) + ws.xyz_flat
-    for a in range(3):
-        J[(2 + a) * nn : (3 + a) * nn, 3 * nm :] = (mw * wn[a])[:, None] * dell.T
-    return J
+    return _Linearization(t=t, p=p, lap=mw, b=mw * wn[:, None] * dell[None])
+
+
+def _jvp(lin: _Linearization, v, grid, ws) -> np.ndarray:
+    """J v from one jet synthesis of the coefficient part of v."""
+    coeffs, db = ws.unpack(v)
+    jet = synthesize_jet(HarmonicField(coeffs), grid, which=("ft", "fp", "lap"))
+    dft, dfp, dlap = (jet[k].reshape(3, -1) for k in ("ft", "fp", "lap"))
+    out = np.einsum("rcn,cn->rn", lin.t, dft) + np.einsum("rcn,cn->rn", lin.p, dfp)
+    out[2:] += lin.lap * dlap + np.einsum("ajn,j->an", lin.b, db)
+    return out.ravel()
+
+
+def _vjp(lin: _Linearization, w, grid, ws) -> np.ndarray:
+    """J^T w from one adjoint jet synthesis."""
+    w = w.reshape(5, -1)
+    coeffs = synthesize_jet_adjoint({
+        "ft": np.einsum("rcn,rn->cn", lin.t, w),
+        "fp": np.einsum("rcn,rn->cn", lin.p, w),
+        "lap": lin.lap * w[2:],
+    }, grid)
+    return ws.pack(coeffs, np.einsum("ajn,an->j", lin.b, w[2:]))
+
+
+def _normal_trace(lin: _Linearization, ws) -> float:
+    """trace(J^T J), from the linearization and the workspace's mode sums."""
+    s_t, s_p, s_l, s_tl = ws.mode_sums
+    diag_c = np.einsum("rcn,n->", lin.t**2, s_t) + np.einsum("rcn,n->", lin.p**2, s_p)
+    lap_c = 3.0 * lin.lap**2 @ s_l + 2.0 * np.einsum("ccn,n->", lin.t[2:], lin.lap * s_tl)
+    return float(diag_c + lap_c + np.sum(lin.b**2))
+
+
+# ----------------------------------------------------------------------
+# preconditioner: the round sphere's normal matrix in its charge sectors
+# ----------------------------------------------------------------------
+
+class _SectorPreconditioner:
+    """Block-diagonal approximation P of J^T J from the round sphere.
+
+    The round sphere's normal matrix A0 (H = 2, b = 0) commutes with the
+    generator of "ambient rotation about e3 and shift phi -> phi - alpha",
+    exactly for the grid's own rotations.  Its eigenvectors, the charge-q
+    vectors v_s (x) Q_{l,|k|}(theta) e^{i k phi} with q = k + s (v_{+-1} =
+    (e1 +- i e2) / sqrt 2 for F1 +- i F2, v_0 = e3), and b along v_q, split A0
+    into 2L + 3 blocks B_q, q = -(L+1)..L+1.  J0 maps a charge-q vector to
+    rows that are e^{i q phi} times the rotation R_phi of their phi = 0 values,
+    so B_q = n_phi * M_q^H M_q, with M_q the rows of J0 on the phi = 0
+    meridian: O(L) rows and columns per sector.  B_{-q} = conj(B_q), so only
+    q >= 0 is stored.  Each block is eigendecomposed once per degree, and
+    solve applies (B_q + shift + lam)^-1 for the step's damping lam, with
+    shift = SECTOR_SHIFT * trace(A0) / n (A0 is singular on the gauge
+    directions).
+    """
+
+    def __init__(self, ws):
+        grid, L, nm = ws.grid, ws.L, ws.n_modes
+        round_lin = _linearization(analyze(grid.xyz, grid).coeffs, np.zeros(3),
+                                   np.full(ws.n_nodes, 2.0), grid, ws)
+        meridian = np.arange(grid.n_theta) * grid.n_phi
+        t0, p0 = round_lin.t[:, :, meridian], round_lin.p[:, :, meridian]
+        lap0, b0 = round_lin.lap[meridian], round_lin.b[:, :, meridian]
+        r2 = 1.0 / np.sqrt(2.0)
+        spin = {1: np.array([r2, 1j * r2, 0.0]), -1: np.array([r2, -1j * r2, 0.0]),
+                0: np.array([0.0, 0.0, 1.0])}
+
+        sectors = []    # per q >= 0: packed indices and weights of U_q, and M_q
+        for q in range(L + 2):
+            idx, wts, cols = [], [], []
+            for s_, v in spin.items():
+                k = q - s_
+                am = abs(k)
+                if am > L:
+                    continue
+                ls = np.arange(am, L + 1)
+                # Q_{l,|k|} e^{ikphi} = (Y_{l,|k|} + i sgn(k) Y_{l,-|k|}) / sqrt 2
+                slots = [(0, 1.0)] if k == 0 else [(am, r2), (-am, 1j * np.sign(k) * r2)]
+                i, w = np.zeros((ls.size, 4), dtype=int), np.zeros((ls.size, 4), dtype=complex)
+                for j, (c, (m, u)) in enumerate(product(np.flatnonzero(v), slots)):
+                    i[:, j] = c * nm + ls * ls + ls + m
+                    w[:, j] = v[c] * u
+                idx.append(i)
+                wts.append(w)
+                # meridian jet of each column: f_t = dQ, f_p = i k Q, Lap = -l(l+1) Q
+                dq, qq = grid._dQ[am].T, grid._Q[am].T          # (n_theta, nl)
+                col = (np.einsum("rcn,c,nl->rnl", t0, v, dq)
+                       + np.einsum("rcn,c,nl->rnl", p0, v, 1j * k * qq))
+                col[2:] += np.einsum("n,c,nl->cnl", lap0, v, -ls * (ls + 1.0) * qq)
+                cols.append(col.reshape(5 * grid.n_theta, -1))
+            if q <= 1:
+                v = spin[q]
+                nz = np.flatnonzero(v)
+                i, w = np.zeros((1, 4), dtype=int), np.zeros((1, 4), dtype=complex)
+                i[0, : nz.size], w[0, : nz.size] = 3 * nm + nz, v[nz]
+                idx.append(i)
+                wts.append(w)
+                col = np.zeros((5, grid.n_theta), dtype=complex)
+                col[2:] = np.einsum("ajn,j->an", b0, v)
+                cols.append(col.reshape(-1, 1))
+            M = np.concatenate(cols, axis=1)
+            sectors.append((np.concatenate(idx), np.concatenate(wts),
+                            grid.n_phi * (M.conj().T @ M)))
+
+        nq, D = len(sectors), max(len(B) for *_, B in sectors)
+        self.index = np.zeros((nq, D, 4), dtype=int)
+        self.weight = np.zeros((nq, D, 4), dtype=complex)
+        # eigenpairs of each block (padding: unit values, zero vectors), so
+        # that (B_q + shift + lam)^-1 is at hand for any damping lam
+        self.values = np.ones((nq, D))
+        self.vectors = np.zeros((nq, D, D), dtype=complex)
+        # trace(A0) over all 2L + 3 sectors: q and -q share a trace
+        traces = [np.trace(B).real for *_, B in sectors]
+        self.shift = SECTOR_SHIFT * (2.0 * sum(traces) - traces[0]) / ws.n_unknowns
+        for q, (i, w, B) in enumerate(sectors):
+            d = len(B)
+            self.index[q, :d], self.weight[q, :d] = i, w
+            self.values[q, :d], self.vectors[q, :d, :d] = np.linalg.eigh(B)
+        # P^-1 r = sum_q U_q B_q^-1 U_q^H r = Re(term 0) + 2 Re(sum of terms q > 0)
+        self.fold = np.where(np.arange(nq) == 0, 1.0, 2.0)[:, None, None]
+        self.n = ws.n_unknowns
+
+    def solve(self, r: np.ndarray, lam: float = 0.0) -> np.ndarray:
+        """(P + lam I)^-1 r for r of shape (n,) or (n, k)."""
+        r2 = r.reshape(self.n, -1)
+        z = np.einsum("qdj,qdjk->qdk", self.weight.conj(), r2[self.index])
+        # V^H z without a conjugated copy of V
+        vz = np.conj(self.vectors.transpose(0, 2, 1) @ np.conj(z))
+        y = self.vectors @ (vz / (self.values + self.shift + lam)[..., None])
+        contrib = (np.real(self.weight[..., None] * y[:, :, None, :])
+                   * self.fold[..., None]).reshape(-1, r2.shape[1])
+        out = np.stack([np.bincount(self.index.ravel(), weights=col, minlength=self.n)
+                        for col in contrib.T], axis=1)
+        return out.reshape(r.shape)
 
 
 # ----------------------------------------------------------------------
@@ -326,7 +473,7 @@ def _area_center(coeffs, grid: SphericalGrid, ws):
     sphere, and its exact gradient (3, n_unknowns) in the packed unknowns.
 
     dV = |n| / sin dsigma with n = F_t x F_p, and d|n| = (F_p x N).dF_t +
-    (N x F_t).dF_p (N = n / |n|): the gradient is a Yt^T / Yp^T product."""
+    (N x F_t).dF_p (N = n / |n|): the gradient is one adjoint jet synthesis."""
     jet = synthesize_jet(HarmonicField(coeffs), grid, which=("ft", "fp"))
     ft = jet["ft"].reshape(3, -1)
     fp = jet["fp"].reshape(3, -1)
@@ -337,12 +484,13 @@ def _area_center(coeffs, grid: SphericalGrid, ws):
     c = ws.xyz_flat @ (w * area) / total
     N = n / area
     dc_darea = (ws.xyz_flat - c[:, None]) * (w / total)     # (3, n_nodes)
-    # rows (a, k): d c_k through F_t and F_p of component a
-    rows_t = (np.cross(fp, N, axis=0)[:, None] * dc_darea[None]).reshape(9, -1)
-    rows_p = (np.cross(N, ft, axis=0)[:, None] * dc_darea[None]).reshape(9, -1)
-    grad = ws.Yt.T @ rows_t.T + ws.Yp.T @ rows_p.T           # (n_modes, 9)
+    # rows (k, a): d c_k through F_t and F_p of component a
+    grad = synthesize_jet_adjoint({
+        "ft": (dc_darea[:, None] * np.cross(fp, N, axis=0)[None]).reshape(9, -1),
+        "fp": (dc_darea[:, None] * np.cross(N, ft, axis=0)[None]).reshape(9, -1),
+    }, grid)[:, ws.mode_l, ws.mode_col]                       # (9, n_modes)
     dc = np.zeros((3, ws.n_unknowns))
-    dc[:, : 3 * ws.n_modes] = grad.reshape(-1, 3, 3).transpose(2, 1, 0).reshape(3, -1)
+    dc[:, : 3 * ws.n_modes] = grad.reshape(3, -1)
     return c, dc
 
 
@@ -392,14 +540,60 @@ def _rebase(coeffs, ws):
     return out
 
 
+def _projected_cg(lin, basis, g, lam, grid, ws):
+    """Solve the damped, gauge-constrained normal equations
+    [J^T J + lam I, G; G^T, 0] [delta; mu] = [-g; rhs] (g = J^T r) without
+    forming J: projected preconditioned CG (Gould, Hribar & Nocedal 2001)
+    with the constraint preconditioner [P + lam I, G; G^T, 0], P the sector
+    blocks of the round sphere (_SectorPreconditioner).
+
+    The particular solution x0 = P^-1 G S^-1 rhs (S = G^T P^-1 G, 9 x 9)
+    meets the constraints; CG then runs in their null space, each residual
+    projected by P^-1 (I - G S^-1 G^T P^-1) and stripped of its range-of-G
+    part.  Each iteration costs one J v and one J^T w.  Returns (delta,
+    iterations); delta is None when CG does not reach KRYLOV_TOL within
+    KRYLOV_MAX_ITERS iterations."""
+    pre, G = ws.sectors, basis.matrix
+    PG = pre.solve(G, lam)
+    S_inv = np.linalg.inv(G.T @ PG)
+
+    def project(res):
+        v = S_inv @ (PG.T @ res)
+        return res - G @ v, pre.solve(res, lam) - PG @ v
+
+    def normal(v):
+        return _vjp(lin, _jvp(lin, v, grid, ws), grid, ws) + lam * v
+
+    x = PG @ (S_inv @ basis.rhs)
+    res, y = project(normal(x) + g)
+    rho = res @ y
+    stop = KRYLOV_TOL**2 * rho
+    p = -y
+    for it in range(KRYLOV_MAX_ITERS):
+        if rho <= stop:
+            return x, it
+        Ap = normal(p)
+        curvature = p @ Ap
+        if curvature <= 0.0:
+            return None, it
+        alpha = rho / curvature
+        x += alpha * p
+        res, y = project(res + alpha * Ap)
+        rho, rho_old = res @ y, rho
+        p = -y + (rho / rho_old) * p
+    return (x if rho <= stop else None), KRYLOV_MAX_ITERS
+
+
 def gauge_projected_step(state: ContinuationState, H_values,
                          grid: SphericalGrid) -> ContinuationState:
     """One damped Gauss-Newton update under the gauge constraints.
 
     Solves the KKT system of the damped normal equations subject to
     G^T delta = rhs (gauge_basis: no rigid motion, and the linearized area
-    center cancelled), then line-searches with halving factor
-    LINE_SEARCH_FACTOR.  Raises StepFailure when no decrease is found.
+    center cancelled) matrix-free by projected CG, then line-searches with
+    halving factor LINE_SEARCH_FACTOR.  A failed linear solve or line search
+    raises the damping; raises StepFailure when no decrease is found.
+    Appends one record to the state's newton_log.
     """
     ws = _workspace(grid)
     H_flat = np.asarray(H_values, dtype=float).ravel()
@@ -412,31 +606,21 @@ def gauge_projected_step(state: ContinuationState, H_values,
     rows = 5 * ws.n_nodes
     r0 = state.residual[:rows]
     n0 = np.linalg.norm(r0)
-    J = _jacobian(state.coeffs, state.b, H_flat, grid, ws)
+    lin = _linearization(state.coeffs, state.b, H_flat, grid, ws)
     basis = gauge_basis(state.coeffs, grid, ws)
-    G = basis.matrix
-    n, k = ws.n_unknowns, G.shape[1]
-    K = np.zeros((n + k, n + k))
-    A = K[:n, :n]
-    np.matmul(J.T, J, out=A)
-    g = J.T @ r0
-    del J  # the largest array of the step: free it before the solve
-    K[:n, n:] = G
-    K[n:, :n] = G.T
-    rhs = np.concatenate([-g, basis.rhs])
-    diag = np.diagonal(A).copy()
-    lam = 1e-12 * np.trace(A) / n
+    g = _vjp(lin, r0, grid, ws)
+    lam = 1e-12 * _normal_trace(lin, ws) / ws.n_unknowns
 
     x0 = ws.pack(state.coeffs, state.b)
+    linear_iters = 0
     for attempt in range(4):
-        np.fill_diagonal(A, diag + lam)
-        try:
-            delta = np.linalg.solve(K, rhs)[:n]
-        except np.linalg.LinAlgError:
+        delta, iters = _projected_cg(lin, basis, g, lam, grid, ws)
+        linear_iters += iters
+        if delta is None:
             lam = max(lam * 1e4, 1e-10)
             continue
         alpha = 1.0
-        for _ in range(MAX_HALVINGS + 1):
+        for halvings in range(MAX_HALVINGS + 1):
             x_try = x0 + alpha * delta
             coeffs_try, b_try = ws.unpack(x_try)
             r_try = _residual_vector(coeffs_try, b_try, H_flat, grid, ws)
@@ -451,9 +635,16 @@ def gauge_projected_step(state: ContinuationState, H_values,
                     residual=r_new,
                     history=state.history,
                     step_log=state.step_log,
+                    newton_log=state.newton_log,
                     last_update=alpha * delta,
                 )
                 new.history.append(new.residual_norm)
+                new.newton_log.append({
+                    "degree": grid.L, "residual": new.residual_norm, "alpha": alpha,
+                    "halvings": halvings, "damping_retries": attempt,
+                    "linear_solver": "krylov",
+                    "linear_iters": linear_iters,
+                })
                 return new
             alpha *= LINE_SEARCH_FACTOR
         lam = max(lam * 1e4, 1e-10)
@@ -516,14 +707,17 @@ def _rung_start(state, H_vals, grid, config):
     starts from the previous rung's state, zero-padded to its degree."""
     ws = _workspace(grid)
     if state is None:
-        coeffs, b, s, history, log = _round_start(grid, config), np.zeros(3), 0.0, [], []
+        coeffs, b, s = _round_start(grid, config), np.zeros(3), 0.0
+        logs = {}
     else:
         coeffs = _rebase(HarmonicField(state.coeffs).truncated(grid.L).coeffs, ws)
-        b, s, history, log = state.b.copy(), state.s, state.history, state.step_log
+        b, s = state.b.copy(), state.s
+        logs = dict(history=state.history, step_log=state.step_log,
+                    newton_log=state.newton_log)
     return ContinuationState(
         s=s, coeffs=coeffs, b=b,
         residual=_residual_vector(coeffs, b, _homotopy(s, H_vals).ravel(), grid, ws),
-        history=history, step_log=log,
+        **logs,
     )
 
 
@@ -575,6 +769,7 @@ def _continue(state, H_vals, grid, config, final):
                                       grid, ws),
             history=state.history,
             step_log=state.step_log,
+            newton_log=state.newton_log,
         )
         trial, reason, iters = correct(trial, ds)
         if reason is None:
@@ -592,15 +787,17 @@ def _continue(state, H_vals, grid, config, final):
     return state, None
 
 
-def _dense_step_bytes(L: int) -> int:
-    """Bytes a dense Gauss-Newton step holds at degree L: the Jacobian, the
-    KKT matrix and the copy the dense solve factors, and the workspace's
-    three basis-jet tables."""
+def _step_bytes(L: int) -> int:
+    """Bytes a Gauss-Newton step holds at degree L, modeled on its largest
+    arrays: the sector preconditioner's complex blocks, held twice while the
+    first step at a degree inverts them, and about 120 arrays the length of
+    the node count or of the unknowns (the linearization, the jets, the
+    gauge columns, their preconditioned copies and the CG vectors).  The
+    model exceeds the traced peak of a first step from L = 16 up (by 25 %
+    at L = 16 and 57 % at L = 48)."""
     n_nodes = 2 * (L + 1) ** 2
-    n_modes = (L + 1) ** 2
-    n_unknowns = 3 * n_modes + 3
-    return 8 * (5 * n_nodes * n_unknowns + 2 * (n_unknowns + 9) ** 2
-                + 3 * n_nodes * n_modes)
+    n_unknowns = 3 * (L + 1) ** 2 + 3
+    return 2 * 16 * (L + 2) * (3 * L + 3) ** 2 + 8 * 120 * (n_nodes + n_unknowns)
 
 
 def _physical_memory_bytes() -> int:
@@ -624,14 +821,14 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
     starts the final rung at the same s.  Only config.degree is polished, to
     tol / 2 and an area center of at most CENTER_TOL.
 
-    Raises ConfigurationError, before any work, when one dense Gauss-Newton
-    step at config.degree would need more bytes than the physical memory.
+    Raises ConfigurationError, before any work, when one Gauss-Newton step
+    at config.degree would need more bytes than the physical memory.
     """
     t_start = time.perf_counter()
-    need, have = _dense_step_bytes(config.degree), _physical_memory_bytes()
+    need, have = _step_bytes(config.degree), _physical_memory_bytes()
     if need > have:
         raise ConfigurationError(
-            f"a dense Gauss-Newton step at L = {config.degree} needs about "
+            f"a Gauss-Newton step at L = {config.degree} needs about "
             f"{need / 1e9:.2f} GB, more than the {have / 1e9:.2f} GB of "
             "physical memory"
         )
@@ -674,9 +871,10 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
     field = HarmonicField(state.coeffs)
     affine = AffineFunction(state.b)
     F = ImmersionField(field, grid)
-    report = _solution_report(F, affine, H_vals, grid, reason)
+    report = _solution_report(F, affine, H_vals, grid, reason, config.tol)
     report["residual_history"] = list(state.history)
     report["step_log"] = list(state.step_log)
+    report["newton_log"] = list(state.newton_log)
     return SolveResult(
         field=field,
         affine=affine,
@@ -687,9 +885,36 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
     )
 
 
-def _solution_report(F, affine, H_vals, grid, stall_reason):
+def _spectral_tail(coeffs, tol):
+    """Truncation diagnostic of an iterate: the coefficient norms of its top
+    three degrees, the degree at which a geometric decay fitted over the
+    upper half of the spectrum brings their joint norm below both tol / 2
+    and the rounding level 1e3 eps |coeffs|, and whether it exceeds both
+    now (a truncation floor)."""
+    L = coeffs.shape[1] - 1
+    per_degree = np.linalg.norm(coeffs, axis=(0, 2))
+    top = per_degree[max(L - 2, 0):]
+    tail = np.linalg.norm(top)
+    rounding = 1e3 * np.finfo(float).eps * np.linalg.norm(coeffs)
+    floor = max(0.5 * tol, rounding)
+    ls = np.arange(L // 2, L + 1)
+    ls = ls[per_degree[ls] > rounding]
+    rate = np.polyfit(ls, np.log(per_degree[ls]), 1)[0] if ls.size >= 2 else 0.0
+    if tail <= floor:
+        suggested = L
+    elif rate < 0:
+        suggested = L + int(np.ceil(np.log(floor / tail) / rate))
+    else:
+        suggested = 2 * L
+    return top.tolist(), suggested, bool(tail > floor)
+
+
+def _solution_report(F, affine, H_vals, grid, stall_reason, tol):
     """Verification report of a solve; a solve that met its residual
-    tolerance but not the conformality gate stalls as "non_conformal"."""
+    tolerance but not the conformality gate stalls as "non_conformal".  A
+    line-search stall whose branch scan finds nothing while the iterate's
+    top degrees carry more than tol / 2 (and more than rounding) stalls as
+    "truncation_floor": the degree cannot resolve the solution."""
     report = verify(F, scan_branches=False)
     if stall_reason is None and report["conformality_sup"] > CONFORMALITY_TOL:
         stall_reason = "non_conformal"
@@ -700,8 +925,8 @@ def _solution_report(F, affine, H_vals, grid, stall_reason):
         # default gate this scan is the one verify would run.
         diag = {"note": "possible branch-point formation"}
         try:
-            tol = max(CONFORMALITY_TOL, 2.0 * report["conformality_sup"])
-            found = branch_scan_report(detect_branch_points(F, conformality_tol=tol))
+            gate = max(CONFORMALITY_TOL, 2.0 * report["conformality_sup"])
+            found = branch_scan_report(detect_branch_points(F, conformality_tol=gate))
         except Exception as err:
             diag["branch_scan_error"] = str(err)
         else:
@@ -712,6 +937,14 @@ def _solution_report(F, affine, H_vals, grid, stall_reason):
                 for bp in found["branch_points"]
             ]
             diag["unresolved_singular_points"] = list(found["unresolved_singular_points"])
+        diag["top_degree_norms"], diag["suggested_degree"], floor_hit = (
+            _spectral_tail(F.field.coeffs, tol))
+        if (stall_reason == "line_search_exhausted" and floor_hit
+                and diag.get("branch_points") == []
+                and diag["unresolved_singular_points"] == []):
+            stall_reason = "truncation_floor"
+            diag["note"] = ("truncation floor: the top degrees carry more than "
+                            "tol / 2; solve at the suggested degree")
     ell = affine.evaluate(grid)
     conf = conformality_residual(F)
     report["conformality_l2"] = float(

@@ -17,6 +17,7 @@ from pmcsphere.grid import (
     synthesize,
     synthesize_at,
     synthesize_jet,
+    synthesize_jet_adjoint,
 )
 
 
@@ -80,6 +81,71 @@ def test_synthesize_analyze_roundtrip_property(L, data, ncomp, log_amplitude, se
     scale = np.max(np.abs(f.coeffs))
     assert np.max(np.abs(f2.coeffs - f.truncated(L).coeffs)) <= 1e-13 * scale
     assert np.max(np.abs(synthesize(f2, g) - values)) <= 2e-13 * np.max(np.abs(values))
+
+
+JET_KEYS = ("f", "ft", "fp", "lap", "ftt", "ftp", "fpp", "fttt", "fttp", "ftpp", "fppp")
+
+
+def synthesize_jet_by_order(field, grid, which):
+    """Reference synthesis, one order m at a time from the ragged Legendre
+    tables (the loop the batched transform replaced)."""
+    tables = {0: grid._Q, 1: grid._dQ, 2: grid._d2Q, 3: grid._d3Q}
+    theta = {"f": 0, "fp": 0, "fpp": 0, "fppp": 0, "lap": 0, "ft": 1, "ftp": 1,
+             "ftpp": 1, "ftt": 2, "fttp": 2, "fttt": 3}
+    power = {"f": 0, "ft": 0, "ftt": 0, "fttt": 0, "fp": 1, "ftp": 1, "fttp": 1,
+             "fpp": 2, "ftpp": 2, "fppp": 3, "lap": 0}
+    Lf, nc = field.degree, field.n_components
+    out = {k: np.zeros((nc, grid.n_theta, grid.n_phi)) for k in which}
+    for m in range(Lf + 1):
+        ls = np.arange(m, Lf + 1)
+        ca = field.coeffs[:, m:, Lf + m].T
+        cb = field.coeffs[:, m:, Lf - m].T
+        c, s = np.cos(m * grid.phi), np.sin(m * grid.phi)
+        scale = 1.0 if m == 0 else np.sqrt(2.0)
+        for key in which:
+            tab = tables[theta[key]][m][: Lf + 1 - m]
+            lam = -(ls * (ls + 1.0))[:, None] if key == "lap" else 1.0
+            az_a, az_b = [(c, s), (-m * s, m * c), (-m * m * c, -m * m * s),
+                          (m**3 * s, -(m**3) * c)][power[key]]
+            out[key] += scale * (np.einsum("tc,p->ctp", tab.T @ (lam * ca), az_a)
+                                 + np.einsum("tc,p->ctp", tab.T @ (lam * cb), az_b))
+    return out
+
+
+def test_synthesize_jet_matches_order_by_order_reference():
+    """The batched synthesis equals the order-by-order loop to rounding
+    (summation order differs: 1e-13 of the largest value), also for a field
+    of lower degree than the grid."""
+    for L, Lf in ((1, 1), (7, 4), (16, 16), (32, 29)):
+        g = SphericalGrid(L)
+        f = random_field(Lf, ncomp=3, seed=L)
+        jet = synthesize_jet(f, g, which=JET_KEYS)
+        ref = synthesize_jet_by_order(f, g, JET_KEYS)
+        for k in JET_KEYS:
+            assert np.max(np.abs(jet[k] - ref[k])) <= 1e-13 * np.max(np.abs(ref[k]))
+
+
+@given(L=st.integers(1, 12), keys=st.sets(st.sampled_from(JET_KEYS), min_size=1),
+       ncomp=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1))
+def test_synthesize_jet_adjoint_property(L, keys, ncomp, seed):
+    """<synthesize_jet(f)[k], w[k]> summed over keys equals <f, adjoint(w)>,
+    and the adjoint vanishes on the entries with |m| > l."""
+    rng = np.random.default_rng(seed)
+    g = SphericalGrid(L)
+    f = random_field(L, ncomp=ncomp, seed=seed)
+    w = {k: rng.standard_normal((f.n_components, g.n_theta, g.n_phi)) for k in keys}
+    jet = synthesize_jet(f, g, which=tuple(keys))
+    lhs = sum(np.sum(jet[k] * w[k]) for k in keys)
+    adj = synthesize_jet_adjoint(w, g)
+    scale = sum(np.linalg.norm(jet[k]) * np.linalg.norm(w[k]) for k in keys)
+    assert abs(lhs - np.sum(f.coeffs * adj)) <= 1e-13 * scale
+    invalid = np.abs(np.arange(-L, L + 1))[None, :] > np.arange(L + 1)[:, None]
+    assert np.all(adj[:, invalid] == 0.0)
+    # any component count, with flattened nodes: nine stacked arrays
+    many = {k: rng.standard_normal((9, g.n_theta * g.n_phi)) for k in keys}
+    adj_many = synthesize_jet_adjoint(many, g)
+    one = synthesize_jet_adjoint({k: v[-1:] for k, v in many.items()}, g)
+    assert np.allclose(adj_many[-1:], one, rtol=0.0, atol=1e-12 * np.max(np.abs(one)))
 
 
 def test_analyze_constant_and_cos_theta():

@@ -324,8 +324,9 @@ def test_cli_outputs_byte_deterministic(tmp_path, capsys):
 
 
 def test_cli_solve_refuses_beyond_physical_memory(tmp_path, monkeypatch, capsys):
-    """A solve whose dense step cannot fit in memory exits 1 before any
-    work and writes no outputs."""
+    """A solve whose Gauss-Newton step cannot fit in memory (1 MiB; a step
+    at L = 16 needs about 2.9 MB) exits 1 before any work and writes no
+    outputs."""
     from pmcsphere import solver
 
     monkeypatch.setattr(solver, "_physical_memory_bytes", lambda: 1 << 20)
@@ -333,7 +334,7 @@ def test_cli_solve_refuses_beyond_physical_memory(tmp_path, monkeypatch, capsys)
     write_field(constant_field(2.0), h_path)
     out = tmp_path / "out"
     code = cli_dispatch([
-        "solve", "--h-target", str(h_path), "--L", "8", "--out-dir", str(out),
+        "solve", "--h-target", str(h_path), "--L", "16", "--out-dir", str(out),
     ])
     assert code == 1
     assert not (out / "solution.json").exists()

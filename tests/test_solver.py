@@ -1,9 +1,12 @@
 """Tests for the gauge-fixed Gauss-Newton continuation solver."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pmcsphere.errors import DataError
 from pmcsphere.geometry import ImmersionField, fundamental_forms, obstruction_vector
@@ -22,10 +25,16 @@ from pmcsphere.solver import (
     SolverConfig,
     StepFailure,
     _area_center,
-    _jacobian,
+    _jvp,
     _ladder,
+    _linearization,
+    _normal_trace,
+    _projected_cg,
     _rebase,
     _residual_vector,
+    _round_start,
+    _step_bytes,
+    _vjp,
     _workspace,
     affine_insolvability_check,
     gauge_basis,
@@ -123,26 +132,146 @@ def test_residual_rejects_nonpositive_h():
         residual(HarmonicField(coeffs), np.zeros(3), H, g)
 
 
-def test_jacobian_matches_centred_differences():
-    """The analytic Jacobian equals centred differences of the pointwise
-    residual rows, on a perturbed sphere with b != 0."""
+def perturbed_sphere_linearization():
+    """An L = 8 sphere perturbed off round, with b != 0 and a non-constant
+    target: (linearization, coeffs, b, H, grid, workspace)."""
     g = SphericalGrid(8)
     ws = _workspace(g)
     vals = g.xyz * (1.0 + 0.1 * g.xyz[0] * g.xyz[2])[None]
     coeffs = _rebase(analyze(vals, g).coeffs.copy(), ws)
     b = np.array([0.2, -0.1, 0.3])
     H = (2.0 + 0.2 * g.xyz[2] + 0.1 * g.xyz[0] ** 2).ravel()
-    J = _jacobian(coeffs, b, H, g, ws)
-    assert J.shape == (5 * ws.n_nodes, ws.n_unknowns)
+    return _linearization(coeffs, b, H, g, ws), coeffs, b, H, g, ws
+
+
+def jacobian_columns(lin, grid, ws):
+    """The dense Jacobian, column by column from J e_j (a test reference)."""
+    eye = np.eye(ws.n_unknowns)
+    return np.stack([_jvp(lin, e, grid, ws) for e in eye], axis=1)
+
+
+def test_jacobian_matches_centred_differences():
+    """J v (on every unit vector) and J^T w (on every unit row vector) equal
+    centred differences of the pointwise residual rows, on a perturbed
+    sphere with b != 0."""
+    lin, coeffs, b, H, g, ws = perturbed_sphere_linearization()
+    rows = 5 * ws.n_nodes
     x0, h = ws.pack(coeffs, b), 1e-5
-    fd = np.empty_like(J)
+    fd = np.empty((rows, x0.size))
     for j in range(x0.size):
         step = np.zeros_like(x0)
         step[j] = h
         rp = _residual_vector(*ws.unpack(x0 + step), H, g, ws)
         rm = _residual_vector(*ws.unpack(x0 - step), H, g, ws)
-        fd[:, j] = (rp - rm)[: J.shape[0]] / (2 * h)
+        fd[:, j] = (rp - rm)[:rows] / (2 * h)
+    J = jacobian_columns(lin, g, ws)
     assert np.max(np.abs(J - fd)) <= 1e-8
+    JT = np.stack([_vjp(lin, e, g, ws) for e in np.eye(rows)])
+    assert np.max(np.abs(JT - fd)) <= 1e-8
+
+
+@given(L=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+def test_jacobian_products_are_adjoint(L, seed):
+    """<J v, w> = <v, J^T w> at a random state, for random v and w."""
+    g = SphericalGrid(L)
+    ws = _workspace(g)
+    rng = np.random.default_rng(seed)
+    x = ws.pack(analyze(g.xyz, g).coeffs, np.zeros(3))
+    x += 0.05 * rng.standard_normal(x.size)
+    coeffs, b = ws.unpack(x)
+    H = 2.0 + 0.1 * rng.standard_normal(ws.n_nodes)
+    lin = _linearization(coeffs, b, H, g, ws)
+    v = rng.standard_normal(ws.n_unknowns)
+    w = rng.standard_normal(5 * ws.n_nodes)
+    Jv, JTw = _jvp(lin, v, g, ws), _vjp(lin, w, g, ws)
+    assert abs(Jv @ w - v @ JTw) <= 1e-12 * np.linalg.norm(Jv) * np.linalg.norm(w)
+
+
+def test_normal_trace_matches_dense():
+    lin, _, _, _, g, ws = perturbed_sphere_linearization()
+    J = jacobian_columns(lin, g, ws)
+    assert abs(_normal_trace(lin, ws) - np.sum(J * J)) <= 1e-12 * np.sum(J * J)
+
+
+def sector_basis(pre, q, n):
+    """Dense columns U_q of sector q >= 0 from the preconditioner's packed
+    indices and weights."""
+    d = int(np.count_nonzero(np.any(pre.weight[q] != 0, axis=1)))
+    U = np.zeros((n, d), dtype=complex)
+    for j in range(d):
+        np.add.at(U[:, j], pre.index[q, j], pre.weight[q, j])
+    return U
+
+
+def test_sector_blocks_match_round_normal_matrix():
+    """The meridian-built sector blocks equal U^H A0 U of the dense round
+    normal matrix, the sectors q and -q together form a unitary basis, and
+    solve applies the real matrix (P + shift + lam)^-1, P = sum_q U B_q U^H."""
+    g = SphericalGrid(8)
+    ws = _workspace(g)
+    pre = ws.sectors
+    lin0 = _linearization(analyze(g.xyz, g).coeffs, np.zeros(3),
+                          np.full(ws.n_nodes, 2.0), g, ws)
+    J0 = jacobian_columns(lin0, g, ws)
+    A0 = J0.T @ J0
+    n = ws.n_unknowns
+    Us = [sector_basis(pre, q, n) for q in range(g.L + 2)]
+    for q, U in enumerate(Us):
+        d = U.shape[1]
+        V = pre.vectors[q, :d, :d]
+        block = V @ np.diag(pre.values[q, :d]) @ V.conj().T
+        dense = U.conj().T @ A0 @ U
+        assert np.max(np.abs(block - dense)) <= 1e-12 * np.max(np.abs(dense))
+    U_all = np.concatenate(Us + [U.conj() for U in Us[1:]], axis=1)
+    assert U_all.shape == (n, n)
+    assert np.max(np.abs(U_all.conj().T @ U_all - np.eye(n))) < 1e-13
+    # the preconditioner applies U blockdiag(B_q + shift + lam)^-1 U^H
+    r = np.random.default_rng(0).standard_normal(n)
+    terms = [U @ (U.conj().T @ A0 @ U) @ U.conj().T for U in Us]
+    P = terms[0] + sum(t + t.conj() for t in terms[1:])
+    assert np.max(np.abs(P.imag)) < 1e-10 * np.max(np.abs(P.real))
+    for lam in (0.0, 1e3 * pre.shift):
+        x = pre.solve(r, lam)
+        defect = (P.real + (pre.shift + lam) * np.eye(n)) @ x - r
+        assert np.linalg.norm(defect) < 1e-10 * np.linalg.norm(r)
+
+
+def kkt_reference(state, H, g, lam_factor=1e-12):
+    """The damped KKT update solved densely from J's columns (a reference
+    for the matrix-free solve), with the step's own damping."""
+    ws = _workspace(g)
+    lin = _linearization(state.coeffs, state.b, H.ravel(), g, ws)
+    basis = gauge_basis(state.coeffs, g, ws)
+    J = jacobian_columns(lin, g, ws)
+    n, G = ws.n_unknowns, basis.matrix
+    lam = lam_factor * _normal_trace(lin, ws) / n
+    K = np.block([[J.T @ J + lam * np.eye(n), G], [G.T, np.zeros((9, 9))]])
+    r0 = state.residual[: 5 * ws.n_nodes]
+    rhs = np.concatenate([-(J.T @ r0), basis.rhs])
+    krylov = _projected_cg(lin, basis, _vjp(lin, r0, g, ws), lam, g, ws)
+    return np.linalg.solve(K, rhs)[:n], krylov
+
+
+def test_krylov_update_matches_dense_kkt():
+    """At L = 12 the projected-CG update equals the dense KKT solution to
+    1e-9 (relative), at the round start against target 103 (eps = 0.1) and
+    at a noisy state against 2 + x3."""
+    g = SphericalGrid(12)
+    ws = _workspace(g)
+    rng = np.random.default_rng(4)
+    round_start = _round_start(g, SolverConfig(degree=12))
+    x = ws.pack(round_start, np.zeros(3)) + 1e-3 * rng.uniform(-1, 1, ws.n_unknowns)
+    noisy, b_noisy = ws.unpack(x)
+    noisy = _rebase(noisy, ws)
+    for coeffs, b, H in ((round_start, np.zeros(3), acceptance_target(g, 103, 0.1)),
+                         (noisy, b_noisy, 2.0 + g.xyz[2])):
+        state = ContinuationState(
+            s=1.0, coeffs=coeffs, b=b,
+            residual=_residual_vector(coeffs, b, H.ravel(), g, ws),
+        )
+        dense, (krylov, iters) = kkt_reference(state, H, g)
+        assert 1 <= iters <= 40
+        assert np.linalg.norm(krylov - dense) <= 1e-9 * np.linalg.norm(dense)
 
 
 def test_pack_unpack_roundtrip():
@@ -241,30 +370,32 @@ def test_step_zero_update_at_solution():
 
 def test_step_update_orthogonal_to_gauge():
     """A full step is orthogonal to the rigid motions and cancels the
-    linearized area center, both to 1e-10 relative to the update."""
-    g = SphericalGrid(10)
-    ws = _workspace(g)
+    linearized area center, both to 1e-10 relative to the update, at L = 10
+    and L = 16."""
     rng = np.random.default_rng(2)
-    coeffs = based_sphere_coeffs(g)
-    valid = np.zeros_like(coeffs, dtype=bool)
-    for l in range(g.L + 1):
-        valid[:, l, g.L - l : g.L + l + 1] = True
-    coeffs = _rebase(coeffs + 2e-3 * rng.uniform(-1, 1, coeffs.shape) * valid, ws)
-    H = np.full((g.n_theta, g.n_phi), 2.0)
-    state = ContinuationState(
-        s=1.0, coeffs=coeffs, b=np.zeros(3),
-        residual=_residual_vector(coeffs, np.zeros(3), H.ravel(), g, ws),
-    )
-    basis = gauge_basis(coeffs, g, ws)
-    new = gauge_projected_step(state, H, g)
-    delta = new.last_update
-    scale = 1e-10 * np.linalg.norm(delta)
-    # orthogonal to the 3 translations and 3 rotations
-    assert np.max(np.abs(basis.matrix[:, :6].T @ delta)) < scale
-    # the linearized centering holds: C . delta = -c
-    _, C = _area_center(coeffs, g, ws)
-    assert np.linalg.norm(basis.center) > 1e-6
-    assert np.max(np.abs(C @ delta + basis.center)) < scale
+    for L in (10, 16):
+        g = SphericalGrid(L)
+        ws = _workspace(g)
+        coeffs = based_sphere_coeffs(g)
+        valid = np.zeros_like(coeffs, dtype=bool)
+        for l in range(g.L + 1):
+            valid[:, l, g.L - l : g.L + l + 1] = True
+        coeffs = _rebase(coeffs + 2e-3 * rng.uniform(-1, 1, coeffs.shape) * valid, ws)
+        H = np.full((g.n_theta, g.n_phi), 2.0)
+        state = ContinuationState(
+            s=1.0, coeffs=coeffs, b=np.zeros(3),
+            residual=_residual_vector(coeffs, np.zeros(3), H.ravel(), g, ws),
+        )
+        basis = gauge_basis(coeffs, g, ws)
+        new = gauge_projected_step(state, H, g)
+        delta = new.last_update
+        scale = 1e-10 * np.linalg.norm(delta)
+        # orthogonal to the 3 translations and 3 rotations
+        assert np.max(np.abs(basis.matrix[:, :6].T @ delta)) < scale
+        # the linearized centering holds: C . delta = -c
+        _, C = _area_center(coeffs, g, ws)
+        assert np.linalg.norm(basis.center) > 1e-6
+        assert np.max(np.abs(C @ delta + basis.center)) < scale
 
 
 def test_solve_hopf_constant_two():
@@ -607,6 +738,76 @@ def test_target_unresolved_at_degree_12_skips_its_rung():
         c[0, 14, 16] = tail
         res = solve_pmc(HarmonicField(c), config)
         assert {e["degree"] for e in res.report["step_log"]} == degrees
+
+
+def test_newton_log_one_record_per_step(ladder_vs_direct):
+    """report["newton_log"] has one record per accepted Gauss-Newton step
+    (as many as residual_history), in step order, and the L = 16 solve's
+    projected-CG steps take 1..40 iterations each."""
+    _, ladder, degrees, _ = ladder_vs_direct["103"]
+    log = ladder.report["newton_log"]
+    assert len(log) == len(ladder.report["residual_history"]) == len(degrees)
+    assert [e["degree"] for e in log] == degrees
+    assert [e["residual"] for e in log] == ladder.report["residual_history"]
+    for e in log:
+        assert set(e) == {"degree", "residual", "alpha", "halvings", "damping_retries",
+                          "linear_solver", "linear_iters"}
+        assert e["alpha"] == 0.5 ** e["halvings"]
+        assert e["linear_solver"] == "krylov" and 1 <= e["linear_iters"] <= 40
+    assert json.loads(dumps(ladder.report))["newton_log"] == log
+
+
+def test_truncation_floor_named():
+    """Target 103 (eps = 0.1) at L = 12 stalls in the line search with its
+    top degrees above tol / 2 and no branch point: the stall reads
+    "truncation_floor" and suggests a degree above 12."""
+    g = SphericalGrid(12)
+    res = solve_pmc(acceptance_target(g, 103, 0.1), SolverConfig(degree=12))
+    assert res.status == "stalled"
+    assert res.report["stall_reason"] == "truncation_floor"
+    diag = res.report["stall_diagnostics"]
+    assert diag["branch_points"] == [] and diag["unresolved_singular_points"] == []
+    top = diag["top_degree_norms"]
+    assert len(top) == 3 and np.linalg.norm(top) > 0.5 * SolverConfig().tol
+    assert diag["suggested_degree"] > 12
+    fine = SphericalGrid(diag["suggested_degree"])
+    res = solve_pmc(acceptance_target(fine, 103, 0.1),
+                    SolverConfig(degree=diag["suggested_degree"]))
+    assert res.status == "converged"
+
+
+def test_workspace_holds_no_dense_tables():
+    """After an L = 16 solve the degree-16 workspace holds no
+    n_nodes x n_modes array: the step is matrix-free."""
+    g = SphericalGrid(16)
+    res = solve_pmc(acceptance_target(g, 103, 0.1), SolverConfig(degree=16))
+    assert 16 in {e["degree"] for e in res.report["newton_log"]}
+    ws = solver._workspaces[16]
+    arrays = [v for v in vars(ws).values() if isinstance(v, np.ndarray)]
+    arrays += [v for v in vars(ws.sectors).values() if isinstance(v, np.ndarray)]
+    assert arrays
+    big = ws.n_nodes * ws.n_modes
+    assert all(a.size < big for a in arrays)
+
+
+def test_step_bytes_bounds_traced_first_step():
+    """The memory model behind the solve refusal exceeds the traced
+    allocation peak of a first Gauss-Newton step at L = 16 (the step that
+    also builds the sector preconditioner)."""
+    g = SphericalGrid(16)
+    ws = _workspace(g)
+    ws.__dict__.pop("sectors", None)
+    H = acceptance_target(g, 103, 0.1)
+    coeffs = _round_start(g, SolverConfig(degree=16))
+    state = ContinuationState(s=1.0, coeffs=coeffs, b=np.zeros(3),
+                              residual=_residual_vector(coeffs, np.zeros(3), H.ravel(), g, ws))
+    tracemalloc.start()
+    try:
+        gauge_projected_step(state, H, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _step_bytes(16)
 
 
 def test_normal_variation_operator_eigenfunctions():
