@@ -25,6 +25,11 @@ Conventions
 Derivatives of band-limited fields are evaluated pointwise from tables of
 theta-derivatives of Q_{l,m} (obtained from the Legendre ODE), so first,
 second and third derivatives are exact for band-limited input.
+
+One table, Q_{l,m} and its theta-derivatives zero-padded to [n, m, l, node],
+serves one transform pair: ``synthesize_jet`` and its transpose
+``synthesize_jet_adjoint``, each a batched product over all orders m.
+``analyze`` is the adjoint applied to the quadrature-weighted values.
 """
 
 from __future__ import annotations
@@ -118,58 +123,54 @@ def _gauss_legendre_colatitude(n: int):
     return x[order], w[order]
 
 
-def _alp_tables(L: int, x: np.ndarray):
-    """Normalized associated Legendre tables Q[m][l - m, node].
+def _legendre_tables(L: int, x: np.ndarray, derivatives: bool = True) -> np.ndarray:
+    """Normalized associated Legendre functions and, with ``derivatives``,
+    their first three theta-derivatives, zero-padded to [n, m, l, node]:
+    entry [n, m, l] is d^n Q_{l,m} / d theta^n at x = cos(theta), and zero
+    where l < m.
 
     Q_{l,m}(x) = N_{l,m} P_l^m(x) with int_{-1}^{1} Q^2 dx = 1/(2 pi), built
-    by the standard stable three-term recurrence (Condon-Shortley phase).
+    by the standard stable three-term recurrence in l for every order m at
+    once (Condon-Shortley phase).  The derivatives come from the Legendre
+    ODE and need sin(theta) > 0; Q alone holds at the poles too.  Only the
+    entries l >= m are written, so the zero padding stays untouched.
     """
     x = np.asarray(x, dtype=float)
     s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    tables = []
-    qmm = np.full_like(x, 1.0 / np.sqrt(FOUR_PI))
-    for m in range(L + 1):
-        if m > 0:
-            qmm = -np.sqrt((2 * m + 1) / (2.0 * m)) * s * qmm
-        block = np.empty((L + 1 - m, x.size))
-        block[0] = qmm
-        if m < L:
-            block[1] = np.sqrt(2 * m + 3.0) * x * qmm
-        for l in range(m + 2, L + 1):
-            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            block[l - m] = a * (x * block[l - m - 1] - b * block[l - m - 2])
-        tables.append(block)
-    return tables
+    out = np.zeros((4 if derivatives else 1, L + 1, L + 1, x.size))
+    Q = out[0]
+    m = np.arange(L + 1.0)[:, None]
+    # the diagonal: Q_{m,m} = -sqrt((2m + 1) / 2m) sin(theta) Q_{m-1,m-1}
+    diag = np.empty((L + 1, x.size))
+    diag[0] = 1.0 / np.sqrt(FOUR_PI)
+    diag[1:] = -np.sqrt((2 * m[1:] + 1) / (2.0 * m[1:])) * s
+    Q[np.arange(L + 1), np.arange(L + 1)] = np.cumprod(diag, axis=0)
+    for l in range(L + 1):
+        mm = m[: l + 1]
+        if l > 0:
+            Q[l - 1, l] = np.sqrt(2 * l + 1.0) * x * Q[l - 1, l - 1]
+            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - mm[:-2] ** 2))
+            b = np.sqrt(((l - 1.0) ** 2 - mm[:-2] ** 2) / (4.0 * (l - 1.0) ** 2 - 1.0))
+            Q[: l - 1, l] = a * (x * Q[: l - 1, l - 1] - b * Q[: l - 1, l - 2])
+        if not derivatives:
+            continue
+        q = Q[: l + 1, l]
+        prev = Q[: l + 1, l - 1] if l > 0 else 0.0     # Q_{l-1,m}, zero at m = l
+        c = np.sqrt(np.maximum(0.0, (l * l - mm * mm) * (2 * l + 1) / (2 * l - 1)))
+        pot = l * (l + 1.0) - mm * mm / s**2
+        d1 = (l * x * q - c * prev) / s
+        d2 = -x / s * d1 - pot * q
+        d3 = -x / s * d2 + (1.0 / s**2 - pot) * d1 - 2.0 * mm * mm * x / s**3 * q
+        out[1:, : l + 1, l] = d1, d2, d3
+    return out
 
 
-def _alp_theta_derivatives(L, Q, x, sin_theta, order=3):
-    """Tables of d^n Q_{l,m}/d theta^n for n = 1..order via the Legendre ODE."""
-    cot = x / sin_theta
-    inv_s2 = 1.0 / sin_theta**2
-    dQ, d2Q, d3Q = [], [], []
-    for m in range(L + 1):
-        ls = np.arange(m, L + 1)[:, None].astype(float)
-        lam = ls * (ls + 1.0)
-        block = Q[m]
-        prev = np.zeros_like(block)
-        prev[1:] = block[:-1]  # Q_{l-1,m}, zero when l-1 < m
-        c = np.sqrt(np.maximum(0.0, (ls**2 - m * m) * (2 * ls + 1) / (2 * ls - 1)))
-        d1 = (ls * x * block - c * prev) / sin_theta
-        dQ.append(d1)
-        if order >= 2:
-            pot = lam - m * m * inv_s2
-            d2 = -cot * d1 - pot * block
-            d2Q.append(d2)
-        if order >= 3:
-            d3 = (
-                -cot * d2
-                + inv_s2 * d1
-                - pot * d1
-                - 2.0 * m * m * (x / sin_theta**3) * block
-            )
-            d3Q.append(d3)
-    return dQ, d2Q, d3Q
+def _azimuthal_basis(L: int, phi: np.ndarray):
+    """sqrt(2) cos(m phi) and sqrt(2) sin(m phi) as [(cos, sin), m, longitude]
+    (1 and 0 at m = 0)."""
+    m = np.arange(L + 1)[:, None]
+    scale = np.where(m == 0, 1.0, np.sqrt(2.0))
+    return scale * np.stack([np.cos(m * phi), np.sin(m * phi)])
 
 
 class SphericalGrid:
@@ -203,31 +204,13 @@ class SphericalGrid:
             ]
         )
 
-        m = np.arange(L + 1)
-        self._cos_m = np.cos(np.outer(m, self.phi))
-        self._sin_m = np.sin(np.outer(m, self.phi))
-
-        self._Q = _alp_tables(L, self.x_gl)
-        self._dQ, self._d2Q, self._d3Q = _alp_theta_derivatives(
-            L, self._Q, self.x_gl, self.sin_theta
-        )
-        # the transforms sum over m in one batched product: the n-th theta
-        # derivative tables zero-padded to [n, m, l, node] (zero where
-        # l < m), and the p-th phi-derivatives of sqrt(2) cos(m phi) and
-        # sqrt(2) sin(m phi) as [p, (cos, sin), m, longitude] (1 and 0 at
-        # m = 0)
-        # (the ragged lists become views into the padded tables)
-        self._theta_tables = np.zeros((4, L + 1, L + 1, L + 1))
-        for n, tab in enumerate((self._Q, self._dQ, self._d2Q, self._d3Q)):
-            for k in range(L + 1):
-                self._theta_tables[n, k, k:] = tab[k]
-        self._Q, self._dQ, self._d2Q, self._d3Q = (
-            [padded[k, k:] for k in range(L + 1)] for padded in self._theta_tables
-        )
-        scale = np.where(m == 0, 1.0, np.sqrt(2.0))[:, None]
-        c, s, mm = scale * self._cos_m, scale * self._sin_m, m[:, None]
+        # the Legendre table [n, m, l, node], and the p-th phi-derivatives
+        # of the azimuthal basis as [p, (cos, sin), m, longitude]
+        self._theta_tables = _legendre_tables(L, self.x_gl)
+        c, s = _azimuthal_basis(L, self.phi)
+        m = np.arange(L + 1)[:, None]
         self._azimuthal_tables = np.stack([
-            (c, s), (-mm * s, mm * c), (-mm**2 * c, -mm**2 * s), (mm**3 * s, -mm**3 * c)
+            (c, s), (-m * s, m * c), (-m**2 * c, -m**2 * s), (m**3 * s, -m**3 * c)
         ])
 
     # ------------------------------------------------------------------
@@ -278,6 +261,13 @@ _THETA_TABLE = {
 }
 
 
+def _by_order(coeffs: np.ndarray):
+    """Coefficients (ncomp, L+1, 2L+1) as [c, m, l] of cos(m phi) and of
+    sin(m phi) (the m = 0 row meets the vanishing sin(0 phi) factors)."""
+    L = coeffs.shape[1] - 1
+    return coeffs[:, :, L:].transpose(0, 2, 1), coeffs[:, :, L::-1].transpose(0, 2, 1)
+
+
 def synthesize_jet(field: HarmonicField, grid: SphericalGrid, which=("f",)):
     """Evaluate a band-limited field and requested derivatives at all nodes.
 
@@ -292,10 +282,7 @@ def synthesize_jet(field: HarmonicField, grid: SphericalGrid, which=("f",)):
             f"field degree {field.degree} exceeds grid degree {grid.L}"
         )
     Lf = field.degree
-    # [c, m, l]: the cos(m phi) coefficients, and the sin(m phi) ones (m >= 1;
-    # the m = 0 row meets the vanishing sin(0 phi) factors below)
-    ca = field.coeffs[:, :, Lf:].transpose(0, 2, 1)
-    cb = field.coeffs[:, :, Lf::-1].transpose(0, 2, 1)
+    ca, cb = _by_order(field.coeffs)
     lam = -np.arange(Lf + 1) * (np.arange(Lf + 1) + 1.0)
     out = {}
     for key in which:
@@ -316,8 +303,8 @@ def synthesize_jet_adjoint(jet: dict, grid: SphericalGrid) -> np.ndarray:
     Returns coefficients a of shape (ncomp, L+1, 2L+1), zero where |m| > l,
     with sum_k <synthesize_jet(f, grid, jet.keys())[k], jet[k]> = <f, a> in
     the Euclidean products of node values and of coefficients, for every
-    field f of degree L.  No quadrature weights enter: ``analyze`` is the
-    weighted projection, this is the transpose.
+    field f of degree L.  No quadrature weights enter here: ``analyze``
+    applies this transpose to the values times the weights.
     """
     L = grid.L
     lam = -np.arange(L + 1) * (np.arange(L + 1) + 1.0)
@@ -350,55 +337,30 @@ def synthesize(field: HarmonicField, grid: SphericalGrid) -> np.ndarray:
 def analyze(values: np.ndarray, grid: SphericalGrid) -> HarmonicField:
     """Project node values onto harmonics of degree <= L by quadrature.
 
-    Exact inverse of ``synthesize`` on band-limited fields; otherwise the
-    least-squares/quadrature projection.
+    The weighted adjoint of synthesis: synthesize_jet_adjoint of the values
+    times the quadrature weights.  Exact inverse of ``synthesize`` on
+    band-limited fields; otherwise the least-squares/quadrature projection.
     """
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
         raise DataError("analyze: input values contain non-finite entries")
-    squeeze = values.ndim == 2
-    if squeeze:
-        values = values[None]
-    if values.shape[1:] != (grid.n_theta, grid.n_phi):
+    stacked = values if values.ndim == 3 else values[None]
+    # checked here: the adjoint reshapes, so a transposed array would pass
+    if stacked.shape[1:] != (grid.n_theta, grid.n_phi):
         raise ConfigurationError(
             f"values shape {values.shape} does not match grid "
             f"({grid.n_theta}, {grid.n_phi})"
         )
-    L = grid.L
-    nc = values.shape[0]
-    # azimuthal projections: (nc, n_theta, L+1)
-    vc = np.einsum("ctp,mp->ctm", values, grid._cos_m) * grid.delta_phi
-    vs = np.einsum("ctp,mp->ctm", values, grid._sin_m) * grid.delta_phi
-    coeffs = np.zeros((nc, L + 1, 2 * L + 1))
-    wgl = grid.w_gl
-    for m in range(L + 1):
-        scale = 1.0 if m == 0 else np.sqrt(2.0)
-        proj = grid._Q[m] * wgl[None, :]  # (nl, n_theta)
-        coeffs[:, m:, L + m] = scale * np.einsum("lt,ct->cl", proj, vc[:, :, m])
-        if m > 0:
-            coeffs[:, m:, L - m] = scale * np.einsum("lt,ct->cl", proj, vs[:, :, m])
-    return HarmonicField(coeffs)
+    return HarmonicField(synthesize_jet_adjoint({"f": stacked * grid.w}, grid))
 
 
 def synthesize_at(field: HarmonicField, theta, phi) -> np.ndarray:
     """Evaluate a field at arbitrary points (theta, phi); shape (ncomp, npts)."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    Q = _alp_tables(field.degree, np.cos(theta))
-    Lf = field.degree
-    vals = np.zeros((field.n_components, theta.size))
-    for m in range(Lf + 1):
-        ca = field.coeffs[:, m : Lf + 1, Lf + m]
-        profA = np.einsum("cl,lt->ct", ca, Q[m])
-        if m == 0:
-            vals += profA
-            continue
-        cb = field.coeffs[:, m : Lf + 1, Lf - m]
-        profB = np.einsum("cl,lt->ct", cb, Q[m])
-        vals += np.sqrt(2.0) * (
-            profA * np.cos(m * phi)[None, :] + profB * np.sin(m * phi)[None, :]
-        )
-    return vals
+    theta, phi = (np.ravel(a).astype(float) for a in np.broadcast_arrays(theta, phi))
+    tab = _legendre_tables(field.degree, np.cos(theta), derivatives=False)[0]  # [m, l, point]
+    az = _azimuthal_basis(field.degree, phi)                    # [(cos, sin), m, point]
+    coeffs = np.stack(_by_order(field.coeffs))                  # [(cos, sin), c, m, l]
+    return np.einsum("mlp,scml,smp->cp", tab, coeffs, az, optimize=True)
 
 
 def integrate(values: np.ndarray, grid: SphericalGrid, weight=None) -> float:

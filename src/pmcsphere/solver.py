@@ -34,7 +34,10 @@ null space of the constraints (_projected_cg), preconditioned by the round
 sphere's normal matrix split into its 2L + 3 charge sectors
 (_SectorPreconditioner, built in O(L^4) once per degree from the rows of the
 round Jacobian on one meridian).  It takes 8 to 14 iterations at L = 12 to 24
-and holds O(L^3) memory.  A dense step (J, J^T J and an LU of the KKT
+and holds O(L^3) memory.  The base damping is lam0 = 1e-12 trace(A0) / n,
+from the trace of the round sphere's normal matrix A0 that the sector
+blocks hold (over the benchmark's solves the true trace(J^T J) reads 0.987
+to 1.001 times it).  A dense step (J, J^T J and an LU of the KKT
 matrix: O(L^6) time, O(L^4) memory) measured no faster at L = 8, three
 times slower at L = 12 and 25 times slower at L = 24, and is gone.
 
@@ -96,15 +99,15 @@ CENTER_TOL = 1e-10          # |area center| of a converged solve
 SECTOR_SHIFT = 1e-5         # preconditioner shift, relative to trace(A0) / n
 KRYLOV_TOL = 1e-10          # relative residual at which projected CG stops
 KRYLOV_MAX_ITERS = 100      # projected CG iterations before the damping rises
+MAX_NEWTON_ITERS = 30       # Gauss-Newton steps per correction or polish
+MIN_STEP = 1.0 / 160.0      # smallest step in s of the final rung before a stall
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     degree: int = 24
     tol: float = 1e-8
-    max_newton_iters: int = 30
     steps: int = 10             # initial step count: the first step in s is 1/steps
-    min_step: float = 1.0 / 160.0
     noise_amplitude: float = 0.0
     noise_seed: int = 0
 
@@ -119,7 +122,6 @@ class ContinuationState:
     coeffs: np.ndarray          # (3, L+1, 2L+1)
     b: np.ndarray               # (3,)
     residual: np.ndarray        # _residual_vector at the H of the next step
-    history: list = dataclass_field(default_factory=list)
     step_log: list = dataclass_field(default_factory=list)
     newton_log: list = dataclass_field(default_factory=list)  # one record per step
     last_update: np.ndarray = None  # accepted raw update, before re-basing
@@ -195,19 +197,6 @@ class _Workspace:
         self.conf_row_w = 0.25 * mu2inv * self.sqrt_w
         self.mc_row_w = mu2inv * self.sqrt_w
         self.n_unknowns = 3 * self.n_modes + 3
-
-        # per-node sums over all modes Y of Y_t^2, Y_p^2, (Lap Y)^2 and
-        # Y_t Lap Y (phi-independent; Y_t Y_p sums to 0): the trace of J^T J
-        s_t, s_p, s_l, s_tl = np.zeros((4, grid.n_theta))
-        for m in range(L + 1):
-            q, dq = grid._Q[m], grid._dQ[m]
-            lam = (np.arange(m, L + 1) * (np.arange(m, L + 1) + 1.0))[:, None]
-            mult = 1.0 if m == 0 else 2.0
-            s_t += mult * np.sum(dq * dq, axis=0)
-            s_p += mult * m * m * np.sum(q * q, axis=0)
-            s_l += mult * np.sum((lam * q) ** 2, axis=0)
-            s_tl -= mult * np.sum(lam * q * dq, axis=0)
-        self.mode_sums = np.repeat(np.stack([s_t, s_p, s_l, s_tl]), grid.n_phi, axis=1)
 
     @cached_property
     def sectors(self) -> "_SectorPreconditioner":
@@ -354,14 +343,6 @@ def _vjp(lin: _Linearization, w, grid, ws) -> np.ndarray:
     return ws.pack(coeffs, np.einsum("ajn,an->j", lin.b, w[2:]))
 
 
-def _normal_trace(lin: _Linearization, ws) -> float:
-    """trace(J^T J), from the linearization and the workspace's mode sums."""
-    s_t, s_p, s_l, s_tl = ws.mode_sums
-    diag_c = np.einsum("rcn,n->", lin.t**2, s_t) + np.einsum("rcn,n->", lin.p**2, s_p)
-    lap_c = 3.0 * lin.lap**2 @ s_l + 2.0 * np.einsum("ccn,n->", lin.t[2:], lin.lap * s_tl)
-    return float(diag_c + lap_c + np.sum(lin.b**2))
-
-
 # ----------------------------------------------------------------------
 # preconditioner: the round sphere's normal matrix in its charge sectors
 # ----------------------------------------------------------------------
@@ -413,7 +394,7 @@ class _SectorPreconditioner:
                 idx.append(i)
                 wts.append(w)
                 # meridian jet of each column: f_t = dQ, f_p = i k Q, Lap = -l(l+1) Q
-                dq, qq = grid._dQ[am].T, grid._Q[am].T          # (n_theta, nl)
+                qq, dq = grid._theta_tables[:2, am, am:].transpose(0, 2, 1)  # [t, l]
                 col = (np.einsum("rcn,c,nl->rnl", t0, v, dq)
                        + np.einsum("rcn,c,nl->rnl", p0, v, 1j * k * qq))
                 col[2:] += np.einsum("n,c,nl->cnl", lap0, v, -ls * (ls + 1.0) * qq)
@@ -441,7 +422,8 @@ class _SectorPreconditioner:
         self.vectors = np.zeros((nq, D, D), dtype=complex)
         # trace(A0) over all 2L + 3 sectors: q and -q share a trace
         traces = [np.trace(B).real for *_, B in sectors]
-        self.shift = SECTOR_SHIFT * (2.0 * sum(traces) - traces[0]) / ws.n_unknowns
+        self.trace = 2.0 * sum(traces) - traces[0]
+        self.shift = SECTOR_SHIFT * self.trace / ws.n_unknowns
         for q, (i, w, B) in enumerate(sectors):
             d = len(B)
             self.index[q, :d], self.weight[q, :d] = i, w
@@ -591,8 +573,9 @@ def gauge_projected_step(state: ContinuationState, H_values,
     Solves the KKT system of the damped normal equations subject to
     G^T delta = rhs (gauge_basis: no rigid motion, and the linearized area
     center cancelled) matrix-free by projected CG, then line-searches with
-    halving factor LINE_SEARCH_FACTOR.  A failed linear solve or line search
-    raises the damping; raises StepFailure when no decrease is found.
+    halving factor LINE_SEARCH_FACTOR.  The damping starts at
+    1e-12 trace(A0) / n and rises after a failed linear solve or line
+    search; raises StepFailure when no decrease is found.
     Appends one record to the state's newton_log.
     """
     ws = _workspace(grid)
@@ -609,7 +592,7 @@ def gauge_projected_step(state: ContinuationState, H_values,
     lin = _linearization(state.coeffs, state.b, H_flat, grid, ws)
     basis = gauge_basis(state.coeffs, grid, ws)
     g = _vjp(lin, r0, grid, ws)
-    lam = 1e-12 * _normal_trace(lin, ws) / ws.n_unknowns
+    lam = 1e-12 * ws.sectors.trace / ws.n_unknowns
 
     x0 = ws.pack(state.coeffs, state.b)
     linear_iters = 0
@@ -633,12 +616,10 @@ def gauge_projected_step(state: ContinuationState, H_values,
                     coeffs=coeffs_new,
                     b=b_try,
                     residual=r_new,
-                    history=state.history,
                     step_log=state.step_log,
                     newton_log=state.newton_log,
                     last_update=alpha * delta,
                 )
-                new.history.append(new.residual_norm)
                 new.newton_log.append({
                     "degree": grid.L, "residual": new.residual_norm, "alpha": alpha,
                     "halvings": halvings, "damping_retries": attempt,
@@ -660,16 +641,13 @@ def _round_start(grid, config):
     ws = _workspace(grid)
     if config.noise_amplitude > 0:
         rng = np.random.default_rng(config.noise_seed)
-        valid = np.zeros_like(coeffs, dtype=bool)
-        L = grid.L
-        for l in range(L + 1):
-            valid[:, l, L - l : L + l + 1] = True
+        valid = np.abs(np.arange(-grid.L, grid.L + 1)) <= np.arange(grid.L + 1)[:, None]
         noise = rng.uniform(-1, 1, size=coeffs.shape) * config.noise_amplitude
         coeffs = coeffs + noise * valid
     return _rebase(coeffs, ws)
 
 
-def _newton_to_tol(state, H_values, grid, config, target, center=False):
+def _newton_to_tol(state, H_values, grid, target, center=False):
     """Gauss-Newton until the residual norm is at most ``target`` and, with
     ``center``, the area center is at most CENTER_TOL from 0.
 
@@ -682,7 +660,7 @@ def _newton_to_tol(state, H_values, grid, config, target, center=False):
                 _area_center(state.coeffs, grid, _workspace(grid))[0]) > CENTER_TOL
         )
 
-    for _ in range(config.max_newton_iters):
+    for _ in range(MAX_NEWTON_ITERS):
         if met():
             return state, None
         try:
@@ -712,8 +690,7 @@ def _rung_start(state, H_vals, grid, config):
     else:
         coeffs = _rebase(HarmonicField(state.coeffs).truncated(grid.L).coeffs, ws)
         b, s = state.b.copy(), state.s
-        logs = dict(history=state.history, step_log=state.step_log,
-                    newton_log=state.newton_log)
+        logs = dict(step_log=state.step_log, newton_log=state.newton_log)
     return ContinuationState(
         s=s, coeffs=coeffs, b=b,
         residual=_residual_vector(coeffs, b, _homotopy(s, H_vals).ravel(), grid, ws),
@@ -729,18 +706,18 @@ def _continue(state, H_vals, grid, config, final):
     states and is corrected by Gauss-Newton to 10 tol.  The first step is
     1 / config.steps; it doubles after a stage that converged in at most two
     iterations.  On the final rung a failed stage halves the step, and the
-    solve stalls once it falls below config.min_step; on a coarse rung a
+    solve stalls once it falls below MIN_STEP; on a coarse rung a
     failed stage ends the rung.  Returns (last accepted state, stall reason
     or None).
     """
     ws = _workspace(grid)
 
     def correct(trial, ds):
-        n_before = len(trial.history)
+        n_before = len(trial.newton_log)
         trial, reason = _newton_to_tol(
-            trial, _homotopy(trial.s, H_vals), grid, config, 10.0 * config.tol
+            trial, _homotopy(trial.s, H_vals), grid, 10.0 * config.tol
         )
-        iters = len(trial.history) - n_before
+        iters = len(trial.newton_log) - n_before
         trial.step_log.append(
             {"degree": grid.L, "s": trial.s, "ds": ds, "converged": reason is None,
              "residual": trial.residual_norm, "newton_iters": iters}
@@ -767,7 +744,6 @@ def _continue(state, H_vals, grid, config, final):
             s=s_next, coeffs=coeffs, b=b,
             residual=_residual_vector(coeffs, b, _homotopy(s_next, H_vals).ravel(),
                                       grid, ws),
-            history=state.history,
             step_log=state.step_log,
             newton_log=state.newton_log,
         )
@@ -782,7 +758,7 @@ def _continue(state, H_vals, grid, config, final):
         if not final:
             return state, reason
         ds /= 2.0
-        if ds < config.min_step:
+        if ds < MIN_STEP:
             return state, "min_step"
     return state, None
 
@@ -865,14 +841,14 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
     if reason is None:
         # final polish; row weighting makes the norm the chart-form L2 norm,
         # so driving it to tol/2 bounds both reported block residuals by tol
-        state, reason = _newton_to_tol(state, H_vals, grid, config,
-                                       0.5 * config.tol, center=True)
+        state, reason = _newton_to_tol(state, H_vals, grid, 0.5 * config.tol,
+                                       center=True)
 
     field = HarmonicField(state.coeffs)
     affine = AffineFunction(state.b)
     F = ImmersionField(field, grid)
     report = _solution_report(F, affine, H_vals, grid, reason, config.tol)
-    report["residual_history"] = list(state.history)
+    report["residual_history"] = [e["residual"] for e in state.newton_log]
     report["step_log"] = list(state.step_log)
     report["newton_log"] = list(state.newton_log)
     return SolveResult(

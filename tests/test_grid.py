@@ -87,9 +87,8 @@ JET_KEYS = ("f", "ft", "fp", "lap", "ftt", "ftp", "fpp", "fttt", "fttp", "ftpp",
 
 
 def synthesize_jet_by_order(field, grid, which):
-    """Reference synthesis, one order m at a time from the ragged Legendre
-    tables (the loop the batched transform replaced)."""
-    tables = {0: grid._Q, 1: grid._dQ, 2: grid._d2Q, 3: grid._d3Q}
+    """Reference synthesis, one order m at a time from the rows l >= m of
+    the padded Legendre tables (the loop the batched transform replaced)."""
     theta = {"f": 0, "fp": 0, "fpp": 0, "fppp": 0, "lap": 0, "ft": 1, "ftp": 1,
              "ftpp": 1, "ftt": 2, "fttp": 2, "fttt": 3}
     power = {"f": 0, "ft": 0, "ftt": 0, "fttt": 0, "fp": 1, "ftp": 1, "fttp": 1,
@@ -103,7 +102,7 @@ def synthesize_jet_by_order(field, grid, which):
         c, s = np.cos(m * grid.phi), np.sin(m * grid.phi)
         scale = 1.0 if m == 0 else np.sqrt(2.0)
         for key in which:
-            tab = tables[theta[key]][m][: Lf + 1 - m]
+            tab = grid._theta_tables[theta[key], m, m : Lf + 1]
             lam = -(ls * (ls + 1.0))[:, None] if key == "lap" else 1.0
             az_a, az_b = [(c, s), (-m * s, m * c), (-m * m * c, -m * m * s),
                           (m**3 * s, -(m**3) * c)][power[key]]
@@ -123,6 +122,66 @@ def test_synthesize_jet_matches_order_by_order_reference():
         ref = synthesize_jet_by_order(f, g, JET_KEYS)
         for k in JET_KEYS:
             assert np.max(np.abs(jet[k] - ref[k])) <= 1e-13 * np.max(np.abs(ref[k]))
+
+
+def analyze_by_order(values, grid):
+    """Reference quadrature projection, one order m at a time (the loop that
+    analysis as the weighted adjoint replaced)."""
+    L = grid.L
+    values = values.reshape(-1, grid.n_theta, grid.n_phi)
+    coeffs = np.zeros((values.shape[0], L + 1, 2 * L + 1))
+    for m in range(L + 1):
+        scale = 1.0 if m == 0 else np.sqrt(2.0)
+        proj = grid._theta_tables[0, m, m:] * grid.w_gl[None, :]  # (nl, n_theta)
+        vc = values @ np.cos(m * grid.phi) * grid.delta_phi        # (nc, n_theta)
+        vs = values @ np.sin(m * grid.phi) * grid.delta_phi
+        coeffs[:, m:, L + m] = scale * np.einsum("lt,ct->cl", proj, vc)
+        if m > 0:
+            coeffs[:, m:, L - m] = scale * np.einsum("lt,ct->cl", proj, vs)
+    return coeffs
+
+
+def test_analyze_matches_order_by_order_reference():
+    """analyze, the weighted adjoint of synthesis, equals the order-by-order
+    quadrature on random node values (not band-limited) to 1e-13 of the
+    largest coefficient, for one and for three components."""
+    rng = np.random.default_rng(9)
+    for L in (1, 7, 16, 32):
+        g = SphericalGrid(L)
+        for shape in ((g.n_theta, g.n_phi), (3, g.n_theta, g.n_phi)):
+            values = rng.standard_normal(shape)
+            ref = analyze_by_order(values, g)
+            got = analyze(values, g).coeffs
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_analyze_rejects_transposed_values():
+    """A transposed array has the grid's size but not its shape."""
+    g = SphericalGrid(8)
+    vals = np.ones((g.n_theta, g.n_phi))
+    with pytest.raises(ConfigurationError):
+        analyze(vals.T, g)
+    with pytest.raises(ConfigurationError):
+        analyze(np.stack([vals.T] * 3), g)
+
+
+def test_synthesize_at_nodes_and_poles():
+    """At the grid nodes synthesize_at equals synthesize; at the poles
+    (theta = 0 and pi, the vertices export_obj writes) it equals
+    sum_l c_{l,0} sqrt((2l + 1) / 4 pi) (+-1)^l."""
+    for L in (1, 7, 16):
+        g = SphericalGrid(L)
+        f = random_field(L, ncomp=3, seed=20 + L)
+        th = np.repeat(g.theta, g.n_phi)
+        ph = np.tile(g.phi, g.n_theta)
+        at = synthesize_at(f, th, ph).reshape(3, g.n_theta, g.n_phi)
+        ref = synthesize(f, g)
+        assert np.max(np.abs(at - ref)) <= 1e-13 * np.max(np.abs(ref))
+        ls = np.arange(L + 1)
+        for theta, sign in ((0.0, 1.0), (np.pi, -1.0)):
+            pole = f.coeffs[:, :, L] @ (np.sqrt((2 * ls + 1) / FOUR_PI) * sign**ls)
+            got = synthesize_at(f, theta, 0.0)[:, 0]
+            assert np.max(np.abs(got - pole)) <= 1e-13 * np.max(np.abs(pole))
 
 
 @given(L=st.integers(1, 12), keys=st.sets(st.sampled_from(JET_KEYS), min_size=1),

@@ -28,7 +28,6 @@ from pmcsphere.solver import (
     _jvp,
     _ladder,
     _linearization,
-    _normal_trace,
     _projected_cg,
     _rebase,
     _residual_vector,
@@ -187,12 +186,6 @@ def test_jacobian_products_are_adjoint(L, seed):
     assert abs(Jv @ w - v @ JTw) <= 1e-12 * np.linalg.norm(Jv) * np.linalg.norm(w)
 
 
-def test_normal_trace_matches_dense():
-    lin, _, _, _, g, ws = perturbed_sphere_linearization()
-    J = jacobian_columns(lin, g, ws)
-    assert abs(_normal_trace(lin, ws) - np.sum(J * J)) <= 1e-12 * np.sum(J * J)
-
-
 def sector_basis(pre, q, n):
     """Dense columns U_q of sector q >= 0 from the preconditioner's packed
     indices and weights."""
@@ -205,7 +198,8 @@ def sector_basis(pre, q, n):
 
 def test_sector_blocks_match_round_normal_matrix():
     """The meridian-built sector blocks equal U^H A0 U of the dense round
-    normal matrix, the sectors q and -q together form a unitary basis, and
+    normal matrix, the sectors q and -q together form a unitary basis, the
+    stored trace (the source of the step's base damping) is trace(A0), and
     solve applies the real matrix (P + shift + lam)^-1, P = sum_q U B_q U^H."""
     g = SphericalGrid(8)
     ws = _workspace(g)
@@ -214,6 +208,7 @@ def test_sector_blocks_match_round_normal_matrix():
                           np.full(ws.n_nodes, 2.0), g, ws)
     J0 = jacobian_columns(lin0, g, ws)
     A0 = J0.T @ J0
+    assert abs(pre.trace - np.trace(A0)) <= 1e-12 * np.trace(A0)
     n = ws.n_unknowns
     Us = [sector_basis(pre, q, n) for q in range(g.L + 2)]
     for q, U in enumerate(Us):
@@ -244,7 +239,7 @@ def kkt_reference(state, H, g, lam_factor=1e-12):
     basis = gauge_basis(state.coeffs, g, ws)
     J = jacobian_columns(lin, g, ws)
     n, G = ws.n_unknowns, basis.matrix
-    lam = lam_factor * _normal_trace(lin, ws) / n
+    lam = lam_factor * ws.sectors.trace / n
     K = np.block([[J.T @ J + lam * np.eye(n), G], [G.T, np.zeros((9, 9))]])
     r0 = state.residual[: 5 * ws.n_nodes]
     rhs = np.concatenate([-(J.T @ r0), basis.rhs])
@@ -479,7 +474,7 @@ def test_monotone_residual_history():
     round start needs no iteration at s = 0)."""
     g = SphericalGrid(12)
     res = solve_pmc(2.0 + 0.5 * g.xyz[2], SolverConfig(degree=12, steps=2))
-    hist, log = res.state.history, res.state.step_log
+    hist, log = res.report["residual_history"], res.state.step_log
     assert log and all(e["converged"] for e in log) and log[-1]["s"] == 1.0
     start = 0
     for e in log:
@@ -499,7 +494,7 @@ def test_predictor_corrector_step_count():
     g = SphericalGrid(12)
     res = solve_pmc(2.0 + 0.5 * g.xyz[2], SolverConfig(degree=12, steps=10))
     assert res.status == "converged"
-    assert len(res.state.history) <= 15
+    assert len(res.report["residual_history"]) <= 15
     log = res.state.step_log
     assert log[0]["ds"] == 0.0 and log[0]["newton_iters"] == 0
     assert log[1]["ds"] == 0.1 and max(e["ds"] for e in log) > 0.1
@@ -541,14 +536,21 @@ def test_class_invariance_shifted_target():
     assert np.max(np.abs(ell_diff - m)) < 1e-7
 
 
-def test_stall_reports_partial_state():
+def one_step_stages(monkeypatch):
+    """One Gauss-Newton step per correction, and a final rung that stalls
+    once its step in s falls below 0.6."""
+    monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
+    monkeypatch.setattr(solver, "MIN_STEP", 0.6)
+
+
+def test_stall_reports_partial_state(monkeypatch):
+    one_step_stages(monkeypatch)
     g = SphericalGrid(8)
-    cfg = SolverConfig(degree=8, steps=1, min_step=0.6, max_newton_iters=1)
-    res = solve_pmc(2.0 + 0.9 * g.xyz[2], cfg)
+    res = solve_pmc(2.0 + 0.9 * g.xyz[2], SolverConfig(degree=8, steps=1))
     assert res.status == "stalled"
     assert res.report["status"] == "stalled"
     assert "stall_diagnostics" in res.report
-    # the one-iteration stage at ds = 1 fails, and ds = 0.5 is below min_step
+    # the one-iteration stage at ds = 1 fails, and ds = 0.5 is below MIN_STEP
     assert res.report["stall_reason"] == "min_step"
 
 
@@ -565,9 +567,9 @@ def test_stall_report_scans_branches_once(monkeypatch):
 
     monkeypatch.setattr(geometry, "detect_branch_points", counted)
     monkeypatch.setattr(solver, "detect_branch_points", counted)
+    one_step_stages(monkeypatch)
     g = SphericalGrid(8)
-    cfg = SolverConfig(degree=8, steps=1, min_step=0.6, max_newton_iters=1)
-    res = solve_pmc(2.0 + 0.9 * g.xyz[2], cfg)
+    res = solve_pmc(2.0 + 0.9 * g.xyz[2], SolverConfig(degree=8, steps=1))
     rep = res.report
     assert res.status == "stalled" and rep["conformality_sup"] <= 1e-6
     assert len(calls) == 1
@@ -579,12 +581,12 @@ def test_stall_report_scans_branches_once(monkeypatch):
     ]
 
 
-def test_stall_report_serializable():
+def test_stall_report_serializable(monkeypatch):
     """A stall at a non-conformal iterate reports the mean-curvature
     residual as null with its reason, and the report serializes."""
+    monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
     g = SphericalGrid(8)
-    cfg = SolverConfig(degree=8, noise_amplitude=0.05, max_newton_iters=1)
-    res = solve_pmc(2.0 + 0.5 * g.xyz[2], cfg)
+    res = solve_pmc(2.0 + 0.5 * g.xyz[2], SolverConfig(degree=8, noise_amplitude=0.05))
     rep = res.report
     assert res.status == "stalled"
     # one iteration cannot correct the noisy start at s = 0
@@ -687,10 +689,10 @@ def test_polish_centers_without_stall(ladder_vs_direct):
     config = SolverConfig(degree=16)
     assert state.residual_norm <= 0.5 * config.tol
     assert _center_norm(HarmonicField(coeffs)) > CENTER_TOL
-    polished, reason = solver._newton_to_tol(state, H, g, config,
-                                             0.5 * config.tol, center=True)
+    polished, reason = solver._newton_to_tol(state, H, g, 0.5 * config.tol,
+                                             center=True)
     assert reason is None
-    assert len(polished.history) >= 1
+    assert len(polished.newton_log) >= 1
     assert polished.residual_norm <= 0.5 * config.tol
     assert _center_norm(HarmonicField(polished.coeffs)) <= CENTER_TOL
 
@@ -714,7 +716,7 @@ def test_bad_coarse_rung_is_harmless(ladder_vs_direct, monkeypatch):
     assert np.max(np.abs(res.affine.b - direct.affine.b)) < 1e-8
 
 
-def test_nonpositive_truncation_skips_its_rung():
+def test_nonpositive_truncation_skips_its_rung(monkeypatch):
     """A positive node-valued L = 16 target whose degree-12 truncation dips
     below zero (the Gibbs undershoot of a step) is solved at L = 16 only."""
     g = SphericalGrid(16)
@@ -722,16 +724,17 @@ def test_nonpositive_truncation_skips_its_rung():
     coarse = SphericalGrid(12)
     assert np.min(H) > 0
     assert np.min(synthesize(analyze(H, g).truncated(12), coarse)) < 0
-    res = solve_pmc(H, SolverConfig(degree=16, steps=1, min_step=0.6,
-                                    max_newton_iters=1))
+    one_step_stages(monkeypatch)
+    res = solve_pmc(H, SolverConfig(degree=16, steps=1))
     assert {e["degree"] for e in res.report["step_log"]} == {16}
 
 
-def test_target_unresolved_at_degree_12_skips_its_rung():
+def test_target_unresolved_at_degree_12_skips_its_rung(monkeypatch):
     """A target whose coefficient norm above degree 12 exceeds tol is solved
     at L = 16 only; one whose norm there is below tol keeps the degree-12
     rung."""
-    config = SolverConfig(degree=16, steps=1, min_step=0.6, max_newton_iters=1)
+    one_step_stages(monkeypatch)
+    config = SolverConfig(degree=16, steps=1)
     for tail, degrees in ((1e-6, {16}), (1e-10, {12, 16})):
         c = np.zeros((1, 17, 33))
         c[0, 0, 16] = 2.0 * np.sqrt(4.0 * np.pi)
