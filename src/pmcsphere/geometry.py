@@ -2,7 +2,8 @@
 Differential geometry of immersions F: S^2 -> R^3.
 
 Fundamental forms are assembled pointwise from exact spectral derivatives of
-the (band-limited) component fields in grid coordinates (theta, phi); all
+the (band-limited) component fields in grid coordinates (theta, phi) by one
+kernel, pointwise_forms, which every curvature of the package reads; all
 reported scalars (H, K, |A|^2, area element) are parametrization-invariant.
 Chart-coordinate quantities (conformal factor, conformality and
 mean-curvature residuals, branch fits) use the stereographic charts.
@@ -136,40 +137,56 @@ class FundamentalForms:
     orientation_flipped: bool
 
 
-def pointwise_forms(Fu, Fv, Fuu, Fuv, Fvv, singular_threshold=SINGULAR_CROSS_THRESHOLD):
-    """Fundamental-form algebra shared by sphere grids and planar domains.
+def _dot(x, y):
+    return np.einsum("ctp,ctp->tp", x, y)
 
-    All inputs have shape (3, ...); returns a dict of pointwise arrays.
-    A_ab = -<F_ab, N> with N = (F_u x F_v)/|F_u x F_v|.
+
+def pointwise_forms(d1, d2):
+    """The pointwise geometry of an immersion from d1[a] = F_a and
+    d2[a][b] = F_ab (each (3, n, m)) in any two coordinates: the metric g,
+    det_g, ginv (from the raw det_g), the normal N = n/|n| and cross_norm =
+    |n| for n = F_0 x F_1, A[a][b] = -<F_ab, N>, and H, K and A2 = |A|^2,
+    NaN on the nodes of the mask singular = |n| <= SINGULAR_CROSS_THRESHOLD.
     """
-    cross = np.cross(Fu, Fv, axis=0)
-    W = np.sqrt(np.einsum("c...,c...->...", cross, cross))
-    singular = W <= singular_threshold
-    Wsafe = np.where(singular, 1.0, W)
-    N = cross / Wsafe
+    g01 = _dot(d1[0], d1[1])
+    g = [[_dot(d1[0], d1[0]), g01], [g01, _dot(d1[1], d1[1])]]
+    det_g = g[0][0] * g[1][1] - g01 ** 2
+    n = np.cross(d1[0], d1[1], axis=0)
+    W = np.sqrt(_dot(n, n))
+    singular = W <= SINGULAR_CROSS_THRESHOLD
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ginv01 = -g01 / det_g
+        ginv = [[g[1][1] / det_g, ginv01], [ginv01, g[0][0] / det_g]]
+        N = n / W
+    A01 = -_dot(d2[0][1], N)
+    A = [[-_dot(d2[0][0], N), A01], [A01, -_dot(d2[1][1], N)]]
 
-    g11 = np.einsum("c...,c...->...", Fu, Fu)
-    g12 = np.einsum("c...,c...->...", Fu, Fv)
-    g22 = np.einsum("c...,c...->...", Fv, Fv)
-    a11 = -np.einsum("c...,c...->...", Fuu, N)
-    a12 = -np.einsum("c...,c...->...", Fuv, N)
-    a22 = -np.einsum("c...,c...->...", Fvv, N)
-
-    det_g = g11 * g22 - g12 * g12
     det_g_safe = np.where(singular, 1.0, det_g)
-    H = (g22 * a11 - 2 * g12 * a12 + g11 * a22) / det_g_safe
-    K = (a11 * a22 - a12 * a12) / det_g_safe
+    H = (g[1][1] * A[0][0] - 2 * g[0][1] * A[0][1] + g[0][0] * A[1][1]) / det_g_safe
+    K = (A[0][0] * A[1][1] - A[0][1] * A[0][1]) / det_g_safe
     # |A|^2 = tr((g^-1 A)^2) = H^2 - 2K
     A2 = H * H - 2 * K
-
     for arr in (H, K, A2):
         arr[singular] = np.nan
-    return {
-        "g11": g11, "g12": g12, "g22": g22,
-        "a11": a11, "a12": a12, "a22": a22,
-        "normal": N, "cross_norm": W, "det_g": det_g,
-        "H": H, "K": K, "A2": A2, "singular": singular,
-    }
+    return {"g": g, "det_g": det_g, "ginv": ginv, "normal": N, "cross_norm": W,
+            "A": A, "H": H, "K": K, "A2": A2, "singular": singular}
+
+
+def jet_derivatives(jet: dict):
+    """(d1, d2) of pointwise_forms from a grid jet ft..fpp of F."""
+    return ([jet["ft"], jet["fp"]],
+            [[jet["ftt"], jet["ftp"]], [jet["ftp"], jet["fpp"]]])
+
+
+def metric_derivatives(d1, d2, ginv):
+    """dg[c][a][b] = d_c g_ab and the Christoffel symbols
+    Gamma[d][a][b] = Gamma^d_ab of the induced metric."""
+    dg = [[[_dot(d2[c][a], d1[b]) + _dot(d1[a], d2[c][b]) for b in (0, 1)]
+           for a in (0, 1)] for c in (0, 1)]
+    Gamma = [[[0.5 * sum(ginv[d][c] * (dg[a][c][b] + dg[b][c][a] - dg[c][a][b])
+                         for c in (0, 1))
+               for b in (0, 1)] for a in (0, 1)] for d in (0, 1)]
+    return dg, Gamma
 
 
 def fundamental_forms(F: ImmersionField) -> FundamentalForms:
@@ -177,8 +194,7 @@ def fundamental_forms(F: ImmersionField) -> FundamentalForms:
     (computed once per immersion, then cached on F)."""
     if F._forms is not None:
         return F._forms
-    jet = F.jet("ft", "fp", "ftt", "ftp", "fpp")
-    p = pointwise_forms(jet["ft"], jet["fp"], jet["ftt"], jet["ftp"], jet["fpp"])
+    p = pointwise_forms(*jet_derivatives(F.jet("ft", "fp", "ftt", "ftp", "fpp")))
 
     # global orientation fix: outward normal where |F|^2 is maximal
     vals = F.jet("f")["f"]
@@ -188,17 +204,14 @@ def fundamental_forms(F: ImmersionField) -> FundamentalForms:
     flipped = bool(p["H"][i0, j0] < 0)
     sgn = -1.0 if flipped else 1.0
 
-    gamma = np.array([[p["g11"], p["g12"]], [p["g12"], p["g22"]]])
-    A = sgn * np.array([[p["a11"], p["a12"]], [p["a12"], p["a22"]]])
-
     fz = F.chart_gradient_home()
     lam2 = 2.0 * np.einsum("ctp,ctp->tp", fz, np.conj(fz)).real
 
     area_weight = p["cross_norm"] / F.grid.sin_theta[:, None]
     F._forms = FundamentalForms(
-        gamma=gamma,
+        gamma=np.array(p["g"]),
         normal=sgn * p["normal"],
-        second_form=A,
+        second_form=sgn * np.array(p["A"]),
         mean_curvature=sgn * p["H"],
         gauss_curvature=p["K"],
         norm2_A=p["A2"],
@@ -271,43 +284,24 @@ def gauss_identity_residual(F: ImmersionField) -> float:
     return _gauss_identity(fundamental_forms(F), F.grid)[1]
 
 
-def _dot(x, y):
-    return np.einsum("ctp,ctp->tp", x, y)
-
-
-def metric_jet(jet: dict):
-    """Induced metric and its first derivatives from a jet ft..fpp of F.
-
-    Returns (d1, d2, g, dg, ginv, Gamma) as nested lists over the grid
-    coordinates (theta, phi): d1[a] = F_a, d2[a][b] = F_ab, g[a][b],
-    dg[c][a][b] = d_c g_ab, the inverse metric ginv[a][b] and the
-    Christoffel symbols Gamma[d][a][b] = Gamma^d_ab.
-    """
-    d1 = [jet["ft"], jet["fp"]]
-    d2 = [[jet["ftt"], jet["ftp"]], [jet["ftp"], jet["fpp"]]]
-    g = [[_dot(d1[a], d1[b]) for b in (0, 1)] for a in (0, 1)]
-    dg = [[[_dot(d2[c][a], d1[b]) + _dot(d1[a], d2[c][b]) for b in (0, 1)]
-           for a in (0, 1)] for c in (0, 1)]
-    det = g[0][0] * g[1][1] - g[0][1] ** 2
-    ginv = [[g[1][1] / det, -g[0][1] / det], [-g[0][1] / det, g[0][0] / det]]
-    Gamma = [[[0.5 * sum(ginv[d][c] * (dg[a][c][b] + dg[b][c][a] - dg[c][a][b])
-                         for c in (0, 1))
-               for b in (0, 1)] for a in (0, 1)] for d in (0, 1)]
-    return d1, d2, g, dg, ginv, Gamma
-
-
 def codazzi_residual(F: ImmersionField) -> float:
     """L2 norm of the 1-form div(A - H gamma) in the induced metric.
 
     Analytically zero for any immersion into flat space; the computed value
     measures rounding plus (for non-band-limited F) truncation.  All
     derivatives up to third order are evaluated pointwise from exact
-    spectral tables of F, so no tensor component is re-expanded.
+    spectral tables of F, so no tensor component is re-expanded; g, N and
+    A come from pointwise_forms.  Meaningless on a branched immersion: the
+    integrand grows without bound near a branch point (1.1 to 2e8 on z^2
+    and z^3 maps at L = 48, at most 2e-14 on unbranched spheres).
     """
     jet = F.jet(
         "ft", "fp", "ftt", "ftp", "fpp", "fttt", "fttp", "ftpp", "fppp"
     )
-    d1, d2, g, dg, ginv, Gamma = metric_jet(jet)
+    d1, d2 = jet_derivatives(jet)
+    p = pointwise_forms(d1, d2)
+    g, ginv, N, W, A = (p[k] for k in ("g", "ginv", "normal", "cross_norm", "A"))
+    dg, Gamma = metric_derivatives(d1, d2, ginv)
     d3 = {
         (0, 0, 0): jet["fttt"], (0, 0, 1): jet["fttp"],
         (0, 1, 1): jet["ftpp"], (1, 1, 1): jet["fppp"],
@@ -316,14 +310,10 @@ def codazzi_residual(F: ImmersionField) -> float:
     def third(a, b, c):
         return d3[tuple(sorted((a, b, c)))]
 
-    n = np.cross(d1[0], d1[1], axis=0)
-    W = np.sqrt(_dot(n, n))
-    N = n / W
     dn = [np.cross(d2[c][0], d1[1], axis=0) + np.cross(d1[0], d2[c][1], axis=0)
           for c in (0, 1)]
     dN = [(dn[c] - N * _dot(N, dn[c])[None]) / W for c in (0, 1)]
 
-    A = [[-_dot(d2[a][b], N) for b in (0, 1)] for a in (0, 1)]
     dA = [[[-_dot(third(c, a, b), N) - _dot(d2[a][b], dN[c]) for b in (0, 1)]
            for a in (0, 1)] for c in (0, 1)]
 
@@ -539,7 +529,8 @@ def detect_branch_points(F: ImmersionField,
 # ----------------------------------------------------------------------
 
 def verify(F: ImmersionField, scan_branches=True) -> dict:
-    """Assemble the verification report for an immersion on its grid."""
+    """Assemble the verification report for an immersion on its grid;
+    codazzi_norm means nothing on a branched immersion (codazzi_residual)."""
     grid = F.grid
     forms = fundamental_forms(F)
     area = integrate(np.ones_like(forms.area_weight), grid, forms.area_weight)

@@ -102,10 +102,9 @@ class PlanarImmersion:
         self.Fz = np.stack([d1[0] / 2, -1j * d1[1] / 2, d1[2] / 2])
         self.Fzz = np.stack([d2[0] / 2, -1j * d2[1] / 2, d2[2] / 2])
         # real-coordinate jets from the holomorphic data
-        Fu, Fv = 2 * self.Fz.real, -2 * self.Fz.imag
         Fuu, Fuv = 2 * self.Fzz.real, -2 * self.Fzz.imag
-        Fvv = -Fuu
-        self.forms = pointwise_forms(Fu, Fv, Fuu, Fuv, Fvv)
+        self.forms = pointwise_forms([2 * self.Fz.real, -2 * self.Fz.imag],
+                                     [[Fuu, Fuv], [Fuv, -Fuu]])
 
     @property
     def mean_curvature(self):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from datetime import datetime, timezone
 
@@ -23,7 +24,7 @@ from .planar import PlanarImmersion
 
 def format_float(x: float) -> str:
     """17-significant-digit decimal form; exact float64 round-trip."""
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise InputError(f"cannot serialize non-finite float {x!r}")
     return f"{float(x):.17g}"
 

@@ -7,27 +7,26 @@ homotopy H_s = (1-s) 2 + s H_target from the round sphere with a secant
 predictor and an adaptive step in s, coarse to fine: the path is followed at
 degree COARSEST_DEGREE and finished at the requested degree.
 
-Residual blocks (stacked over all grid nodes, quadrature-weighted so the
-Euclidean norm is an L2 norm):
+The residual is 5 * n_nodes pointwise rows (stacked over all grid nodes,
+quadrature-weighted so the Euclidean norm is an L2 norm):
   * conformality: q1 = g_tt - g_pp/sin^2, q2 = 2 g_tp / sin  (2 rows/node);
   * mean curvature: (1/4)(Lap_round F + (H + ell_b) (F_t x F_p)/sin)
     (3 rows/node, geometry.mc_residual_global) -- the chart-free form of the
     conformal mean-curvature equation, equal to the stereographic-chart
-    residual divided by the positive chart factor;
-  * 6 based-immersion rows: F(p0) = 0, normal(p0) = e3, frame along e1,
-    evaluated at the north pole from the coefficients.
+    residual divided by the positive chart factor.
+The base point is not a residual block: each accepted iterate is re-based
+exactly by an ambient rigid motion (_rebase), so that F(p0) = 0, the normal
+at the north pole p0 is e3 and the frame there lies along e1.
 
-The Jacobian J of the pointwise rows is exact and never formed.  The
+The Jacobian J of the residual is exact and never formed.  The
 coefficient-to-jet map is linear and the rows are quadratic in the jet, so
 J v is one jet synthesis of v times pointwise linearization coefficients
 (_linearization), and J^T w is the adjoint jet synthesis of w times the same
 coefficients; the b-columns differentiate ell_b analytically.  Each product
-costs O(L^3).  The based-immersion rows are not linearized: each accepted
-iterate is re-based exactly by an ambient rigid motion.  Updates solve damped
-least-squares normal equations under 9 linear constraints, with a halving
-line search: the update is orthogonal to the 3 translations and the 3
-ambient rotations, and it cancels the linearized area center,
-grad c . delta = -c.
+costs O(L^3).  Updates solve damped least-squares normal equations under 9
+linear constraints, with a halving line search: the update is orthogonal to
+the 3 translations and the 3 ambient rotations, and it cancels the
+linearized area center, grad c . delta = -c.
 
 One linear solver serves every degree: projected conjugate gradients in the
 null space of the constraints (_projected_cg), preconditioned by the round
@@ -72,9 +71,10 @@ from .geometry import (
     conformality_residual,
     detect_branch_points,
     fundamental_forms,
+    jet_derivatives,
     mc_residual,
     mc_residual_global,
-    metric_jet,
+    metric_derivatives,
     obstruction_vector,
     pointwise_forms,
     verify,
@@ -236,15 +236,6 @@ def _workspace(grid: SphericalGrid) -> _Workspace:
 # residual
 # ----------------------------------------------------------------------
 
-def _constraint_rows(F0, Fu, Fv):
-    n = np.cross(Fu, Fv)
-    nn = np.linalg.norm(n)
-    if nn < 1e-14:
-        raise DataError("degenerate frame at the base point")
-    N = n / nn
-    return np.array([F0[0], F0[1], F0[2], N[0], N[1], Fu[1]])
-
-
 def _ell_values(b, ws):
     return _smooth_norm(b) + b @ ws.xyz_flat
 
@@ -262,12 +253,14 @@ def _residual_vector(coeffs, b, H_flat, grid, ws):
         q1.ravel() * ws.conf_row_w,
         q2.ravel() * ws.conf_row_w,
         (rmc * ws.mc_row_w).ravel(),
-        _constraint_rows(*ws.pole_frame(coeffs)),
     ])
 
 
 def residual(F, b, H_target_values, grid: SphericalGrid) -> np.ndarray:
-    """Stacked solver residual for an immersion, affine vector and target H.
+    """Stacked solver residual for an immersion, affine vector and target H:
+    the 5 * n_nodes pointwise rows (2 conformality, then 3 mean-curvature
+    rows per node).  The base point has no rows; the solver fixes it by
+    re-basing each iterate.
 
     ``F`` may be a 3-component HarmonicField or an ImmersionField.  Raises
     on H_target + ell <= 0 anywhere (outside the solvable regime).
@@ -290,8 +283,8 @@ def residual(F, b, H_target_values, grid: SphericalGrid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Linearization:
-    """Pointwise coefficients of the Jacobian of the 5 * n_nodes pointwise
-    rows of _residual_vector: for an update (dF, db), row block r is
+    """Pointwise coefficients of the Jacobian of the 5 * n_nodes rows of
+    _residual_vector: for an update (dF, db), row block r is
     sum_c t[r, c] dF_t^c + p[r, c] dF_p^c, plus lap * Lap dF^c on block 2 + c
     and sum_j b[r - 2, j] db_j on blocks 2..4."""
 
@@ -510,10 +503,15 @@ def gauge_basis(coeffs, grid: SphericalGrid, ws=None) -> GaugeBasis:
 
 
 def _rebase(coeffs, ws):
-    """Ambient rigid motion making the based-immersion rows exactly zero."""
-    F0, Fu, Fv = ws.pole_frame(coeffs)
+    """Ambient rigid motion fixing the base point: after it, F(p0) = 0, the
+    normal at p0 is e3 and F_u(p0) points along e1 (p0 the north pole).
+    Raises DataError when F_u x F_v vanishes at p0."""
+    _, Fu, Fv = ws.pole_frame(coeffs)
     n = np.cross(Fu, Fv)
-    N = n / np.linalg.norm(n)
+    nn = np.linalg.norm(n)
+    if nn < 1e-14:
+        raise DataError("degenerate frame at the base point")
+    N = n / nn
     u = Fu / np.linalg.norm(Fu)
     R = np.stack([u, np.cross(N, u), N])
     out = np.einsum("dc,clm->dlm", R, coeffs)
@@ -580,18 +578,10 @@ def gauge_projected_step(state: ContinuationState, H_values,
     """
     ws = _workspace(grid)
     H_flat = np.asarray(H_values, dtype=float).ravel()
-    # The based-immersion rows are enforced exactly by the rigid-motion
-    # re-basing after each accepted step; only the pointwise rows drive the
-    # least-squares model and the line search, so the gauge constraints and
-    # the basing do not compete (the competition degrades convergence from
-    # quadratic to linear, and a centering step that moves the base point
-    # would fail the line search).
-    rows = 5 * ws.n_nodes
-    r0 = state.residual[:rows]
-    n0 = np.linalg.norm(r0)
+    n0 = state.residual_norm
     lin = _linearization(state.coeffs, state.b, H_flat, grid, ws)
     basis = gauge_basis(state.coeffs, grid, ws)
-    g = _vjp(lin, r0, grid, ws)
+    g = _vjp(lin, state.residual, grid, ws)
     lam = 1e-12 * ws.sectors.trace / ws.n_unknowns
 
     x0 = ws.pack(state.coeffs, state.b)
@@ -607,7 +597,7 @@ def gauge_projected_step(state: ContinuationState, H_values,
             x_try = x0 + alpha * delta
             coeffs_try, b_try = ws.unpack(x_try)
             r_try = _residual_vector(coeffs_try, b_try, H_flat, grid, ws)
-            n_try = np.linalg.norm(r_try[:rows])
+            n_try = np.linalg.norm(r_try)
             if n_try < n0:
                 coeffs_new = _rebase(coeffs_try, ws)
                 r_new = _residual_vector(coeffs_new, b_try, H_flat, grid, ws)
@@ -962,16 +952,15 @@ def normal_variation_operator(F: ImmersionField, f_values) -> np.ndarray:
     f_values = np.asarray(f_values, dtype=float)
     ff = analyze(f_values, F.grid)
     fj = synthesize_jet(ff, F.grid, which=("ft", "fp", "ftt", "ftp", "fpp"))
-    jet = F.jet("ft", "fp", "ftt", "ftp", "fpp")
-    _, _, _, _, ginv, Gamma = metric_jet(jet)
+    d1, d2 = jet_derivatives(F.jet("ft", "fp", "ftt", "ftp", "fpp"))
+    forms = pointwise_forms(d1, d2)
+    ginv = forms["ginv"]
+    _, Gamma = metric_derivatives(d1, d2, ginv)
 
     # Lap_gamma f = g^{ab} (d_a d_b f - Gamma^c_ab d_c f)
-    fd1 = [fj["ft"][0], fj["fp"][0]]
-    fd2 = [[fj["ftt"][0], fj["ftp"][0]], [fj["ftp"][0], fj["fpp"][0]]]
+    fd1, fd2 = jet_derivatives({k: v[0] for k, v in fj.items()})
     lap = sum(ginv[a][b] * (fd2[a][b] - sum(Gamma[c][a][b] * fd1[c] for c in (0, 1)))
               for a in (0, 1) for b in (0, 1))
-
-    forms = pointwise_forms(jet["ft"], jet["fp"], jet["ftt"], jet["ftp"], jet["fpp"])
     return -lap - forms["A2"] * f_values
 
 

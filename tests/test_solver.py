@@ -92,6 +92,7 @@ def test_residual_zero_at_based_sphere():
     coeffs = based_sphere_coeffs(g)
     H2 = np.full((g.n_theta, g.n_phi), 2.0)
     r = residual(HarmonicField(coeffs), np.zeros(3), H2, g)
+    assert r.shape == (5 * _workspace(g).n_nodes,)
     assert np.linalg.norm(r) < 1e-8
 
 
@@ -107,6 +108,17 @@ def test_residual_wrong_radius_floor():
     nn = ws.n_nodes
     mc_block = np.linalg.norm(r[2 * nn : 5 * nn])
     assert mc_block >= 0.5 * np.sqrt(4 * np.pi)
+
+
+def test_rebase_rejects_degenerate_base_frame():
+    """Without m = +-1 content, F_u and F_v vanish at the base point: the
+    rigid motion is undefined, and _rebase says so instead of returning NaN
+    coefficients."""
+    g = SphericalGrid(8)
+    coeffs = analyze(g.xyz, g).coeffs.copy()
+    coeffs[:, :, [g.L - 1, g.L + 1]] = 0.0
+    with pytest.raises(DataError, match="degenerate frame"):
+        _rebase(coeffs, _workspace(g))
 
 
 def test_residual_depends_only_on_sum():
