@@ -390,27 +390,36 @@ class BranchScan:
     unresolved: list = dataclass_field(default_factory=list)
 
 
-def _branch_model_residual(z, Fz, q, k):
-    """Least-squares fit of Fz ~ (z-q)^k (G0 + G1 (z-q) + G2 conj(z-q))."""
-    dz = z - q
-    cols = np.stack([dz**k, dz ** (k + 1), dz**k * np.conj(dz)], axis=1)
-    scale = np.maximum(np.abs(cols).max(axis=0), 1e-300)
-    sol, *_ = np.linalg.lstsq(cols / scale, Fz, rcond=None)
-    fit = (cols / scale) @ sol
-    res = np.linalg.norm(Fz - fit)
-    G0 = sol[0] / scale[0]
-    return res, G0
+def _branch_model_fits(z, Fz, q, k):
+    """Least-squares fits of Fz ~ (z-q)^k (G0 + G1 (z-q) + G2 conj(z-q)),
+    one per entry of ``q`` and ``k`` broadcast together; returns the
+    residual norms and the G0 of each.
+
+    All fits are one stacked solve by SVD pseudo-inverse with lstsq's
+    default cutoff (eps * n_samples * s_max), so a rank-deficient patch
+    gets lstsq's minimum-norm answer.
+    """
+    q, k = np.broadcast_arrays(q, k)
+    dz = z - q[..., None]
+    kk = k[..., None]
+    cols = np.stack([dz**kk, dz ** (kk + 1), dz**kk * np.conj(dz)], axis=-1)
+    scale = np.maximum(np.abs(cols).max(axis=-2, keepdims=True), 1e-300)
+    a = cols / scale
+    sol = np.linalg.pinv(a, rcond=np.finfo(float).eps * max(a.shape[-2:])) @ Fz
+    res = np.linalg.norm(Fz - a @ sol, axis=(-2, -1))
+    return res, sol[..., 0, :] / scale[..., 0]
 
 
-def _refine_location(z, Fz, q0, k, spacing):
-    """Shrinking grid search for the branch location minimizing the fit."""
-    q, half = q0, 2.0 * spacing
+def _refine_locations(z, Fz, q0, k, spacing):
+    """Shrinking grid searches, one per order in ``k``, for the branch
+    location minimizing each order's fit; every round fits all orders'
+    3 x 3 trial points in one stacked solve."""
+    offsets = np.array([a + 1j * b for a in (-1, 0, 1) for b in (-1, 0, 1)])
+    q, half = np.full(k.shape, complex(q0)), 2.0 * spacing
     for _ in range(7):
-        grid_pts = [
-            q + (a + 1j * b) * half / 2 for a in (-1, 0, 1) for b in (-1, 0, 1)
-        ]
-        res = [_branch_model_residual(z, Fz, p, k)[0] for p in grid_pts]
-        q = grid_pts[int(np.argmin(res))]
+        trial = q[:, None] + offsets * half / 2
+        res, _ = _branch_model_fits(z, Fz, trial, k[:, None])
+        q = trial[np.arange(k.size), np.argmin(res, axis=1)]
         half /= 3.0
     return q
 
@@ -418,11 +427,13 @@ def _refine_location(z, Fz, q0, k, spacing):
 def fit_branch_point(z: np.ndarray, Fz: np.ndarray, q0: complex):
     """Fit a branch model on a sample patch; returns (k, q, G0, rel_residual).
 
-    All orders k = 1..BRANCH_MAX_ORDER are fitted.  Models with k below the
-    true order also fit (with a vanishing leading coefficient), so the
-    reported order is the largest k whose residual is within a small factor
-    of the best fit; returns None if even the best fit exceeds
-    BRANCH_FIT_TOL.
+    All orders k = 1..BRANCH_MAX_ORDER are fitted together: each of the 7
+    rounds of the location search is one stacked solve over every order's
+    3 x 3 trial points, and the final fits at the chosen locations one more,
+    8 solves per patch.  Models with k below the true order also fit (with
+    a vanishing leading coefficient), so the reported order is the largest
+    k whose fit is within BRANCH_FIT_TOL and whose leading term matters at
+    the patch scale; returns None if no order qualifies.
     """
     z = np.asarray(z, dtype=complex).ravel()
     Fz = np.asarray(Fz, dtype=complex).reshape(z.size, -1)
@@ -432,17 +443,17 @@ def fit_branch_point(z: np.ndarray, Fz: np.ndarray, q0: complex):
     rms = norm / np.sqrt(z.size)
     spacing = np.median(np.abs(np.diff(np.sort_complex(z)))) + 1e-30
     patch_radius = float(np.abs(z - q0).max())
+    orders = np.arange(1, BRANCH_MAX_ORDER + 1)
+    q = _refine_locations(z, Fz, q0, orders, spacing)
+    res, G0 = _branch_model_fits(z, Fz, q, orders)
     acceptable = []
-    for k in range(1, BRANCH_MAX_ORDER + 1):
-        q = _refine_location(z, Fz, q0, k, spacing)
-        res, G0 = _branch_model_residual(z, Fz, q, k)
-        rel = res / norm
+    for k, qk, rel, G0k in zip(orders.tolist(), q.tolist(), (res / norm).tolist(), G0):
         # a model of order below the true one fits exactly but with a
         # negligible leading coefficient; demand the k-th term to matter
         # at the patch scale
-        significant = np.linalg.norm(G0) * patch_radius**k >= 0.1 * rms
+        significant = np.linalg.norm(G0k) * patch_radius**k >= 0.1 * rms
         if rel <= BRANCH_FIT_TOL and significant:
-            acceptable.append((k, q, G0, float(rel)))
+            acceptable.append((k, qk, G0k, rel))
     if not acceptable:
         return None
     return max(acceptable, key=lambda item: item[0])
@@ -473,9 +484,11 @@ def branch_scan(absfz, cluster_radius, patch_at) -> BranchScan:
     an already kept candidate is dropped.  ``patch_at(ij)`` returns the
     candidate's (chart label, chart coordinates z, F_z samples of shape
     (3,) + z.shape, NaN on unusable nodes).  Each kept candidate is fitted
-    over the 96 nearest usable nodes; a fit worse than 10% of the local
-    |F_z| norm, or one that is not a conformal branch point (G.G ~ 0,
-    G != 0), is reported as an unresolved singular point.
+    over the 96 nearest usable nodes by ``fit_branch_point``, whose
+    location search runs all orders in one batched solve per round; a
+    fit worse than 10% of the local |F_z| norm, or one that is not a
+    conformal branch point (G.G ~ 0, G != 0), is reported as an
+    unresolved singular point.
     """
     candidates = _scan_branch_candidates(
         absfz, BRANCH_THRESHOLD_FACTOR * float(np.median(absfz))

@@ -34,6 +34,7 @@ serves one transform pair: ``synthesize_jet`` and its transpose
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,9 +117,18 @@ class HarmonicField:
         return HarmonicField(out)
 
 
+@functools.cache
+def _gauss_legendre(n: int):
+    """The n-point Gauss-Legendre rule on [-1, 1] (nodes ascending), built
+    once per n; its arrays are shared by every caller, so read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _gauss_legendre_colatitude(n: int):
     """GL nodes/weights in x = cos(theta), ordered north to south."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _gauss_legendre(n)
     order = np.argsort(-x)
     return x[order], w[order]
 

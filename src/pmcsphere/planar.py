@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import BranchScan, branch_scan, pointwise_forms
+from .grid import _gauss_legendre
 
 EVEN_COVER_MULTIPLICITY = 2
 
@@ -53,7 +54,7 @@ class DiskGrid:
     def __post_init__(self):
         if self.radius <= 0 or self.n_r < 2 or self.n_phi < 4:
             raise ConfigurationError("bad disk grid parameters")
-        x, w = np.polynomial.legendre.leggauss(self.n_r)
+        x, w = _gauss_legendre(self.n_r)
         r = self.radius * (x + 1) / 2
         wr = self.radius / 2 * w
         phi = 2 * np.pi / self.n_phi * np.arange(self.n_phi)

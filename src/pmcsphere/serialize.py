@@ -22,15 +22,36 @@ from .grid import HarmonicField, SphericalGrid, synthesize, synthesize_at
 from .planar import PlanarImmersion
 
 
+FLOAT_SPEC = ".17g"  # 17 significant digits: exact float64 round-trip
+
+
 def format_float(x: float) -> str:
     """17-significant-digit decimal form; exact float64 round-trip."""
     if not math.isfinite(x):
         raise InputError(f"cannot serialize non-finite float {x!r}")
-    return f"{float(x):.17g}"
+    return format(float(x), FLOAT_SPEC)
+
+
+def _format_scalar(obj) -> str:
+    """JSON text of a float, bool, integer, None or string."""
+    if isinstance(obj, (float, np.floating)):
+        return format_float(float(obj))
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if obj is None:
+        return "null"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise InputError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps(obj, indent=0) -> str:
-    """Deterministic JSON text: insertion-ordered dicts, %.17g floats."""
+    """Deterministic JSON text: insertion-ordered dicts, %.17g floats.
+
+    A list of plain scalars (int, float, str, bool, None) is written on one
+    line in one pass."""
     pad = " " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -46,22 +67,12 @@ def dumps(obj, indent=0) -> str:
             return "[]"
         flat = all(isinstance(v, (int, float, str, bool)) or v is None for v in seq)
         if flat:
-            return "[" + ", ".join(dumps(v) for v in seq) + "]"
+            return "[" + ", ".join(map(_format_scalar, seq)) + "]"
         items = ",\n".join(f"{pad}  {dumps(v, indent + 2).lstrip()}" for v in seq)
         return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
     if isinstance(obj, np.ndarray):
         return dumps(obj.tolist(), indent)
-    raise InputError(f"cannot serialize {type(obj).__name__}")
+    return _format_scalar(obj)
 
 
 def write_json(obj, path: str) -> None:
@@ -166,24 +177,24 @@ def _write_obj_mesh(path, vals, poles=()):
     quads between consecutive rows and, given (north, south) pole vertices,
     a triangle fan from each pole to the first and to the last row."""
     n_rows, n_cols = vals.shape[1:]
-    lines = [f"v {format_float(x)} {format_float(y)} {format_float(z)}"
-             for x, y, z in np.vstack([vals.reshape(3, -1).T, *poles])]
-
-    def vid(i, j):
-        return i * n_cols + (j % n_cols) + 1
-
-    cols, last = range(n_cols), n_rows - 1
-    north, south = n_rows * n_cols + 1, n_rows * n_cols + 2
+    verts = np.vstack([vals.reshape(3, -1).T, *poles])
+    finite = np.isfinite(verts)
+    if not finite.all():
+        format_float(float(verts[~finite][0]))  # raises, naming the value
+    # 1-based vertex ids, and each one's neighbour one column on (seam closed)
+    ids = np.arange(1, n_rows * n_cols + 1).reshape(n_rows, n_cols)
+    nxt = np.roll(ids, -1, axis=1)
+    faces = [np.stack([ids[:-1], nxt[:-1], nxt[1:], ids[1:]], axis=-1)]
     if poles:
-        lines += [f"f {north} {vid(0, j + 1)} {vid(0, j)}" for j in cols]
-    lines += [f"f {vid(i, j)} {vid(i, j + 1)} {vid(i + 1, j + 1)} {vid(i + 1, j)}"
-              for i in range(last) for j in cols]
-    if poles:
-        lines += [f"f {south} {vid(last, j)} {vid(last, j + 1)}" for j in cols]
+        north, south = np.full(n_cols, ids.size + 1), np.full(n_cols, ids.size + 2)
+        faces = [np.stack([north, nxt[0], ids[0]], axis=-1), *faces,
+                 np.stack([south, ids[-1], nxt[-1]], axis=-1)]
+    blocks = [("v" + f" %{FLOAT_SPEC}" * 3, verts)]
+    blocks += [("f" + " %d" * f.shape[-1], f.reshape(-1, f.shape[-1])) for f in faces]
     try:
         with open(path, "w") as fh:
-            fh.write("\n".join(lines))
-            fh.write("\n")
+            for line, rows in blocks:
+                fh.write(((line + "\n") * len(rows)) % tuple(rows.ravel().tolist()))
     except OSError as err:
         raise InputError(f"cannot write {path}: {err}") from err
 

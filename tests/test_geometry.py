@@ -9,6 +9,7 @@ import pmcsphere.geometry as geometry
 import pmcsphere.grid as grid_module
 from pmcsphere.errors import ConformalityError
 from pmcsphere.grid import FOUR_PI, HarmonicField, SphericalGrid, integrate
+from pmcsphere.planar import DiskGrid
 from pmcsphere.geometry import (
     ImmersionField,
     codazzi_residual,
@@ -256,6 +257,90 @@ def test_detect_branch_points_round_sphere_empty():
     g = SphericalGrid(16)
     scan = detect_branch_points(round_sphere(g))
     assert scan.points == [] and scan.unresolved == []
+
+
+def _reference_fit_branch_point(z, Fz, q0):
+    """fit_branch_point with one lstsq per order and trial point: the
+    looped reference that the batched search must reproduce."""
+    def model(q, k):
+        dz = z - q
+        cols = np.stack([dz**k, dz ** (k + 1), dz**k * np.conj(dz)], axis=1)
+        scale = np.maximum(np.abs(cols).max(axis=0), 1e-300)
+        sol, *_ = np.linalg.lstsq(cols / scale, Fz, rcond=None)
+        return np.linalg.norm(Fz - (cols / scale) @ sol), sol[0] / scale[0]
+
+    norm = np.linalg.norm(Fz)
+    rms = norm / np.sqrt(z.size)
+    spacing = np.median(np.abs(np.diff(np.sort_complex(z)))) + 1e-30
+    patch_radius = float(np.abs(z - q0).max())
+    acceptable = []
+    for k in range(1, geometry.BRANCH_MAX_ORDER + 1):
+        q, half = q0, 2.0 * spacing
+        for _ in range(7):
+            trial = [q + (a + 1j * b) * half / 2 for a in (-1, 0, 1) for b in (-1, 0, 1)]
+            q = trial[int(np.argmin([model(p, k)[0] for p in trial]))]
+            half /= 3.0
+        res, G0 = model(q, k)
+        significant = np.linalg.norm(G0) * patch_radius**k >= 0.1 * rms
+        if res / norm <= geometry.BRANCH_FIT_TOL and significant:
+            acceptable.append((k, q, G0, res / norm))
+    return max(acceptable, key=lambda item: item[0]) if acceptable else None
+
+
+def _assert_same_fit(z, Fz, q0):
+    got, ref = geometry.fit_branch_point(z, Fz, q0), _reference_fit_branch_point(z, Fz, q0)
+    assert (got is None) == (ref is None)
+    if ref is None:
+        return
+    spacing = np.median(np.abs(np.diff(np.sort_complex(z))))
+    assert got[0] == ref[0]
+    assert abs(got[1] - ref[1]) <= 1e-12 * spacing
+    assert np.linalg.norm(got[2] - ref[2]) <= 1e-9 * np.linalg.norm(ref[2])
+    assert abs(got[3] - ref[3]) <= 1e-9 * ref[3]
+
+
+@pytest.mark.parametrize("chart", ["disk", "sphere"])
+def test_batched_branch_fit_matches_looped_lstsq(chart):
+    """F_z = (z - q)^k G + noise with q off-node, k = 1..6, on the 96 nodes
+    nearest q: the batched fit picks the looped fit's order and location."""
+    if chart == "disk":
+        zs = DiskGrid(1.0, n_r=32, n_phi=32).z.ravel()
+        q = 0.31 + 0.17j
+    else:
+        zs = SphericalGrid(24).chart_z("north").ravel()
+        q = 0.42 - 0.23j
+    idx = np.argsort(np.abs(zs - q))[:96]
+    z, q0 = zs[idx], zs[idx[0]]
+    rng = np.random.default_rng(7)
+    G = np.array([1.0, 1j, 0.0]) * (0.8 - 0.3j)
+    for k in range(1, geometry.BRANCH_MAX_ORDER + 1):
+        Fz = (z - q)[:, None] ** k * G
+        noise = rng.standard_normal(Fz.shape) + 1j * rng.standard_normal(Fz.shape)
+        Fz = Fz + 1e-6 * np.linalg.norm(Fz) / np.sqrt(Fz.size) * noise
+        assert geometry.fit_branch_point(z, Fz, q0)[0] == k
+        _assert_same_fit(z, Fz, q0)
+
+
+def test_branch_fit_rank_deficient_patch_matches_lstsq():
+    """Samples on a line through q make the columns (z-q)^(k+1) and
+    (z-q)^k conj(z-q) parallel at q: the batched pseudo-inverse must give
+    lstsq's minimum-norm answer there, not an error."""
+    q = 0.2 + 0.1j
+    z = q + np.exp(0.3j) * np.linspace(-0.2, 0.2, 96)
+    G = np.array([1.0, 1j, 0.0])
+    noise = np.random.default_rng(3).standard_normal((96, 3))
+    for k in (1, 3):
+        Fz = (z - q)[:, None] ** k * G
+        Fz = Fz + 1e-6 * np.linalg.norm(Fz) / np.sqrt(Fz.size) * noise
+        a_res, a_G0 = geometry._branch_model_fits(z, Fz, q, k)
+        dz = z - q
+        cols = np.stack([dz**k, dz ** (k + 1), dz**k * np.conj(dz)], axis=1)
+        scale = np.abs(cols).max(axis=0)
+        sol, _, rank, _ = np.linalg.lstsq(cols / scale, Fz, rcond=None)
+        assert rank == 2
+        assert abs(a_res / np.linalg.norm(Fz - (cols / scale) @ sol) - 1) <= 1e-9
+        assert np.allclose(a_G0, sol[0] / scale[0], rtol=1e-9, atol=0)
+        _assert_same_fit(z, Fz, q)
 
 
 def test_fundamental_forms_cached_per_immersion():

@@ -18,7 +18,9 @@ from pmcsphere.grid import (
     synthesize_at,
     synthesize_jet,
     synthesize_jet_adjoint,
+    _gauss_legendre,
 )
+from pmcsphere.planar import DiskGrid
 
 
 def random_field(L, ncomp=1, seed=0, amplitude=1.0):
@@ -36,6 +38,30 @@ def test_grid_counts_and_weight_sum():
         g = SphericalGrid(L)
         assert g.w.shape == (L + 1, 2 * L + 2)
         assert abs(np.sum(g.w) - FOUR_PI) < 1e-12 * FOUR_PI
+
+
+def test_gauss_legendre_rule_built_once_per_n():
+    """Sphere and disk grids read one memoized, read-only rule per n,
+    bit-identical to leggauss."""
+    x, w = np.polynomial.legendre.leggauss(13)
+    order = np.argsort(-x)
+    g = SphericalGrid(12)
+    assert np.array_equal(g.x_gl, x[order]) and np.array_equal(g.w_gl, w[order])
+    d = DiskGrid(2.5, n_r=13, n_phi=8)
+    r = 2.5 * (x + 1) / 2
+    assert np.array_equal(d.r, r)
+    assert np.array_equal(d.w, (2.5 / 2 * w * r)[:, None] * np.full(8, 2 * np.pi / 8))
+
+    rule = _gauss_legendre(13)
+    assert _gauss_legendre(13) is rule
+    for a in rule:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    misses = _gauss_legendre.cache_info().misses
+    DiskGrid(1.0, n_r=13)
+    SphericalGrid(12)
+    assert _gauss_legendre.cache_info().misses == misses
 
 
 def test_constant_field_synthesis():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from pmcsphere.affine import AffineFunction
 from pmcsphere.cli import cli_dispatch
 from pmcsphere.errors import InputError
-from pmcsphere.grid import HarmonicField, SphericalGrid, analyze, synthesize
+from pmcsphere.grid import HarmonicField, SphericalGrid, analyze, synthesize, synthesize_at
 from pmcsphere.planar import DiskGrid, enneper_blowdown
 from pmcsphere.serialize import (
     affine_from_dict,
@@ -92,6 +92,8 @@ def test_dumps_deterministic_17_digits():
     s1, s2 = dumps({"v": x}), dumps({"v": x})
     assert s1 == s2
     assert float(json.loads(s1)["v"]) == x
+    flat = [3, x, -0.0, "a", True, None, np.float64(1e-300)]
+    assert dumps(flat) == '[3, 0.30000000000000004, -0, "a", true, null, 1e-300]'
 
 
 def test_obj_sphere_counts_and_watertight(tmp_path):
@@ -142,6 +144,47 @@ def test_obj_vertex_roundtrip_bitwise(tmp_path):
     read = np.array(read[: g.n_theta * g.n_phi])
     expected = vals.reshape(3, -1).T
     assert np.array_equal(read, expected)
+
+
+def _reference_obj(vals, poles=()):
+    """OBJ text by the line-by-line rule: one formatted float per vertex
+    coordinate and one ``vid`` per face corner."""
+    n_rows, n_cols = vals.shape[1:]
+    lines = [f"v {x:.17g} {y:.17g} {z:.17g}"
+             for x, y, z in np.vstack([vals.reshape(3, -1).T, *poles])]
+
+    def vid(i, j):
+        return i * n_cols + (j % n_cols) + 1
+
+    north, south = n_rows * n_cols + 1, n_rows * n_cols + 2
+    if poles:
+        lines += [f"f {north} {vid(0, j + 1)} {vid(0, j)}" for j in range(n_cols)]
+    lines += [f"f {vid(i, j)} {vid(i, j + 1)} {vid(i + 1, j + 1)} {vid(i + 1, j)}"
+              for i in range(n_rows - 1) for j in range(n_cols)]
+    if poles:
+        lines += [f"f {south} {vid(n_rows - 1, j)} {vid(n_rows - 1, j + 1)}"
+                  for j in range(n_cols)]
+    return "\n".join(lines) + "\n"
+
+
+def test_obj_bytes_match_line_by_line_writer(tmp_path):
+    P = enneper_blowdown(0.7, DiskGrid(2.0, n_r=12, n_phi=10))
+    export_obj(P, str(tmp_path / "disk.obj"))
+    assert (tmp_path / "disk.obj").read_text() == _reference_obj(P.F)
+
+    g = SphericalGrid(7)
+    field = analyze(np.array([1.0, 1.3, 0.8])[:, None, None] * g.xyz + 0.1, g)
+    export_obj(field, str(tmp_path / "sphere.obj"), g)
+    poles = [synthesize_at(field, theta, 0.0)[:, 0] for theta in (0.0, np.pi)]
+    expected = _reference_obj(synthesize(field, g), poles)
+    assert (tmp_path / "sphere.obj").read_text() == expected
+
+
+def test_obj_non_finite_vertex_raises(tmp_path):
+    P = enneper_blowdown(1.0, DiskGrid(1.0, n_r=6, n_phi=8))
+    P.F[1, 2, 3] = np.nan
+    with pytest.raises(InputError, match="non-finite float nan"):
+        export_obj(P, str(tmp_path / "bad.obj"))
 
 
 def test_unwritable_path_raises():
