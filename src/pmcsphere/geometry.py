@@ -3,10 +3,14 @@ Differential geometry of immersions F: S^2 -> R^3.
 
 Fundamental forms are assembled pointwise from exact spectral derivatives of
 the (band-limited) component fields in grid coordinates (theta, phi) by one
-kernel, pointwise_forms, which every curvature of the package reads; all
-reported scalars (H, K, |A|^2, area element) are parametrization-invariant.
-Chart-coordinate quantities (conformal factor, conformality and
-mean-curvature residuals, branch fits) use the stereographic charts.
+kernel, pointwise_forms, which every curvature of the package reads; its
+first-order part, first_order_forms (g, g^-1, n = F_theta x F_phi, |n|, N),
+runs from F_a alone and is the one place that forms n, for the solver's
+residual and Jacobian too.  All reported scalars (H, K, |A|^2, area element)
+are parametrization-invariant.  Chart-coordinate quantities (conformal
+factor, conformality and mean-curvature residuals, branch fits) use the
+stereographic charts.  verify reports codazzi_norm as null on a map whose
+branch scan finds a branch point or an unresolved singular point.
 
 Sign conventions: N follows F_theta x F_phi and is flipped globally (together
 with A and H) if H < 0 at the node maximizing |F|^2, so the unit sphere has
@@ -141,35 +145,44 @@ def _dot(x, y):
     return np.einsum("ctp,ctp->tp", x, y)
 
 
-def pointwise_forms(d1, d2):
-    """The pointwise geometry of an immersion from d1[a] = F_a and
-    d2[a][b] = F_ab (each (3, n, m)) in any two coordinates: the metric g,
-    det_g, ginv (from the raw det_g), the normal N = n/|n| and cross_norm =
-    |n| for n = F_0 x F_1, A[a][b] = -<F_ab, N>, and H, K and A2 = |A|^2,
-    NaN on the nodes of the mask singular = |n| <= SINGULAR_CROSS_THRESHOLD.
+def first_order_forms(d1):
+    """The pointwise geometry of an immersion from d1[a] = F_a alone (each
+    (3, n, m)) in any two coordinates: the metric g, det_g, ginv (from the
+    raw det_g), the normal cross = n = F_0 x F_1, cross_norm = |n|, N = n/|n|
+    and the mask singular = |n| <= SINGULAR_CROSS_THRESHOLD.  The one place
+    that forms F_0 x F_1.
     """
     g01 = _dot(d1[0], d1[1])
     g = [[_dot(d1[0], d1[0]), g01], [g01, _dot(d1[1], d1[1])]]
     det_g = g[0][0] * g[1][1] - g01 ** 2
     n = np.cross(d1[0], d1[1], axis=0)
     W = np.sqrt(_dot(n, n))
-    singular = W <= SINGULAR_CROSS_THRESHOLD
     with np.errstate(divide="ignore", invalid="ignore"):
         ginv01 = -g01 / det_g
         ginv = [[g[1][1] / det_g, ginv01], [ginv01, g[0][0] / det_g]]
         N = n / W
+    return {"g": g, "det_g": det_g, "ginv": ginv, "cross": n, "normal": N,
+            "cross_norm": W, "singular": W <= SINGULAR_CROSS_THRESHOLD}
+
+
+def pointwise_forms(d1, d2):
+    """first_order_forms of d1 and, from d2[a][b] = F_ab, the second form
+    A[a][b] = -<F_ab, N> and H, K and A2 = |A|^2, NaN on the singular nodes.
+    """
+    p = first_order_forms(d1)
+    g, N, singular = p["g"], p["normal"], p["singular"]
     A01 = -_dot(d2[0][1], N)
     A = [[-_dot(d2[0][0], N), A01], [A01, -_dot(d2[1][1], N)]]
 
-    det_g_safe = np.where(singular, 1.0, det_g)
+    det_g_safe = np.where(singular, 1.0, p["det_g"])
     H = (g[1][1] * A[0][0] - 2 * g[0][1] * A[0][1] + g[0][0] * A[1][1]) / det_g_safe
     K = (A[0][0] * A[1][1] - A[0][1] * A[0][1]) / det_g_safe
     # |A|^2 = tr((g^-1 A)^2) = H^2 - 2K
     A2 = H * H - 2 * K
     for arr in (H, K, A2):
         arr[singular] = np.nan
-    return {"g": g, "det_g": det_g, "ginv": ginv, "normal": N, "cross_norm": W,
-            "A": A, "H": H, "K": K, "A2": A2, "singular": singular}
+    p.update(A=A, H=H, K=K, A2=A2)
+    return p
 
 
 def jet_derivatives(jet: dict):
@@ -252,24 +265,22 @@ def mc_residual(F: ImmersionField, H_target: np.ndarray) -> np.ndarray:
     sup = float(np.nanmax(np.abs(conf)))
     if sup > CONFORMALITY_TOL:
         raise ConformalityError(sup)
-    H_target = np.asarray(H_target, dtype=float)
+    jet = F.jet("ft", "fp", "lap")
+    n = first_order_forms([jet["ft"], jet["fp"]])["cross"]
+    r_global = mc_residual_global(jet["lap"], n, np.asarray(H_target, float), F.grid)
+    return chart_area_factors(F.grid, "home")[None, :, None] * r_global
 
-    r_global = mc_residual_global(F, H_target)
-    factor = chart_area_factors(F.grid, "home")[:, None]
-    return factor[None, :, :] * r_global
 
-
-def mc_residual_global(F: ImmersionField, H_target: np.ndarray) -> np.ndarray:
-    """Chart-free residual (1/4)(Lap_round F + H (F_theta x F_phi)/sin theta).
+def mc_residual_global(lap, n, H_target, grid: SphericalGrid) -> np.ndarray:
+    """Chart-free residual (1/4)(Lap_round F + H n / sin theta) from the
+    node arrays lap = Lap_round F and n = F_theta x F_phi (first_order_forms),
+    each (3, n_theta, n_phi).
 
     Equals mu^2 times the chart residual in either stereographic chart;
     real-valued; vanishes iff F is a conformal immersion of mean curvature
     H_target in the chart orientation.
     """
-    jet = F.jet("ft", "fp", "lap")
-    cross = np.cross(jet["ft"], jet["fp"], axis=0)
-    wn = cross / F.grid.sin_theta[None, :, None]
-    return 0.25 * (jet["lap"] + H_target[None, :, :] * wn)
+    return 0.25 * (lap + H_target[None, :, :] * (n / grid.sin_theta[None, :, None]))
 
 
 def _gauss_identity(forms: FundamentalForms, grid: SphericalGrid):
@@ -293,7 +304,8 @@ def codazzi_residual(F: ImmersionField) -> float:
     spectral tables of F, so no tensor component is re-expanded; g, N and
     A come from pointwise_forms.  Meaningless on a branched immersion: the
     integrand grows without bound near a branch point (1.1 to 2e8 on z^2
-    and z^3 maps at L = 48, at most 2e-14 on unbranched spheres).
+    and z^3 maps at L = 48, at most 2e-14 on unbranched spheres), so verify
+    reports null there.
     """
     jet = F.jet(
         "ft", "fp", "ftt", "ftp", "fpp", "fttt", "fttp", "ftpp", "fppp"
@@ -541,38 +553,43 @@ def detect_branch_points(F: ImmersionField,
 # verification report
 # ----------------------------------------------------------------------
 
-def verify(F: ImmersionField, scan_branches=True) -> dict:
-    """Assemble the verification report for an immersion on its grid;
-    codazzi_norm means nothing on a branched immersion (codazzi_residual)."""
+def verify(F: ImmersionField, *, scan_branches=True) -> dict:
+    """Assemble the verification report for an immersion on its grid.
+
+    The branch scan runs first, on a conformal F only; when it finds a branch
+    point or an unresolved singular point, codazzi_norm is null with a
+    codazzi_unavailable reason (codazzi_residual is unbounded there)."""
     grid = F.grid
     forms = fundamental_forms(F)
+    conf_sup = float(np.nanmax(np.abs(conformality_residual(F))))
+    found = (branch_scan_report(detect_branch_points(F))
+             if scan_branches and conf_sup <= CONFORMALITY_TOL else {})
     area = integrate(np.ones_like(forms.area_weight), grid, forms.area_weight)
     intA2, gauss_identity = _gauss_identity(forms, grid)
     intK = integrate(np.nan_to_num(forms.gauss_curvature), grid, forms.area_weight)
     obstruction = obstruction_vector(
         np.nan_to_num(forms.mean_curvature), forms.area_weight, grid
     )
-    conf = conformality_residual(F)
     report = {
         "area": area,
         "intA2": intA2,
         "gauss_identity": gauss_identity,
-        "codazzi_norm": codazzi_residual(F),
+        "codazzi_norm": None if "codazzi_unavailable" in found else codazzi_residual(F),
         "obstruction": obstruction.tolist(),
         "branch_points": [],
         "gauss_bonnet_residual": intK - FOUR_PI,
-        "conformality_sup": float(np.nanmax(np.abs(conf))),
+        "conformality_sup": conf_sup,
         "mc_convention_constant": MC_CONVENTION_CONSTANT,
     }
-    if scan_branches and report["conformality_sup"] <= CONFORMALITY_TOL:
-        report.update(branch_scan_report(detect_branch_points(F)))
+    report.update(found)
     return report
 
 
 def branch_scan_report(scan: BranchScan) -> dict:
-    """The ``branch_points`` and ``unresolved_singular_points`` report
-    entries of a sphere branch scan."""
-    return {
+    """The report entries of a sphere branch scan: ``branch_points`` and
+    ``unresolved_singular_points``, and on a branched immersion (either list
+    non-empty) ``codazzi_norm`` null with its ``codazzi_unavailable`` reason."""
+    found = {
         "branch_points": [
             {
                 "chart": bp.location.chart,
@@ -588,3 +605,11 @@ def branch_scan_report(scan: BranchScan) -> dict:
             {"chart": p.chart, "z": [p.z.real, p.z.imag]} for p in scan.unresolved
         ],
     }
+    if scan.points or scan.unresolved:
+        found["codazzi_norm"] = None
+        found["codazzi_unavailable"] = (
+            f"the branch scan found {len(scan.points)} branch point(s) and "
+            f"{len(scan.unresolved)} unresolved singular point(s); the Codazzi "
+            "integrand is unbounded near a branch point"
+        )
+    return found

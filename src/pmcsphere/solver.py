@@ -7,49 +7,40 @@ homotopy H_s = (1-s) 2 + s H_target from the round sphere with a secant
 predictor and an adaptive step in s, coarse to fine: the path is followed at
 degree COARSEST_DEGREE and finished at the requested degree.
 
-The residual is 5 * n_nodes pointwise rows (stacked over all grid nodes,
-quadrature-weighted so the Euclidean norm is an L2 norm):
-  * conformality: q1 = g_tt - g_pp/sin^2, q2 = 2 g_tp / sin  (2 rows/node);
-  * mean curvature: (1/4)(Lap_round F + (H + ell_b) (F_t x F_p)/sin)
-    (3 rows/node, geometry.mc_residual_global) -- the chart-free form of the
-    conformal mean-curvature equation, equal to the stereographic-chart
-    residual divided by the positive chart factor.
-The base point is not a residual block: each accepted iterate is re-based
-exactly by an ambient rigid motion (_rebase), so that F(p0) = 0, the normal
-at the north pole p0 is e3 and the frame there lies along e1.
+The residual is 5 * n_nodes pointwise rows, quadrature-weighted so that the
+Euclidean norm is an L2 norm: conformality q1 = g_tt - g_pp/sin^2 and
+q2 = 2 g_tp / sin (2 rows/node), and the mean-curvature residual
+(1/4)(Lap_round F + (H + ell_b) n/sin), n = F_t x F_p (3 rows/node,
+geometry.mc_residual_global, the chart residual divided by the positive chart
+factor).  Each iterate is evaluated once (ContinuationState.at): one jet
+synthesis of (F_t, F_p, Lap F) and geometry.first_order_forms, the one place
+that forms g and n, give both blocks, and the state keeps F_t, F_p, n, |n|
+and N, from which the Jacobian and the area center are read with no further
+synthesis.  The base point has no rows: each accepted iterate is re-based by
+an ambient rigid motion (_rebase) so that F(p0) = 0, the normal at the north
+pole p0 is e3 and the frame there lies along e1.
 
-The Jacobian J of the residual is exact and never formed.  The
-coefficient-to-jet map is linear and the rows are quadratic in the jet, so
-J v is one jet synthesis of v times pointwise linearization coefficients
-(_linearization), and J^T w is the adjoint jet synthesis of w times the same
-coefficients; the b-columns differentiate ell_b analytically.  Each product
-costs O(L^3).  Updates solve damped least-squares normal equations under 9
-linear constraints, with a halving line search: the update is orthogonal to
-the 3 translations and the 3 ambient rotations, and it cancels the
-linearized area center, grad c . delta = -c.
+The Jacobian is exact and never formed: J v is one jet synthesis of v times
+pointwise coefficients (_linearization), J^T w the adjoint synthesis; each
+costs O(L^3).  Updates solve damped least-squares normal equations with a
+halving line search, under 9 linear constraints: orthogonal to the 3
+translations and 3 ambient rotations, and cancelling the linearized area
+center, grad c . delta = -c.  The solver is projected conjugate gradients in
+the constraints' null space (_projected_cg), preconditioned by the round
+sphere's normal matrix A0 split into its 2L + 3 charge sectors
+(_SectorPreconditioner, O(L^4) once per degree); it takes 8 to 14 iterations
+at L = 12 to 24.  The base damping is lam0 = 1e-12 trace(A0) / n.  Each
+accepted step appends a newton_log record: the residual and its conformality
+and mean-curvature block norms, the step length, the damping and the CG
+iteration count.
 
-One linear solver serves every degree: projected conjugate gradients in the
-null space of the constraints (_projected_cg), preconditioned by the round
-sphere's normal matrix split into its 2L + 3 charge sectors
-(_SectorPreconditioner, built in O(L^4) once per degree from the rows of the
-round Jacobian on one meridian).  It takes 8 to 14 iterations at L = 12 to 24
-and holds O(L^3) memory.  The base damping is lam0 = 1e-12 trace(A0) / n,
-from the trace of the round sphere's normal matrix A0 that the sector
-blocks hold (over the benchmark's solves the true trace(J^T J) reads 0.987
-to 1.001 times it).  A dense step (J, J^T J and an LU of the KKT
-matrix: O(L^6) time, O(L^4) memory) measured no faster at L = 8, three
-times slower at L = 12 and 25 times slower at L = 24, and is gone.
-
-Solutions of the continuation problem come in a 3-parameter family (the
-affine indeterminacy of the curvature class, realized as boost
-reparametrizations).  The centering rows keep every iterate near the
-Mobius-centered member (area center c = int p dV / int dV = 0), and the
-final polish runs until |c| <= CENTER_TOL, so results do not depend on the
-starting noise or the path.
-
-The affine constant a = |b| is smoothed as sqrt(|b|^2 + eps^2) - eps
-(eps = 1e-12) inside the solve to keep the model differentiable at b = 0;
-the returned AffineFunction uses the exact norm.
+Solutions come in a 3-parameter family (the affine indeterminacy of the
+curvature class, realized as boost reparametrizations).  The centering rows
+keep every iterate near the Mobius-centered member (area center
+c = int p dV / int dV = 0), and the final polish runs until |c| <= CENTER_TOL,
+so results do not depend on the starting noise or the path.  |b| is smoothed
+as sqrt(|b|^2 + eps^2) - eps (eps = 1e-12) inside the solve; the returned
+AffineFunction uses the exact norm.
 """
 
 from __future__ import annotations
@@ -70,6 +61,7 @@ from .geometry import (
     branch_scan_report,
     conformality_residual,
     detect_branch_points,
+    first_order_forms,
     fundamental_forms,
     jet_derivatives,
     mc_residual,
@@ -118,13 +110,36 @@ class SolverConfig:
 
 @dataclass
 class ContinuationState:
+    """An iterate and its one evaluation against the H of its next step."""
+
     s: float
     coeffs: np.ndarray          # (3, L+1, 2L+1)
     b: np.ndarray               # (3,)
-    residual: np.ndarray        # _residual_vector at the H of the next step
+    residual: np.ndarray        # the 5 * n_nodes rows
+    evaluation: dict            # ft, fp, h_total = H + ell_b, cross, cross_norm, normal
     step_log: list = dataclass_field(default_factory=list)
     newton_log: list = dataclass_field(default_factory=list)  # one record per step
     last_update: np.ndarray = None  # accepted raw update, before re-basing
+
+    @classmethod
+    def at(cls, s, coeffs, b, H_values, grid: SphericalGrid, **logs):
+        """The iterate (s, coeffs, b), evaluated once against node values of
+        H: the residual rows, and the evaluation flat over the nodes.  |b| in
+        ell_b is smoothed to sqrt(|b|^2 + eps^2) - eps."""
+        ws, eps = _workspace(grid), B_NORM_SMOOTHING
+        jet = synthesize_jet(HarmonicField(coeffs), grid, which=("ft", "fp", "lap"))
+        p = first_order_forms([jet["ft"], jet["fp"]])
+        (g_tt, g_tp), (_, g_pp) = p["g"]
+        sin = grid.sin_theta[:, None]
+        ell = float(np.sqrt(np.dot(b, b) + eps * eps) - eps) + b @ ws.xyz_flat
+        h_total = np.ravel(H_values) + ell
+        h_grid = h_total.reshape(grid.n_theta, grid.n_phi)
+        rmc = mc_residual_global(jet["lap"], p["cross"], h_grid, grid).reshape(3, -1)
+        rows = [(g_tt - g_pp / sin**2).ravel() * ws.conf_row_w,
+                (2.0 * g_tp / sin).ravel() * ws.conf_row_w, (rmc * ws.mc_row_w).ravel()]
+        ev = {k: v.reshape(*v.shape[:-2], -1) for k, v in {**jet, **p}.items()
+              if k in ("ft", "fp", "cross", "cross_norm", "normal")}
+        return cls(s, coeffs, b, np.concatenate(rows), dict(ev, h_total=h_total), **logs)
 
     @property
     def residual_norm(self) -> float:
@@ -157,10 +172,6 @@ class SolveResult:
 
 class StepFailure(RuntimeError):
     """A Gauss-Newton step could not decrease the residual."""
-
-
-def _smooth_norm(b, eps=B_NORM_SMOOTHING):
-    return float(np.sqrt(np.dot(b, b) + eps * eps) - eps)
 
 
 # ----------------------------------------------------------------------
@@ -236,26 +247,6 @@ def _workspace(grid: SphericalGrid) -> _Workspace:
 # residual
 # ----------------------------------------------------------------------
 
-def _ell_values(b, ws):
-    return _smooth_norm(b) + b @ ws.xyz_flat
-
-
-def _residual_vector(coeffs, b, H_flat, grid, ws):
-    F = ImmersionField(HarmonicField(coeffs), grid)
-    jet = F.jet("ft", "fp", "lap")
-    ft, fp = jet["ft"], jet["fp"]
-    sin = grid.sin_theta[:, None]
-    q1 = np.einsum("ctp,ctp->tp", ft, ft) - np.einsum("ctp,ctp->tp", fp, fp) / sin**2
-    q2 = 2.0 * np.einsum("ctp,ctp->tp", ft, fp) / sin
-    Htot = (H_flat + _ell_values(b, ws)).reshape(grid.n_theta, grid.n_phi)
-    rmc = mc_residual_global(F, Htot).reshape(3, -1)
-    return np.concatenate([
-        q1.ravel() * ws.conf_row_w,
-        q2.ravel() * ws.conf_row_w,
-        (rmc * ws.mc_row_w).ravel(),
-    ])
-
-
 def residual(F, b, H_target_values, grid: SphericalGrid) -> np.ndarray:
     """Stacked solver residual for an immersion, affine vector and target H:
     the 5 * n_nodes pointwise rows (2 conformality, then 3 mean-curvature
@@ -274,7 +265,8 @@ def residual(F, b, H_target_values, grid: SphericalGrid) -> np.ndarray:
     if np.min(H_flat) <= 0:
         raise DataError("H_target must be positive everywhere")
     coeffs = F.truncated(grid.L).coeffs if F.degree != grid.L else F.coeffs
-    return _residual_vector(coeffs, np.asarray(b, dtype=float), H_flat, grid, ws)
+    return ContinuationState.at(1.0, coeffs, np.asarray(b, dtype=float), H_flat,
+                                grid).residual
 
 
 # ----------------------------------------------------------------------
@@ -284,7 +276,7 @@ def residual(F, b, H_target_values, grid: SphericalGrid) -> np.ndarray:
 @dataclass(frozen=True)
 class _Linearization:
     """Pointwise coefficients of the Jacobian of the 5 * n_nodes rows of
-    _residual_vector: for an update (dF, db), row block r is
+    ContinuationState.at: for an update (dF, db), row block r is
     sum_c t[r, c] dF_t^c + p[r, c] dF_p^c, plus lap * Lap dF^c on block 2 + c
     and sum_j b[r - 2, j] db_j on blocks 2..4."""
 
@@ -294,14 +286,14 @@ class _Linearization:
     b: np.ndarray               # (3, 3, n_nodes)
 
 
-def _linearization(coeffs, b, H_flat, grid, ws) -> _Linearization:
-    jet = synthesize_jet(HarmonicField(coeffs), grid, which=("ft", "fp"))
-    ft = jet["ft"].reshape(3, -1)
-    fp = jet["fp"].reshape(3, -1)
+def _linearization(state: ContinuationState, ws) -> _Linearization:
+    """The Jacobian's coefficients at the state, read from its evaluation."""
+    ev, b = state.evaluation, state.b
+    ft, fp = ev["ft"], ev["fp"]
     sin = ws.sin_flat
     cw = ws.conf_row_w
     mw = 0.25 * ws.mc_row_w     # row weight times the 1/4 of r_mc
-    hw = mw * (H_flat + _ell_values(b, ws)) / sin
+    hw = mw * ev["h_total"] / sin
     # d(F_t x F_p) per unit change of F_t and of F_p along e_c: [c, a, node]
     e = np.eye(3)[:, :, None]
     dn_t = np.cross(e, fp[None], axis=1)
@@ -310,7 +302,7 @@ def _linearization(coeffs, b, H_flat, grid, ws) -> _Linearization:
     p = np.stack([-2.0 * cw * fp / sin**2, 2.0 * cw * ft / sin,
                   *(hw * dn_p.transpose(1, 0, 2))])
     # b columns: d(H + ell_b)/db_j = b_j / sqrt(|b|^2 + eps^2) + x_j
-    wn = np.cross(ft, fp, axis=0) / sin
+    wn = ev["cross"] / sin
     dell = b[:, None] / np.sqrt(b @ b + B_NORM_SMOOTHING**2) + ws.xyz_flat
     return _Linearization(t=t, p=p, lap=mw, b=mw * wn[:, None] * dell[None])
 
@@ -360,8 +352,9 @@ class _SectorPreconditioner:
 
     def __init__(self, ws):
         grid, L, nm = ws.grid, ws.L, ws.n_modes
-        round_lin = _linearization(analyze(grid.xyz, grid).coeffs, np.zeros(3),
-                                   np.full(ws.n_nodes, 2.0), grid, ws)
+        round_lin = _linearization(ContinuationState.at(
+            0.0, analyze(grid.xyz, grid).coeffs, np.zeros(3), np.full(ws.n_nodes, 2.0),
+            grid), ws)
         meridian = np.arange(grid.n_theta) * grid.n_phi
         t0, p0 = round_lin.t[:, :, meridian], round_lin.p[:, :, meridian]
         lap0, b0 = round_lin.lap[meridian], round_lin.b[:, :, meridian]
@@ -443,53 +436,44 @@ class _SectorPreconditioner:
 # gauge basis and projected step
 # ----------------------------------------------------------------------
 
-def _area_center(coeffs, grid: SphericalGrid, ws):
+def _area_center(state: ContinuationState, grid: SphericalGrid, ws):
     """Center c = int p dV / int dV of the induced area measure on the domain
-    sphere, and its exact gradient (3, n_unknowns) in the packed unknowns.
-
-    dV = |n| / sin dsigma with n = F_t x F_p, and d|n| = (F_p x N).dF_t +
-    (N x F_t).dF_p (N = n / |n|): the gradient is one adjoint jet synthesis."""
-    jet = synthesize_jet(HarmonicField(coeffs), grid, which=("ft", "fp"))
-    ft = jet["ft"].reshape(3, -1)
-    fp = jet["fp"].reshape(3, -1)
-    n = np.cross(ft, fp, axis=0)
-    area = np.linalg.norm(n, axis=0)
+    sphere (dV = |n| / sin dsigma, |n| from the state's evaluation), and
+    dc/d|n| at each node (3, n_nodes).  Pointwise: no transform."""
     w = grid.w.ravel() / ws.sin_flat
+    area = state.evaluation["cross_norm"]
     total = w @ area
     c = ws.xyz_flat @ (w * area) / total
-    N = n / area
-    dc_darea = (ws.xyz_flat - c[:, None]) * (w / total)     # (3, n_nodes)
+    return c, (ws.xyz_flat - c[:, None]) * (w / total)
+
+
+def _center_gradient(state: ContinuationState, grid: SphericalGrid, ws):
+    """The area center c and its exact gradient (3, 3 n_modes) in the packed
+    coefficients (c does not depend on b): d|n| = (F_p x N).dF_t +
+    (N x F_t).dF_p, so the gradient is one adjoint jet synthesis."""
+    c, dc_darea = _area_center(state, grid, ws)
+    ft, fp, N = (state.evaluation[k] for k in ("ft", "fp", "normal"))
     # rows (k, a): d c_k through F_t and F_p of component a
     grad = synthesize_jet_adjoint({
         "ft": (dc_darea[:, None] * np.cross(fp, N, axis=0)[None]).reshape(9, -1),
         "fp": (dc_darea[:, None] * np.cross(N, ft, axis=0)[None]).reshape(9, -1),
     }, grid)[:, ws.mode_l, ws.mode_col]                       # (9, n_modes)
-    dc = np.zeros((3, ws.n_unknowns))
-    dc[:, : 3 * ws.n_modes] = grad.reshape(3, -1)
-    return c, dc
+    return c, grad.reshape(3, -1)
 
 
-def gauge_basis(coeffs, grid: SphericalGrid, ws=None) -> GaugeBasis:
+def gauge_basis(state: ContinuationState, grid: SphericalGrid) -> GaugeBasis:
     """Translations, ambient rotations and area-center gradients at the
-    current immersion, as unit coefficient-space columns, with the center."""
-    ws = ws or _workspace(grid)
-    L = grid.L
-    dirs = []
-    # translations: constant shift of one component
-    for c in range(3):
-        d = np.zeros((3, L + 1, 2 * L + 1))
-        d[c, 0, L] = np.sqrt(FOUR_PI)
-        dirs.append(d)
-    # ambient rotations: component mixing omega x F
-    for k in range(3):
-        K = np.zeros((3, 3))
-        K[(k + 2) % 3, (k + 1) % 3] = 1.0
-        K[(k + 1) % 3, (k + 2) % 3] = -1.0
-        dirs.append(np.einsum("dc,clm->dlm", K, coeffs))
-    center, dc = _area_center(coeffs, grid, ws)
-
-    G = np.concatenate([np.stack([ws.pack(d, np.zeros(3)) for d in dirs], axis=1),
-                        dc.T], axis=1)
+    state's immersion, as unit coefficient-space columns, with the center."""
+    ws = _workspace(grid)
+    G = np.zeros((ws.n_unknowns, 9))
+    # translations: a constant shift of one component (its l = 0 mode)
+    G[np.arange(3) * ws.n_modes, np.arange(3)] = np.sqrt(FOUR_PI)
+    # ambient rotations omega x F about the axes e_k
+    modes = ws.pack(state.coeffs, np.zeros(3))[:-3].reshape(3, -1)
+    for k, e in enumerate(np.eye(3)):
+        G[:-3, 3 + k] = np.cross(e, modes, axis=0).ravel()
+    center, dc = _center_gradient(state, grid, ws)
+    G[:-3, 6:] = dc.T
     norms = np.linalg.norm(G, axis=0)
     G /= norms
     sv = np.linalg.svd(G, compute_uv=False)
@@ -573,14 +557,15 @@ def gauge_projected_step(state: ContinuationState, H_values,
     center cancelled) matrix-free by projected CG, then line-searches with
     halving factor LINE_SEARCH_FACTOR.  The damping starts at
     1e-12 trace(A0) / n and rises after a failed linear solve or line
-    search; raises StepFailure when no decrease is found.
+    search; raises StepFailure when no decrease is found.  The state must
+    have been evaluated against H_values; the Jacobian and the gauge columns
+    read its evaluation, and each trial point is evaluated once.
     Appends one record to the state's newton_log.
     """
     ws = _workspace(grid)
-    H_flat = np.asarray(H_values, dtype=float).ravel()
     n0 = state.residual_norm
-    lin = _linearization(state.coeffs, state.b, H_flat, grid, ws)
-    basis = gauge_basis(state.coeffs, grid, ws)
+    lin = _linearization(state, ws)
+    basis = gauge_basis(state, grid)
     g = _vjp(lin, state.residual, grid, ws)
     lam = 1e-12 * ws.sectors.trace / ws.n_unknowns
 
@@ -594,26 +579,21 @@ def gauge_projected_step(state: ContinuationState, H_values,
             continue
         alpha = 1.0
         for halvings in range(MAX_HALVINGS + 1):
-            x_try = x0 + alpha * delta
-            coeffs_try, b_try = ws.unpack(x_try)
-            r_try = _residual_vector(coeffs_try, b_try, H_flat, grid, ws)
-            n_try = np.linalg.norm(r_try)
-            if n_try < n0:
-                coeffs_new = _rebase(coeffs_try, ws)
-                r_new = _residual_vector(coeffs_new, b_try, H_flat, grid, ws)
-                new = ContinuationState(
-                    s=state.s,
-                    coeffs=coeffs_new,
-                    b=b_try,
-                    residual=r_new,
-                    step_log=state.step_log,
-                    newton_log=state.newton_log,
+            coeffs_try, b_try = ws.unpack(x0 + alpha * delta)
+            if ContinuationState.at(state.s, coeffs_try, b_try, H_values,
+                                    grid).residual_norm < n0:
+                new = ContinuationState.at(
+                    state.s, _rebase(coeffs_try, ws), b_try, H_values, grid,
+                    step_log=state.step_log, newton_log=state.newton_log,
                     last_update=alpha * delta,
                 )
+                n_conf = 2 * ws.n_nodes
                 new.newton_log.append({
-                    "degree": grid.L, "residual": new.residual_norm, "alpha": alpha,
-                    "halvings": halvings, "damping_retries": attempt,
-                    "linear_solver": "krylov",
+                    "degree": grid.L, "residual": new.residual_norm,
+                    "residual_conformality": float(np.linalg.norm(new.residual[:n_conf])),
+                    "residual_mc": float(np.linalg.norm(new.residual[n_conf:])),
+                    "alpha": alpha, "halvings": halvings, "damping_retries": attempt,
+                    "damping": float(lam), "linear_solver": "krylov",
                     "linear_iters": linear_iters,
                 })
                 return new
@@ -647,7 +627,7 @@ def _newton_to_tol(state, H_values, grid, target, center=False):
     def met():
         return state.residual_norm <= target and not (
             center and np.linalg.norm(
-                _area_center(state.coeffs, grid, _workspace(grid))[0]) > CENTER_TOL
+                _area_center(state, grid, _workspace(grid))[0]) > CENTER_TOL
         )
 
     for _ in range(MAX_NEWTON_ITERS):
@@ -673,19 +653,15 @@ def _ladder(L: int) -> list:
 def _rung_start(state, H_vals, grid, config):
     """The first rung starts from the round sphere at s = 0; a later rung
     starts from the previous rung's state, zero-padded to its degree."""
-    ws = _workspace(grid)
     if state is None:
         coeffs, b, s = _round_start(grid, config), np.zeros(3), 0.0
         logs = {}
     else:
-        coeffs = _rebase(HarmonicField(state.coeffs).truncated(grid.L).coeffs, ws)
+        coeffs = _rebase(HarmonicField(state.coeffs).truncated(grid.L).coeffs,
+                         _workspace(grid))
         b, s = state.b.copy(), state.s
         logs = dict(step_log=state.step_log, newton_log=state.newton_log)
-    return ContinuationState(
-        s=s, coeffs=coeffs, b=b,
-        residual=_residual_vector(coeffs, b, _homotopy(s, H_vals).ravel(), grid, ws),
-        **logs,
-    )
+    return ContinuationState.at(s, coeffs, b, _homotopy(s, H_vals), grid, **logs)
 
 
 def _continue(state, H_vals, grid, config, final):
@@ -730,13 +706,9 @@ def _continue(state, H_vals, grid, config, final):
             s_prev, x_prev = previous
             coeffs, b = ws.unpack(x + ds / (s - s_prev) * (x - x_prev))
             coeffs = _rebase(coeffs, ws)
-        trial = ContinuationState(
-            s=s_next, coeffs=coeffs, b=b,
-            residual=_residual_vector(coeffs, b, _homotopy(s_next, H_vals).ravel(),
-                                      grid, ws),
-            step_log=state.step_log,
-            newton_log=state.newton_log,
-        )
+        trial = ContinuationState.at(s_next, coeffs, b, _homotopy(s_next, H_vals), grid,
+                                     step_log=state.step_log,
+                                     newton_log=state.newton_log)
         trial, reason, iters = correct(trial, ds)
         if reason is None:
             previous = (s, x)

@@ -476,6 +476,52 @@ def test_immersion_regular_flag():
     assert not tiny.is_regular
 
 
+def branched_z2_sphere(grid):
+    """The map z -> z^2 of the north chart as a sphere S^2 -> S^2, rotated so
+    that its branch point lies 1e-6 from a node (and its second one at the
+    antipode): the node's |F_z| is small enough for the scan to find it."""
+    node = grid.xyz[:, grid.L // 3, 5]
+    tangent = np.cross(node, [0.0, 0.0, 1.0])
+    q = node + 1e-6 * tangent / np.linalg.norm(tangent)
+    q /= np.linalg.norm(q)
+    # the rotation taking q to e3, about the axis q x e3
+    axis = np.cross(q, [0.0, 0.0, 1.0])
+    R = _rotation(np.arcsin(np.linalg.norm(axis)) * axis / np.linalg.norm(axis))
+    x = np.einsum("dc,ctp->dtp", R, grid.xyz)
+    P = (x[0] + 1j * x[1]) ** 2
+    A, B = (1 + x[2]) ** 2, (1 - x[2]) ** 2
+    return ImmersionField.from_values(np.stack([2 * P.real, 2 * P.imag, A - B]) / (A + B),
+                                      grid)
+
+
+def test_verify_codazzi_null_on_branched_sphere():
+    """On a branched z -> z^2 sphere the scan finds its singular points, and
+    verify reports codazzi_norm as null with its reason, in the key's usual
+    place, instead of the unbounded integral; without the scan the number
+    stands."""
+    F = branched_z2_sphere(SphericalGrid(24))
+    report = verify(F)
+    assert report["conformality_sup"] <= geometry.CONFORMALITY_TOL
+    found = len(report["branch_points"]) + len(report["unresolved_singular_points"])
+    assert found == 2
+    assert report["codazzi_norm"] is None
+    assert "2 unresolved singular point(s)" in report["codazzi_unavailable"]
+    assert list(report)[3] == "codazzi_norm"
+    assert list(report)[-1] == "codazzi_unavailable"
+    assert codazzi_residual(F) > 1e-3   # 0.03; unbranched spheres read <= 2e-14
+    assert verify(F, scan_branches=False)["codazzi_norm"] == codazzi_residual(F)
+    unbranched = verify(round_sphere(SphericalGrid(24)))
+    assert unbranched["codazzi_norm"] < 1e-12 and "codazzi_unavailable" not in unbranched
+
+
+def test_verify_scan_flag_is_keyword_only():
+    """A stray positional argument (a grid, say) raises instead of turning
+    the branch scan on."""
+    g = SphericalGrid(8)
+    with pytest.raises(TypeError):
+        verify(round_sphere(g), g)
+
+
 def test_verify_report_keys():
     g = SphericalGrid(16)
     report = verify(round_sphere(g))

@@ -1,5 +1,6 @@
 """Tests for the gauge-fixed Gauss-Newton continuation solver."""
 
+import gc
 import json
 import tracemalloc
 
@@ -25,12 +26,12 @@ from pmcsphere.solver import (
     SolverConfig,
     StepFailure,
     _area_center,
+    _center_gradient,
     _jvp,
     _ladder,
     _linearization,
     _projected_cg,
     _rebase,
-    _residual_vector,
     _round_start,
     _step_bytes,
     _vjp,
@@ -152,7 +153,8 @@ def perturbed_sphere_linearization():
     coeffs = _rebase(analyze(vals, g).coeffs.copy(), ws)
     b = np.array([0.2, -0.1, 0.3])
     H = (2.0 + 0.2 * g.xyz[2] + 0.1 * g.xyz[0] ** 2).ravel()
-    return _linearization(coeffs, b, H, g, ws), coeffs, b, H, g, ws
+    state = ContinuationState.at(1.0, coeffs, b, H, g)
+    return _linearization(state, ws), coeffs, b, H, g, ws
 
 
 def jacobian_columns(lin, grid, ws):
@@ -172,8 +174,8 @@ def test_jacobian_matches_centred_differences():
     for j in range(x0.size):
         step = np.zeros_like(x0)
         step[j] = h
-        rp = _residual_vector(*ws.unpack(x0 + step), H, g, ws)
-        rm = _residual_vector(*ws.unpack(x0 - step), H, g, ws)
+        rp = ContinuationState.at(1.0, *ws.unpack(x0 + step), H, g).residual
+        rm = ContinuationState.at(1.0, *ws.unpack(x0 - step), H, g).residual
         fd[:, j] = (rp - rm)[:rows] / (2 * h)
     J = jacobian_columns(lin, g, ws)
     assert np.max(np.abs(J - fd)) <= 1e-8
@@ -191,7 +193,7 @@ def test_jacobian_products_are_adjoint(L, seed):
     x += 0.05 * rng.standard_normal(x.size)
     coeffs, b = ws.unpack(x)
     H = 2.0 + 0.1 * rng.standard_normal(ws.n_nodes)
-    lin = _linearization(coeffs, b, H, g, ws)
+    lin = _linearization(ContinuationState.at(1.0, coeffs, b, H, g), ws)
     v = rng.standard_normal(ws.n_unknowns)
     w = rng.standard_normal(5 * ws.n_nodes)
     Jv, JTw = _jvp(lin, v, g, ws), _vjp(lin, w, g, ws)
@@ -216,8 +218,9 @@ def test_sector_blocks_match_round_normal_matrix():
     g = SphericalGrid(8)
     ws = _workspace(g)
     pre = ws.sectors
-    lin0 = _linearization(analyze(g.xyz, g).coeffs, np.zeros(3),
-                          np.full(ws.n_nodes, 2.0), g, ws)
+    H0 = np.full(ws.n_nodes, 2.0)
+    lin0 = _linearization(ContinuationState.at(1.0, analyze(g.xyz, g).coeffs, np.zeros(3),
+                                               H0, g), ws)
     J0 = jacobian_columns(lin0, g, ws)
     A0 = J0.T @ J0
     assert abs(pre.trace - np.trace(A0)) <= 1e-12 * np.trace(A0)
@@ -247,8 +250,8 @@ def kkt_reference(state, H, g, lam_factor=1e-12):
     """The damped KKT update solved densely from J's columns (a reference
     for the matrix-free solve), with the step's own damping."""
     ws = _workspace(g)
-    lin = _linearization(state.coeffs, state.b, H.ravel(), g, ws)
-    basis = gauge_basis(state.coeffs, g, ws)
+    lin = _linearization(state, ws)
+    basis = gauge_basis(state, g)
     J = jacobian_columns(lin, g, ws)
     n, G = ws.n_unknowns, basis.matrix
     lam = lam_factor * ws.sectors.trace / n
@@ -272,10 +275,7 @@ def test_krylov_update_matches_dense_kkt():
     noisy = _rebase(noisy, ws)
     for coeffs, b, H in ((round_start, np.zeros(3), acceptance_target(g, 103, 0.1)),
                          (noisy, b_noisy, 2.0 + g.xyz[2])):
-        state = ContinuationState(
-            s=1.0, coeffs=coeffs, b=b,
-            residual=_residual_vector(coeffs, b, H.ravel(), g, ws),
-        )
+        state = ContinuationState.at(1.0, coeffs, b, H, g)
         dense, (krylov, iters) = kkt_reference(state, H, g)
         assert 1 <= iters <= 40
         assert np.linalg.norm(krylov - dense) <= 1e-9 * np.linalg.norm(dense)
@@ -303,8 +303,9 @@ def test_workspace_cache_one_entry_per_degree():
 
 def test_gauge_basis_independent():
     g = SphericalGrid(10)
-    coeffs = based_sphere_coeffs(g)
-    basis = gauge_basis(coeffs, g)
+    H = np.full((g.n_theta, g.n_phi), 2.0)
+    state = ContinuationState.at(1.0, based_sphere_coeffs(g), np.zeros(3), H, g)
+    basis = gauge_basis(state, g)
     assert basis.matrix.shape[1] == 9
     assert basis.gram_condition < 1e10
 
@@ -321,10 +322,7 @@ def test_step_basin_of_attraction():
         valid[:, l, g.L - l : g.L + l + 1] = True
     coeffs = _rebase(coeffs + 1e-3 * rng.uniform(-1, 1, coeffs.shape) * valid, ws)
     H = np.full((g.n_theta, g.n_phi), 2.0)
-    state = ContinuationState(
-        s=1.0, coeffs=coeffs, b=np.zeros(3),
-        residual=_residual_vector(coeffs, np.zeros(3), H.ravel(), g, ws),
-    )
+    state = ContinuationState.at(1.0, coeffs, np.zeros(3), H, g)
     for _ in range(10):
         if state.residual_norm < 1e-8:
             break
@@ -332,31 +330,65 @@ def test_step_basin_of_attraction():
     assert state.residual_norm < 1e-8
 
 
+def count_transforms(monkeypatch):
+    """Calls of synthesize_jet and of its adjoint, wherever the package
+    binds them (analyze included)."""
+    import pmcsphere.grid as grid_module
+
+    calls = {"synthesize_jet": 0, "synthesize_jet_adjoint": 0}
+    for name in calls:
+        original = getattr(grid_module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (grid_module, solver):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_accepted_full_step_evaluates_residual_twice(monkeypatch):
-    """A step accepted at alpha = 1 evaluates the residual at the trial
-    point and at the re-based iterate; the start residual comes from the
-    state."""
+    """A step accepted at alpha = 1 evaluates the iterate at the trial
+    point and at the re-based iterate; the start residual, the Jacobian and
+    the gauge columns read the state's evaluation.  Once the preconditioner
+    is built, the step synthesizes one jet per CG product, one for the CG
+    start and one per evaluation: linear_iters + 3."""
     g = SphericalGrid(10)
     ws = _workspace(g)
     rng = np.random.default_rng(5)
     x = ws.pack(based_sphere_coeffs(g), np.zeros(3))
     coeffs = _rebase(ws.unpack(x + 1e-3 * rng.uniform(-1, 1, x.size))[0], ws)
     H = np.full((g.n_theta, g.n_phi), 2.0)
-    state = ContinuationState(
-        s=1.0, coeffs=coeffs, b=np.zeros(3),
-        residual=_residual_vector(coeffs, np.zeros(3), H.ravel(), g, ws),
-    )
-    calls = []
+    state = ContinuationState.at(1.0, coeffs, np.zeros(3), H, g)
+    ws.sectors  # the preconditioner's own round-sphere evaluation is not counted
+    calls, at = [], ContinuationState.at.__func__
 
-    def counted(*args):
+    def counted(cls, *args, **kwargs):
         calls.append(args)
-        return _residual_vector(*args)
+        return at(cls, *args, **kwargs)
 
-    monkeypatch.setattr(solver, "_residual_vector", counted)
+    monkeypatch.setattr(ContinuationState, "at", classmethod(counted))
+    transforms = count_transforms(monkeypatch)
     new = gauge_projected_step(state, H, g)
     assert len(calls) == 2
+    assert new.newton_log[-1]["alpha"] == 1.0
+    assert transforms["synthesize_jet"] == new.newton_log[-1]["linear_iters"] + 3
     assert new.residual_norm < 1e-2 * state.residual_norm
     assert new.residual_norm == np.linalg.norm(new.residual)
+
+
+def test_polish_center_check_runs_no_transform(monkeypatch):
+    """The polish's center check reads the state's evaluation: at a met
+    target (the based round sphere, H = 2) it runs neither transform."""
+    g = SphericalGrid(10)
+    H = np.full((g.n_theta, g.n_phi), 2.0)
+    state = ContinuationState.at(1.0, based_sphere_coeffs(g), np.zeros(3), H, g)
+    assert np.linalg.norm(_area_center(state, g, _workspace(g))[0]) <= CENTER_TOL
+    calls = count_transforms(monkeypatch)
+    done, reason = solver._newton_to_tol(state, H, g, 1e-8, center=True)
+    assert done is state and reason is None
+    assert calls == {"synthesize_jet": 0, "synthesize_jet_adjoint": 0}
 
 
 def test_step_zero_update_at_solution():
@@ -364,10 +396,7 @@ def test_step_zero_update_at_solution():
     ws = _workspace(g)
     coeffs = based_sphere_coeffs(g)
     H = np.full((g.n_theta, g.n_phi), 2.0)
-    state = ContinuationState(
-        s=1.0, coeffs=coeffs, b=np.zeros(3),
-        residual=_residual_vector(coeffs, np.zeros(3), H.ravel(), g, ws),
-    )
+    state = ContinuationState.at(1.0, coeffs, np.zeros(3), H, g)
     try:
         new = gauge_projected_step(state, H, g)
         assert np.linalg.norm(new.last_update) < 1e-6
@@ -389,20 +418,17 @@ def test_step_update_orthogonal_to_gauge():
             valid[:, l, g.L - l : g.L + l + 1] = True
         coeffs = _rebase(coeffs + 2e-3 * rng.uniform(-1, 1, coeffs.shape) * valid, ws)
         H = np.full((g.n_theta, g.n_phi), 2.0)
-        state = ContinuationState(
-            s=1.0, coeffs=coeffs, b=np.zeros(3),
-            residual=_residual_vector(coeffs, np.zeros(3), H.ravel(), g, ws),
-        )
-        basis = gauge_basis(coeffs, g, ws)
+        state = ContinuationState.at(1.0, coeffs, np.zeros(3), H, g)
+        basis = gauge_basis(state, g)
         new = gauge_projected_step(state, H, g)
         delta = new.last_update
         scale = 1e-10 * np.linalg.norm(delta)
         # orthogonal to the 3 translations and 3 rotations
         assert np.max(np.abs(basis.matrix[:, :6].T @ delta)) < scale
         # the linearized centering holds: C . delta = -c
-        _, C = _area_center(coeffs, g, ws)
+        _, C = _center_gradient(state, g, ws)
         assert np.linalg.norm(basis.center) > 1e-6
-        assert np.max(np.abs(C @ delta + basis.center)) < scale
+        assert np.max(np.abs(C @ delta[:-3] + basis.center)) < scale
 
 
 def test_solve_hopf_constant_two():
@@ -657,7 +683,9 @@ def ladder_vs_direct():
 
 def _center_norm(field):
     g = SphericalGrid(field.degree)
-    return np.linalg.norm(_area_center(field.coeffs, g, _workspace(g))[0])
+    H = np.full((g.n_theta, g.n_phi), 2.0)
+    state = ContinuationState.at(1.0, field.coeffs, np.zeros(3), H, g)
+    return np.linalg.norm(_area_center(state, g, _workspace(g))[0])
 
 
 def test_ladder_matches_single_degree_solution(ladder_vs_direct):
@@ -694,10 +722,7 @@ def test_polish_centers_without_stall(ladder_vs_direct):
     boosted = _mobius_reparametrize(ladder.field, g, g, v, np.eye(3)).coeffs
     coeffs = _rebase(boosted, ws)
     b = ladder.affine.b
-    state = ContinuationState(
-        s=1.0, coeffs=coeffs, b=b,
-        residual=_residual_vector(coeffs, b, H.ravel(), g, ws),
-    )
+    state = ContinuationState.at(1.0, coeffs, b, H, g)
     config = SolverConfig(degree=16)
     assert state.residual_norm <= 0.5 * config.tol
     assert _center_norm(HarmonicField(coeffs)) > CENTER_TOL
@@ -757,16 +782,21 @@ def test_target_unresolved_at_degree_12_skips_its_rung(monkeypatch):
 
 def test_newton_log_one_record_per_step(ladder_vs_direct):
     """report["newton_log"] has one record per accepted Gauss-Newton step
-    (as many as residual_history), in step order, and the L = 16 solve's
-    projected-CG steps take 1..40 iterations each."""
+    (as many as residual_history), in step order, its conformality and
+    mean-curvature block norms combine to the residual, and the L = 16
+    solve's projected-CG steps take 1..40 iterations each."""
     _, ladder, degrees, _ = ladder_vs_direct["103"]
     log = ladder.report["newton_log"]
     assert len(log) == len(ladder.report["residual_history"]) == len(degrees)
     assert [e["degree"] for e in log] == degrees
     assert [e["residual"] for e in log] == ladder.report["residual_history"]
     for e in log:
-        assert set(e) == {"degree", "residual", "alpha", "halvings", "damping_retries",
+        assert set(e) == {"degree", "residual", "residual_conformality", "residual_mc",
+                          "alpha", "halvings", "damping_retries", "damping",
                           "linear_solver", "linear_iters"}
+        blocks = np.hypot(e["residual_conformality"], e["residual_mc"])
+        assert abs(blocks - e["residual"]) <= 1e-15 * e["residual"]
+        assert e["damping"] > 0.0
         assert e["alpha"] == 0.5 ** e["halvings"]
         assert e["linear_solver"] == "krylov" and 1 <= e["linear_iters"] <= 40
     assert json.loads(dumps(ladder.report))["newton_log"] == log
@@ -814,8 +844,7 @@ def test_step_bytes_bounds_traced_first_step():
     ws.__dict__.pop("sectors", None)
     H = acceptance_target(g, 103, 0.1)
     coeffs = _round_start(g, SolverConfig(degree=16))
-    state = ContinuationState(s=1.0, coeffs=coeffs, b=np.zeros(3),
-                              residual=_residual_vector(coeffs, np.zeros(3), H.ravel(), g, ws))
+    state = ContinuationState.at(1.0, coeffs, np.zeros(3), H, g)
     tracemalloc.start()
     try:
         gauge_projected_step(state, H, g)
@@ -823,6 +852,24 @@ def test_step_bytes_bounds_traced_first_step():
     finally:
         tracemalloc.stop()
     assert peak < _step_bytes(16)
+
+
+def test_repeated_solves_keep_memory_flat():
+    """Five L = 12 solves in one process: the traced size after the fifth
+    is within 16 KB of the size after the first, so no solve (or state kept
+    with its evaluation) holds on to an earlier one's arrays."""
+    g = SphericalGrid(12)
+    H = 2.0 + 0.1 * g.xyz[2] + 0.05 * (g.xyz[0] ** 2 - g.xyz[1] ** 2)
+    sizes = []
+    tracemalloc.start()
+    try:
+        for _ in range(5):
+            assert solve_pmc(H, SolverConfig(degree=12)).status == "converged"
+            gc.collect()
+            sizes.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert sizes[-1] - sizes[0] < 16 * 1024
 
 
 def test_normal_variation_operator_eigenfunctions():
