@@ -28,8 +28,9 @@ translations and 3 ambient rotations, and cancelling the linearized area
 center, grad c . delta = -c.  The solver is projected conjugate gradients in
 the constraints' null space (_projected_cg), preconditioned by the round
 sphere's normal matrix A0 split into its 2L + 3 charge sectors
-(_SectorPreconditioner, O(L^4) once per degree); it takes 8 to 14 iterations
-at L = 12 to 24.  The base damping is lam0 = 1e-12 trace(A0) / n.  Each
+(_SectorPreconditioner, O(L^4) once per degree), exact off the gauge: a
+step takes at most 11 iterations at every L from 16 to 128 on target 103
+(eps = 0.1).  The base damping is lam0 = 1e-12 trace(A0) / n.  Each
 accepted step appends a newton_log record: the residual and its conformality
 and mean-curvature block norms, the step length, the damping and the CG
 iteration count.
@@ -88,7 +89,6 @@ LINE_SEARCH_FACTOR = 0.5    # step-length factor per line-search halving
 MAX_HALVINGS = 20
 COARSEST_DEGREE = 12        # first rung of the coarse-to-fine degree ladder
 CENTER_TOL = 1e-10          # |area center| of a converged solve
-SECTOR_SHIFT = 1e-5         # preconditioner shift, relative to trace(A0) / n
 KRYLOV_TOL = 1e-10          # relative residual at which projected CG stops
 KRYLOV_MAX_ITERS = 100      # projected CG iterations before the damping rises
 MAX_NEWTON_ITERS = 30       # Gauss-Newton steps per correction or polish
@@ -344,10 +344,11 @@ class _SectorPreconditioner:
     rows that are e^{i q phi} times the rotation R_phi of their phi = 0 values,
     so B_q = n_phi * M_q^H M_q, with M_q the rows of J0 on the phi = 0
     meridian: O(L) rows and columns per sector.  B_{-q} = conj(B_q), so only
-    q >= 0 is stored.  Each block is eigendecomposed once per degree, and
-    solve applies (B_q + shift + lam)^-1 for the step's damping lam, with
-    shift = SECTOR_SHIFT * trace(A0) / n (A0 is singular on the gauge
-    directions).
+    q >= 0 is stored.  Each block is eigendecomposed once per degree.  A0 is
+    null on the nine real gauge directions (3 translations, 3 rotations, 3
+    boosts), the three lowest eigenvectors of sectors 0 and 1 (-1 mirrors 1).
+    Projected CG keeps off them, so solve lifts those six values to the
+    smallest other one and applies (B_q + lam)^-1 for the step's damping lam.
     """
 
     def __init__(self, ws):
@@ -402,29 +403,30 @@ class _SectorPreconditioner:
         nq, D = len(sectors), max(len(B) for *_, B in sectors)
         self.index = np.zeros((nq, D, 4), dtype=int)
         self.weight = np.zeros((nq, D, 4), dtype=complex)
-        # eigenpairs of each block (padding: unit values, zero vectors), so
-        # that (B_q + shift + lam)^-1 is at hand for any damping lam
-        self.values = np.ones((nq, D))
+        # eigenpairs of each block; padding: infinite values, zero vectors
+        self.values = np.full((nq, D), np.inf)
         self.vectors = np.zeros((nq, D, D), dtype=complex)
         # trace(A0) over all 2L + 3 sectors: q and -q share a trace
         traces = [np.trace(B).real for *_, B in sectors]
         self.trace = 2.0 * sum(traces) - traces[0]
-        self.shift = SECTOR_SHIFT * self.trace / ws.n_unknowns
         for q, (i, w, B) in enumerate(sectors):
             d = len(B)
             self.index[q, :d], self.weight[q, :d] = i, w
             self.values[q, :d], self.vectors[q, :d, :d] = np.linalg.eigh(B)
+        self.lifted = min(self.values[:2, 3:].min(), self.values[2:].min())
+        self.spectrum = self.values.copy()      # values stays the raw spectrum
+        self.spectrum[:2, :3] = self.lifted
         # P^-1 r = sum_q U_q B_q^-1 U_q^H r = Re(term 0) + 2 Re(sum of terms q > 0)
         self.fold = np.where(np.arange(nq) == 0, 1.0, 2.0)[:, None, None]
         self.n = ws.n_unknowns
 
-    def solve(self, r: np.ndarray, lam: float = 0.0) -> np.ndarray:
-        """(P + lam I)^-1 r for r of shape (n,) or (n, k)."""
+    def solve(self, r: np.ndarray, lam: float) -> np.ndarray:
+        """(P + lam I)^-1 r for r of shape (n,) or (n, k), gauge values lifted."""
         r2 = r.reshape(self.n, -1)
         z = np.einsum("qdj,qdjk->qdk", self.weight.conj(), r2[self.index])
         # V^H z without a conjugated copy of V
         vz = np.conj(self.vectors.transpose(0, 2, 1) @ np.conj(z))
-        y = self.vectors @ (vz / (self.values + self.shift + lam)[..., None])
+        y = self.vectors @ (vz / (self.spectrum + lam)[..., None])
         contrib = (np.real(self.weight[..., None] * y[:, :, None, :])
                    * self.fold[..., None]).reshape(-1, r2.shape[1])
         out = np.stack([np.bincount(self.index.ravel(), weights=col, minlength=self.n)
@@ -574,31 +576,29 @@ def gauge_projected_step(state: ContinuationState, H_values,
     for attempt in range(4):
         delta, iters = _projected_cg(lin, basis, g, lam, grid, ws)
         linear_iters += iters
-        if delta is None:
-            lam = max(lam * 1e4, 1e-10)
-            continue
-        alpha = 1.0
-        for halvings in range(MAX_HALVINGS + 1):
-            coeffs_try, b_try = ws.unpack(x0 + alpha * delta)
-            if ContinuationState.at(state.s, coeffs_try, b_try, H_values,
-                                    grid).residual_norm < n0:
-                new = ContinuationState.at(
-                    state.s, _rebase(coeffs_try, ws), b_try, H_values, grid,
-                    step_log=state.step_log, newton_log=state.newton_log,
-                    last_update=alpha * delta,
-                )
-                n_conf = 2 * ws.n_nodes
-                new.newton_log.append({
-                    "degree": grid.L, "residual": new.residual_norm,
-                    "residual_conformality": float(np.linalg.norm(new.residual[:n_conf])),
-                    "residual_mc": float(np.linalg.norm(new.residual[n_conf:])),
-                    "alpha": alpha, "halvings": halvings, "damping_retries": attempt,
-                    "damping": float(lam), "linear_solver": "krylov",
-                    "linear_iters": linear_iters,
-                })
-                return new
-            alpha *= LINE_SEARCH_FACTOR
-        lam = max(lam * 1e4, 1e-10)
+        if delta is not None:
+            alpha = 1.0
+            for halvings in range(MAX_HALVINGS + 1):
+                coeffs_try, b_try = ws.unpack(x0 + alpha * delta)
+                if ContinuationState.at(state.s, coeffs_try, b_try, H_values,
+                                        grid).residual_norm < n0:
+                    new = ContinuationState.at(
+                        state.s, _rebase(coeffs_try, ws), b_try, H_values, grid,
+                        step_log=state.step_log, newton_log=state.newton_log,
+                        last_update=alpha * delta,
+                    )
+                    n_conf = 2 * ws.n_nodes
+                    new.newton_log.append({
+                        "degree": grid.L, "residual": new.residual_norm,
+                        "residual_conformality": float(np.linalg.norm(new.residual[:n_conf])),
+                        "residual_mc": float(np.linalg.norm(new.residual[n_conf:])),
+                        "alpha": alpha, "halvings": halvings, "damping_retries": attempt,
+                        "damping": float(lam), "linear_solver": "krylov",
+                        "linear_iters": linear_iters,
+                    })
+                    return new
+                alpha *= LINE_SEARCH_FACTOR
+        lam *= 1e4
     raise StepFailure(f"no residual decrease from {n0:.3e}")
 
 
