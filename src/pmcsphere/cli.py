@@ -73,9 +73,21 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
-    return path
+def _write_outputs(out_dir, command, config, inputs, outputs, diagnostics):
+    """Write each (name, obj) of ``outputs`` into out_dir, created if
+    missing: obj(path) for a callable obj, JSON otherwise; then the run
+    manifest naming them.  Returns the output paths."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = []
+    for name, obj in outputs:
+        path = os.path.join(out_dir, name)
+        if callable(obj):
+            obj(path)
+        else:
+            write_json(obj, path)
+        paths.append(path)
+    write_manifest(out_dir, command, config, inputs, paths, diagnostics)
+    return paths
 
 
 def _cmd_solve(args) -> int:
@@ -85,20 +97,13 @@ def _cmd_solve(args) -> int:
     config = SolverConfig(degree=args.L, tol=args.tol, steps=args.steps)
     result = solve_pmc(field, config)
 
-    out = _ensure_dir(args.out_dir)
-    paths = []
-    for name, obj in (
-        ("solution.json", field_to_dict(result.field)),
-        ("affine.json", affine_to_dict(result.affine)),
-        ("report.json", result.report),
-    ):
-        path = os.path.join(out, name)
-        write_json(obj, path)
-        paths.append(path)
-    write_manifest(
-        out, "solve",
+    _write_outputs(
+        args.out_dir, "solve",
         {"L": args.L, "tol": args.tol, "steps": args.steps},
-        [args.h_target], paths,
+        [args.h_target],
+        [("solution.json", field_to_dict(result.field)),
+         ("affine.json", affine_to_dict(result.affine)),
+         ("report.json", result.report)],
         {"status": result.status,
          "residual_norm": result.state.residual_norm,
          "wall_time": result.wall_time},
@@ -118,10 +123,8 @@ def _cmd_verify(args) -> int:
     report = verify(ImmersionField(field, grid))
     print(dumps(report))
     if args.out_dir:
-        out = _ensure_dir(args.out_dir)
-        path = os.path.join(out, "report.json")
-        write_json(report, path)
-        write_manifest(out, "verify", {"L": args.L}, [args.immersion], [path],
+        _write_outputs(args.out_dir, "verify", {"L": args.L}, [args.immersion],
+                       [("report.json", report)],
                        {"gauss_identity": report["gauss_identity"]})
     return 0
 
@@ -148,18 +151,12 @@ def _cmd_balance(args) -> int:
     else:
         print(f"H_rep range: [{np.min(H_rep):.12g}, {np.max(H_rep):.12g}]")
     if args.out_dir:
-        out = _ensure_dir(args.out_dir)
-        paths = []
-        for name, obj in (
-            ("affine.json", affine_to_dict(ell)),
-            ("balanced.json", field_to_dict(analyze(H_rep, grid))),
-        ):
-            path = os.path.join(out, name)
-            write_json(obj, path)
-            paths.append(path)
         inputs = [args.h] + ([] if args.weight == "round" else [args.weight])
-        write_manifest(out, "balance", {"L": args.L, "weight": args.weight},
-                       inputs, paths, {"spread": spread})
+        _write_outputs(args.out_dir, "balance", {"L": args.L, "weight": args.weight},
+                       inputs,
+                       [("affine.json", affine_to_dict(ell)),
+                        ("balanced.json", field_to_dict(analyze(H_rep, grid)))],
+                       {"spread": spread})
     return 0
 
 
@@ -176,9 +173,6 @@ def _cmd_example(args) -> int:
             raise InputError("--param must be an integer k for odd/even") from err
         surface = weierstrass_family(args.family, k, grid, t=args.blowdown)
         label = f"{args.family}_k{k}"
-    out = _ensure_dir(args.out_dir)
-    obj_path = os.path.join(out, f"{label}.obj")
-    export_obj(surface, obj_path)
     summary = {
         "family": args.family,
         "param": args.param,
@@ -187,12 +181,15 @@ def _cmd_example(args) -> int:
         "max_abs_H": float(np.nanmax(np.abs(surface.mean_curvature))),
         "max_conformality": float(np.max(np.abs(surface.conformality_residual()))),
     }
-    sum_path = os.path.join(out, f"{label}.json")
-    write_json(summary, sum_path)
-    write_manifest(out, "example",
-                   {"family": args.family, "param": args.param,
-                    "radius": args.radius, "blowdown": args.blowdown},
-                   [], [obj_path, sum_path], summary)
+    obj_path, _ = _write_outputs(
+        args.out_dir, "example",
+        {"family": args.family, "param": args.param,
+         "radius": args.radius, "blowdown": args.blowdown},
+        [],
+        [(f"{label}.obj", lambda path: export_obj(surface, path)),
+         (f"{label}.json", summary)],
+        summary,
+    )
     print(f"wrote {obj_path}")
     return 0
 

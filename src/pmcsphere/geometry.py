@@ -6,11 +6,13 @@ the (band-limited) component fields in grid coordinates (theta, phi) by one
 kernel, pointwise_forms, which every curvature of the package reads; its
 first-order part, first_order_forms (g, g^-1, n = F_theta x F_phi, |n|, N),
 runs from F_a alone and is the one place that forms n, for the solver's
-residual and Jacobian too.  All reported scalars (H, K, |A|^2, area element)
-are parametrization-invariant.  Chart-coordinate quantities (conformal
-factor, conformality and mean-curvature residuals, branch fits) use the
-stereographic charts.  verify reports codazzi_norm as null on a map whose
-branch scan finds a branch point or an unresolved singular point.
+residual and Jacobian too.  An ImmersionField runs the kernel once, and all
+but the branch fits read that evaluation: the chart residual F_z . F_z and
+lambda^2 = 2|F_z|^2 come from the metric (conformality_defect), and F_z is
+formed only where the fits need chart coordinates.  All reported scalars
+(H, K, |A|^2, area element) are parametrization-invariant.  verify reports
+codazzi_norm as null on a map whose branch scan finds a branch point or an
+unresolved singular point.
 
 Sign conventions: N follows F_theta x F_phi and is flipped globally (together
 with A and H) if H < 0 at the node maximizing |F|^2, so the unit sphere has
@@ -30,6 +32,7 @@ fixed by requiring a zero residual on the unit sphere with H = 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +49,6 @@ from .grid import (
     chart_gradient_from_jet,
     conformal_gradients,
     integrate,
-    per_node_home_values,
     synthesize_jet,
 )
 
@@ -62,8 +64,8 @@ BRANCH_FIT_TOL = 0.1            # largest relative residual of a branch fit
 class ImmersionField:
     """An immersion given by three harmonic component fields on a grid.
 
-    Chart gradients, derivative jets and fundamental forms are computed
-    lazily and cached; the object is immutable.
+    Derivative jets, the kernel's evaluation on them, the fundamental forms
+    and each chart's F_z are computed lazily, once; the object is immutable.
     """
 
     def __init__(self, field: HarmonicField, grid: SphericalGrid):
@@ -77,9 +79,6 @@ class ImmersionField:
         self.grid = grid
         self._jets: dict = {}
         self._fz: dict = {}
-        self._fz_home = None
-        self._conf_home = None
-        self._forms = None
 
     @classmethod
     def from_values(cls, values: np.ndarray, grid: SphericalGrid):
@@ -102,20 +101,43 @@ class ImmersionField:
             )
         return self._fz[chart]
 
-    def chart_gradient_home(self) -> np.ndarray:
-        """Cached F_z in each node's home chart."""
-        if self._fz_home is None:
-            self._fz_home = per_node_home_values(
-                self.chart_gradient(NORTH), self.chart_gradient(SOUTH), self.grid
-            )
-        return self._fz_home
+    @cached_property
+    def pointwise(self) -> dict:
+        """pointwise_forms of the (theta, phi) jet up to second order."""
+        jet = self.jet("ft", "fp", "ftt", "ftp", "fpp")
+        return pointwise_forms(*jet_derivatives(jet))
+
+    @cached_property
+    def forms(self) -> "FundamentalForms":
+        """The fundamental forms, read from ``pointwise``."""
+        p = self.pointwise
+        # global orientation fix: outward normal where |F|^2 is maximal
+        vals = self.jet("f")["f"]
+        r2 = np.einsum("ctp,ctp->tp", vals, vals)
+        flat = np.argmax(np.where(p["singular"], -np.inf, r2))
+        i0, j0 = np.unravel_index(flat, r2.shape)
+        flipped = bool(p["H"][i0, j0] < 0)
+        sgn = -1.0 if flipped else 1.0
+        (g_tt, _), (_, g_pp) = p["g"]
+        sin = self.grid.sin_theta[:, None]
+        mu2inv = chart_area_factors(self.grid, "home")[:, None]
+        return FundamentalForms(
+            gamma=np.array(p["g"]),
+            normal=sgn * p["normal"],
+            second_form=sgn * np.array(p["A"]),
+            mean_curvature=sgn * p["H"],
+            gauss_curvature=p["K"],
+            norm2_A=p["A2"],
+            conformal_factor=0.5 * mu2inv * (g_tt + g_pp / sin**2),
+            area_weight=p["cross_norm"] / sin,
+            singular=p["singular"],
+            orientation_flipped=flipped,
+        )
 
     @property
     def is_regular(self) -> bool:
-        """Immersion flag: min over nodes of |F_z|^2 above IMMERSION_EPSILON."""
-        fz = self.chart_gradient_home()
-        fz2 = np.einsum("ctp,ctp->tp", fz, np.conj(fz)).real
-        return bool(np.nanmin(fz2) > IMMERSION_EPSILON)
+        """Immersion flag: min |F_z|^2 = lambda^2/2 over nodes > IMMERSION_EPSILON."""
+        return bool(np.nanmin(0.5 * self.forms.conformal_factor) > IMMERSION_EPSILON)
 
 
 @dataclass(frozen=True)
@@ -124,9 +146,10 @@ class FundamentalForms:
 
     gamma and second_form hold the (theta, phi) grid-coordinate components
     [[g_tt, g_tp], [g_tp, g_pp]]; conformal_factor is lambda^2 = 2 F_z.Fbar_z
-    in each node's home stereographic chart.  area_weight is the ratio of the
-    induced to the round area element, sqrt(det gamma)/sin(theta).  Singular
-    nodes (|F_theta x F_phi| below threshold) carry NaN and are flagged.
+    = (1/2) mu^-2 (g_tt + g_pp/sin^2) in each node's home chart.  area_weight
+    is the ratio of the induced to the round area element, sqrt(det gamma)/
+    sin(theta).  Singular nodes (|n| below threshold) carry NaN and are
+    flagged.
     """
 
     gamma: np.ndarray          # (2, 2, n_theta, n_phi)
@@ -192,48 +215,23 @@ def jet_derivatives(jet: dict):
 
 
 def metric_derivatives(d1, d2, ginv):
-    """dg[c][a][b] = d_c g_ab and the Christoffel symbols
-    Gamma[d][a][b] = Gamma^d_ab of the induced metric."""
+    """dg[c][a][b] = d_c g_ab, dginv[c][a][b] = d_c g^ab and the Christoffel
+    symbols Gamma[d][a][b] = Gamma^d_ab of the induced metric."""
     dg = [[[_dot(d2[c][a], d1[b]) + _dot(d1[a], d2[c][b]) for b in (0, 1)]
            for a in (0, 1)] for c in (0, 1)]
+    dginv = [[[-sum(ginv[a][e] * dg[c][e][f] * ginv[f][b]
+                    for e in (0, 1) for f in (0, 1))
+               for b in (0, 1)] for a in (0, 1)] for c in (0, 1)]
     Gamma = [[[0.5 * sum(ginv[d][c] * (dg[a][c][b] + dg[b][c][a] - dg[c][a][b])
                          for c in (0, 1))
                for b in (0, 1)] for a in (0, 1)] for d in (0, 1)]
-    return dg, Gamma
+    return dg, dginv, Gamma
 
 
 def fundamental_forms(F: ImmersionField) -> FundamentalForms:
     """First and second fundamental forms, curvatures and area weight of F
     (computed once per immersion, then cached on F)."""
-    if F._forms is not None:
-        return F._forms
-    p = pointwise_forms(*jet_derivatives(F.jet("ft", "fp", "ftt", "ftp", "fpp")))
-
-    # global orientation fix: outward normal where |F|^2 is maximal
-    vals = F.jet("f")["f"]
-    r2 = np.einsum("ctp,ctp->tp", vals, vals)
-    flat = np.argmax(np.where(p["singular"], -np.inf, r2))
-    i0, j0 = np.unravel_index(flat, r2.shape)
-    flipped = bool(p["H"][i0, j0] < 0)
-    sgn = -1.0 if flipped else 1.0
-
-    fz = F.chart_gradient_home()
-    lam2 = 2.0 * np.einsum("ctp,ctp->tp", fz, np.conj(fz)).real
-
-    area_weight = p["cross_norm"] / F.grid.sin_theta[:, None]
-    F._forms = FundamentalForms(
-        gamma=np.array(p["g"]),
-        normal=sgn * p["normal"],
-        second_form=sgn * np.array(p["A"]),
-        mean_curvature=sgn * p["H"],
-        gauss_curvature=p["K"],
-        norm2_A=p["A2"],
-        conformal_factor=lam2,
-        area_weight=area_weight,
-        singular=p["singular"],
-        orientation_flipped=flipped,
-    )
-    return F._forms
+    return F.forms
 
 
 # ----------------------------------------------------------------------
@@ -241,15 +239,19 @@ def fundamental_forms(F: ImmersionField) -> FundamentalForms:
 # ----------------------------------------------------------------------
 
 def conformality_residual(F: ImmersionField, chart="home") -> np.ndarray:
-    """F_z . F_z per node (zero iff the parametrization is conformal); the
-    home-chart residual is computed once per immersion, then cached on F."""
+    """F_z . F_z per node in a stereographic chart (zero iff the
+    parametrization is conformal), read from the metric:
+    (1/4) mu^-2 e^{-+2i phi} (q1 - i q2) with (q1, q2) = conformality_defect,
+    - in the north chart and + in the south.  "home" takes each theta-row's
+    home chart; nodes masked in a chart are NaN."""
+    grid = F.grid
+    rows = grid.home_chart() if chart == "home" else np.full(grid.n_theta, chart)
+    phase = np.exp(np.where(rows == NORTH, -2j, 2j)[:, None] * grid.phi)
+    q1, q2 = conformality_defect(F.pointwise["g"], grid.sin_theta[:, None])
+    conf = 0.25 * chart_area_factors(grid, chart)[:, None] * phase * (q1 - 1j * q2)
     if chart != "home":
-        fz = F.chart_gradient(chart)
-        return _dot(fz, fz)
-    if F._conf_home is None:
-        fz = F.chart_gradient_home()
-        F._conf_home = _dot(fz, fz)
-    return F._conf_home
+        conf[~grid.chart_mask(chart)] = np.nan
+    return conf
 
 
 def mc_residual(F: ImmersionField, H_target: np.ndarray) -> np.ndarray:
@@ -265,10 +267,17 @@ def mc_residual(F: ImmersionField, H_target: np.ndarray) -> np.ndarray:
     sup = float(np.nanmax(np.abs(conf)))
     if sup > CONFORMALITY_TOL:
         raise ConformalityError(sup)
-    jet = F.jet("ft", "fp", "lap")
-    n = first_order_forms([jet["ft"], jet["fp"]])["cross"]
-    r_global = mc_residual_global(jet["lap"], n, np.asarray(H_target, float), F.grid)
+    r_global = mc_residual_global(F.jet("lap")["lap"], F.pointwise["cross"],
+                                  np.asarray(H_target, float), F.grid)
     return chart_area_factors(F.grid, "home")[None, :, None] * r_global
+
+
+def conformality_defect(g, sin):
+    """(q1, q2) = (g_tt - g_pp / sin^2, 2 g_tp / sin) of the metric g in
+    (theta, phi), zero iff conformal: F_z . F_z = (1/4) mu^-2 e^{-+2i phi}
+    (q1 - i q2) in a stereographic chart.  sin = sin theta broadcasts."""
+    (g_tt, g_tp), (_, g_pp) = g
+    return g_tt - g_pp / sin**2, 2.0 * g_tp / sin
 
 
 def mc_residual_global(lap, n, H_target, grid: SphericalGrid) -> np.ndarray:
@@ -301,26 +310,22 @@ def codazzi_residual(F: ImmersionField) -> float:
     Analytically zero for any immersion into flat space; the computed value
     measures rounding plus (for non-band-limited F) truncation.  All
     derivatives up to third order are evaluated pointwise from exact
-    spectral tables of F, so no tensor component is re-expanded; g, N and
-    A come from pointwise_forms.  Meaningless on a branched immersion: the
-    integrand grows without bound near a branch point (1.1 to 2e8 on z^2
-    and z^3 maps at L = 48, at most 2e-14 on unbranched spheres), so verify
-    reports null there.
+    spectral tables of F, so no tensor component is re-expanded; g, N, A
+    and H come from the immersion's one pointwise_forms evaluation (H read
+    as 0 on its singular nodes, as verify reads it for the obstruction).
+    Meaningless on a branched immersion: the integrand grows without bound
+    near a branch point (1.1 to 7e7 on z^2 and z^3 maps at L = 48, at most
+    2e-14 on unbranched spheres), so verify reports null there.
     """
-    jet = F.jet(
-        "ft", "fp", "ftt", "ftp", "fpp", "fttt", "fttp", "ftpp", "fppp"
-    )
+    jet = F.jet("ft", "fp", "ftt", "ftp", "fpp", "fttt", "fttp", "ftpp", "fppp")
     d1, d2 = jet_derivatives(jet)
-    p = pointwise_forms(d1, d2)
+    p = F.pointwise
     g, ginv, N, W, A = (p[k] for k in ("g", "ginv", "normal", "cross_norm", "A"))
-    dg, Gamma = metric_derivatives(d1, d2, ginv)
-    d3 = {
-        (0, 0, 0): jet["fttt"], (0, 0, 1): jet["fttp"],
-        (0, 1, 1): jet["ftpp"], (1, 1, 1): jet["fppp"],
-    }
+    H = np.nan_to_num(p["H"])
+    dg, dginv, Gamma = metric_derivatives(d1, d2, ginv)
 
-    def third(a, b, c):
-        return d3[tuple(sorted((a, b, c)))]
+    def third(a, b, c):  # F_abc, coordinate 0 = theta ("t"), 1 = phi ("p")
+        return jet["f" + "".join("tp"[i] for i in sorted((a, b, c)))]
 
     dn = [np.cross(d2[c][0], d1[1], axis=0) + np.cross(d1[0], d2[c][1], axis=0)
           for c in (0, 1)]
@@ -329,11 +334,6 @@ def codazzi_residual(F: ImmersionField) -> float:
     dA = [[[-_dot(third(c, a, b), N) - _dot(d2[a][b], dN[c]) for b in (0, 1)]
            for a in (0, 1)] for c in (0, 1)]
 
-    dginv = [[[-sum(ginv[a][e] * dg[c][e][f] * ginv[f][b]
-                    for e in (0, 1) for f in (0, 1))
-               for b in (0, 1)] for a in (0, 1)] for c in (0, 1)]
-
-    H = sum(ginv[a][b] * A[a][b] for a in (0, 1) for b in (0, 1))
     dH = [sum(dginv[c][a][b] * A[a][b] + ginv[a][b] * dA[c][a][b]
               for a in (0, 1) for b in (0, 1)) for c in (0, 1)]
 
@@ -353,8 +353,7 @@ def codazzi_residual(F: ImmersionField) -> float:
         div.append(acc)
 
     norm2 = sum(ginv[a][b] * div[a] * div[b] for a in (0, 1) for b in (0, 1))
-    area_weight = W / F.grid.sin_theta[:, None]
-    return float(np.sqrt(integrate(norm2, F.grid, area_weight)))
+    return float(np.sqrt(integrate(norm2, F.grid, F.forms.area_weight)))
 
 
 def obstruction_vector(H_values: np.ndarray, area_weight: np.ndarray,
@@ -487,16 +486,17 @@ def _scan_branch_candidates(absfz, threshold):
     return [tuple(ij) for ij in cand]
 
 
-def branch_scan(absfz, cluster_radius, patch_at) -> BranchScan:
+def branch_scan(absfz, cluster_radius, chart_at, fz_of) -> BranchScan:
     """The candidate -> cluster -> fit -> classify loop of sphere and disk.
 
     ``absfz`` is |F_z| on the caller's node array.  Candidates are its local
     minima below BRANCH_THRESHOLD_FACTOR * median |F_z|, visited by increasing
     |F_z| (ties in row-major node order); one within ``cluster_radius`` of
-    an already kept candidate is dropped.  ``patch_at(ij)`` returns the
-    candidate's (chart label, chart coordinates z, F_z samples of shape
-    (3,) + z.shape, NaN on unusable nodes).  Each kept candidate is fitted
-    over the 96 nearest usable nodes by ``fit_branch_point``, whose
+    an already kept candidate is dropped.  ``chart_at(ij)`` returns the
+    candidate's chart label and chart coordinates z of every node;
+    ``fz_of(label)`` the chart's F_z samples of shape (3,) + z.shape, NaN on
+    unusable nodes, asked for kept candidates only.  Each kept candidate is
+    fitted over the 96 nearest usable nodes by ``fit_branch_point``, whose
     location search runs all orders in one batched solve per round; a
     fit worse than 10% of the local |F_z| norm, or one that is not a
     conformal branch point (G.G ~ 0, G != 0), is reported as an
@@ -507,13 +507,14 @@ def branch_scan(absfz, cluster_radius, patch_at) -> BranchScan:
     )
     kept = []
     for ij in sorted(candidates, key=lambda ij: absfz[ij]):
-        z0 = patch_at(ij)[1][ij]
+        z0 = chart_at(ij)[1][ij]
         if all(abs(z0 - zk) > cluster_radius for _, zk in kept):
             kept.append((ij, z0))
 
     points, unresolved = [], []
     for ij, z0 in kept:
-        chart, zc, fz = patch_at(ij)
+        chart, zc = chart_at(ij)
+        fz = fz_of(chart)
         dist = np.abs(zc - z0)
         dist[~np.isfinite(fz).all(axis=0)] = np.inf
         idx = np.argsort(dist.ravel())[:96]
@@ -533,20 +534,20 @@ def detect_branch_points(F: ImmersionField,
                          conformality_tol: float = CONFORMALITY_TOL) -> BranchScan:
     """Locate and classify branch points of a conformal map of the sphere.
 
-    Runs ``branch_scan`` on |F_z| in each node's home chart, fitting
-    F_z ~ (z - q)^k G over k in 1..BRANCH_MAX_ORDER in the candidate's home
-    chart.
+    Runs ``branch_scan`` on |F_z| = sqrt(lambda^2 / 2) in each node's home
+    chart, fitting F_z ~ (z - q)^k G over k in 1..BRANCH_MAX_ORDER in the
+    candidate's home chart; a chart's F_z is formed only for the fits.
     """
     conf = conformality_residual(F)
     sup = float(np.nanmax(np.abs(conf)))
     if sup > conformality_tol:
         raise ConformalityError(sup)
 
-    fz_home = F.chart_gradient_home()
-    absfz = np.sqrt(np.einsum("ctp,ctp->tp", fz_home, np.conj(fz_home)).real)
+    absfz = np.sqrt(0.5 * F.forms.conformal_factor)
     home = F.grid.home_chart()
-    patches = {c: (c, F.grid.chart_z(c), F.chart_gradient(c)) for c in (NORTH, SOUTH)}
-    return branch_scan(absfz, 0.25, lambda ij: patches[home[ij[0]]])
+    z = {c: F.grid.chart_z(c) for c in (NORTH, SOUTH)}
+    return branch_scan(absfz, 0.25, lambda ij: (home[ij[0]], z[home[ij[0]]]),
+                       F.chart_gradient)
 
 
 # ----------------------------------------------------------------------

@@ -463,13 +463,3 @@ def chart_area_factors(grid: SphericalGrid, chart: str) -> np.ndarray:
     if chart == SOUTH:
         return 4.0 * np.sin(grid.theta / 2) ** 4
     raise ConfigurationError(f"unknown chart {chart!r}")
-
-
-def per_node_home_values(north: np.ndarray, south: np.ndarray, grid: SphericalGrid):
-    """Merge two chart arrays picking each theta-row's home chart.
-
-    Arrays must have trailing shape (n_theta, n_phi); broadcasting applies
-    to leading axes.
-    """
-    home_north = (grid.home_chart() == NORTH)[:, None]
-    return np.where(home_north, north, south)

@@ -188,5 +188,5 @@ def detect_branch_points_planar(P: PlanarImmersion) -> BranchScan:
     """Branch detection on the disk: the sphere's ``branch_scan`` on the one
     chart "disk", clustering within 0.15 R."""
     absfz = np.sqrt(np.einsum("crp,crp->rp", P.Fz, np.conj(P.Fz)).real)
-    patch = ("disk", P.grid.z, P.Fz)
-    return branch_scan(absfz, 0.15 * P.grid.radius, lambda ij: patch)
+    return branch_scan(absfz, 0.15 * P.grid.radius, lambda ij: ("disk", P.grid.z),
+                       lambda chart: P.Fz)

@@ -14,6 +14,7 @@ import json
 import math
 import os
 from datetime import datetime, timezone
+from itertools import chain
 
 import numpy as np
 
@@ -102,23 +103,31 @@ def field_to_dict(field: HarmonicField) -> dict:
 
 
 def field_from_dict(data: dict) -> HarmonicField:
+    """The HarmonicField of field_to_dict's schema; the header holds JSON
+    integers.  The whole coefficient table is checked before any of it is
+    used: a non-finite value, a boolean or non-integral index, or an index
+    out of range raises InputError naming the first such entry."""
     try:
-        ncomp = int(data["components"])
-        L = int(data["L"])
-        triples = data["coeffs"]
+        ncomp, L, triples = data["components"], data["L"], data["coeffs"]
+        table = np.array(triples or np.empty((0, 4)), dtype=float)
+        if table.shape != (len(triples), 4):
+            raise ValueError(f"coefficient table of shape {table.shape}")
     except (KeyError, TypeError, ValueError) as err:
         raise InputError(f"bad harmonic-field JSON: {err}") from err
-    if ncomp not in (1, 3) or L < 0:
-        raise InputError(f"bad field header: components={ncomp}, L={L}")
+    if type(ncomp) is not int or type(L) is not int or ncomp not in (1, 3) or L < 0:
+        raise InputError(f"bad field header: components={ncomp!r}, L={L!r}")
+    types = np.fromiter(map(type, chain.from_iterable(triples)), object, table.size)
+    c, l, m, v = table.T
+    bad = ((types == bool).reshape(-1, 4).any(axis=1)
+           | ~np.isfinite(table).all(axis=1)
+           | (table[:, :3] != np.round(table[:, :3])).any(axis=1))
+    out_of_range = ~((0 <= c) & (c < ncomp) & (0 <= l) & (l <= L) & (np.abs(m) <= l))
+    for mask, what in ((bad, "bad coefficient entry"),
+                       (out_of_range, "coefficient index out of range")):
+        if mask.any():
+            raise InputError(f"{what}: {triples[int(np.argmax(mask))]!r}")
     coeffs = np.zeros((ncomp, L + 1, 2 * L + 1))
-    for item in triples:
-        try:
-            c, l, m, v = int(item[0]), int(item[1]), int(item[2]), float(item[3])
-        except (TypeError, ValueError, IndexError) as err:
-            raise InputError(f"bad coefficient entry {item!r}") from err
-        if not (0 <= c < ncomp and 0 <= l <= L and -l <= m <= l):
-            raise InputError(f"coefficient index out of range: {item!r}")
-        coeffs[c, l, L + m] = v
+    coeffs[c.astype(int), l.astype(int), L + m.astype(int)] = v
     return HarmonicField(coeffs)
 
 

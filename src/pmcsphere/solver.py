@@ -9,7 +9,8 @@ degree COARSEST_DEGREE and finished at the requested degree.
 
 The residual is 5 * n_nodes pointwise rows, quadrature-weighted so that the
 Euclidean norm is an L2 norm: conformality q1 = g_tt - g_pp/sin^2 and
-q2 = 2 g_tp / sin (2 rows/node), and the mean-curvature residual
+q2 = 2 g_tp / sin (2 rows/node, geometry.conformality_defect, the formula
+behind every conformality residual), and the mean-curvature residual
 (1/4)(Lap_round F + (H + ell_b) n/sin), n = F_t x F_p (3 rows/node,
 geometry.mc_residual_global, the chart residual divided by the positive chart
 factor).  Each iterate is evaluated once (ContinuationState.at): one jet
@@ -60,6 +61,7 @@ from .geometry import (
     CONFORMALITY_TOL,
     ImmersionField,
     branch_scan_report,
+    conformality_defect,
     conformality_residual,
     detect_branch_points,
     first_order_forms,
@@ -69,7 +71,6 @@ from .geometry import (
     mc_residual_global,
     metric_derivatives,
     obstruction_vector,
-    pointwise_forms,
     verify,
 )
 from .grid import (
@@ -129,14 +130,13 @@ class ContinuationState:
         ws, eps = _workspace(grid), B_NORM_SMOOTHING
         jet = synthesize_jet(HarmonicField(coeffs), grid, which=("ft", "fp", "lap"))
         p = first_order_forms([jet["ft"], jet["fp"]])
-        (g_tt, g_tp), (_, g_pp) = p["g"]
-        sin = grid.sin_theta[:, None]
+        q1, q2 = conformality_defect(p["g"], grid.sin_theta[:, None])
         ell = float(np.sqrt(np.dot(b, b) + eps * eps) - eps) + b @ ws.xyz_flat
         h_total = np.ravel(H_values) + ell
         h_grid = h_total.reshape(grid.n_theta, grid.n_phi)
         rmc = mc_residual_global(jet["lap"], p["cross"], h_grid, grid).reshape(3, -1)
-        rows = [(g_tt - g_pp / sin**2).ravel() * ws.conf_row_w,
-                (2.0 * g_tp / sin).ravel() * ws.conf_row_w, (rmc * ws.mc_row_w).ravel()]
+        rows = [q1.ravel() * ws.conf_row_w, q2.ravel() * ws.conf_row_w,
+                (rmc * ws.mc_row_w).ravel()]
         ev = {k: v.reshape(*v.shape[:-2], -1) for k, v in {**jet, **p}.items()
               if k in ("ft", "fp", "cross", "cross_norm", "normal")}
         return cls(s, coeffs, b, np.concatenate(rows), dict(ev, h_total=h_total), **logs)
@@ -262,7 +262,7 @@ def residual(F, b, H_target_values, grid: SphericalGrid) -> np.ndarray:
     H_flat = np.asarray(H_target_values, dtype=float).ravel()
     if H_flat.size != ws.n_nodes:
         raise ConfigurationError("H_target values do not match the grid")
-    if np.min(H_flat) <= 0:
+    if not np.all(H_flat > 0):
         raise DataError("H_target must be positive everywhere")
     coeffs = F.truncated(grid.L).coeffs if F.degree != grid.L else F.coeffs
     return ContinuationState.at(1.0, coeffs, np.asarray(b, dtype=float), H_flat,
@@ -779,7 +779,7 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
         H_vals = np.asarray(H_target, dtype=float)
         if H_vals.shape != (grid.n_theta, grid.n_phi):
             raise ConfigurationError("H_target values do not match solver grid")
-    if np.min(H_vals) <= 0:
+    if not np.all(H_vals > 0):
         raise DataError("H_target must be positive everywhere")
 
     rungs = _ladder(grid.L)
@@ -795,7 +795,7 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
                 continue
             rung_grid = SphericalGrid(L)
             rung_H = synthesize(H_target.truncated(L), rung_grid)
-            if np.min(rung_H) <= 0:
+            if not np.all(rung_H > 0):
                 continue
         state = _rung_start(state, rung_H, rung_grid, config)
         state, reason = _continue(state, rung_H, rung_grid, config, final)
@@ -925,15 +925,14 @@ def normal_variation_operator(F: ImmersionField, f_values) -> np.ndarray:
     ff = analyze(f_values, F.grid)
     fj = synthesize_jet(ff, F.grid, which=("ft", "fp", "ftt", "ftp", "fpp"))
     d1, d2 = jet_derivatives(F.jet("ft", "fp", "ftt", "ftp", "fpp"))
-    forms = pointwise_forms(d1, d2)
-    ginv = forms["ginv"]
-    _, Gamma = metric_derivatives(d1, d2, ginv)
+    ginv = F.pointwise["ginv"]
+    _, _, Gamma = metric_derivatives(d1, d2, ginv)
 
     # Lap_gamma f = g^{ab} (d_a d_b f - Gamma^c_ab d_c f)
     fd1, fd2 = jet_derivatives({k: v[0] for k, v in fj.items()})
     lap = sum(ginv[a][b] * (fd2[a][b] - sum(Gamma[c][a][b] * fd1[c] for c in (0, 1)))
               for a in (0, 1) for b in (0, 1))
-    return -lap - forms["A2"] * f_values
+    return -lap - F.pointwise["A2"] * f_values
 
 
 def affine_insolvability_check(grid: SphericalGrid, ell_values=None) -> float:

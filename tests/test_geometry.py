@@ -374,28 +374,69 @@ def test_verify_takes_chart_gradients_from_the_cached_jet(monkeypatch):
                               equal_nan=True)
 
 
-def test_verify_merges_home_gradient_and_checks_conformality_once(monkeypatch):
-    """A conformal verify merges the home-chart F_z once and computes
-    F_z . F_z once: the forms, the report and the branch scan share the
-    arrays cached on the immersion (the uncached path took 4 and 2)."""
-    g = SphericalGrid(12)
-    F = round_sphere(g, radius=1.5)
-    calls = {"merge": 0, "conformality": 0}
-    merge, dot = geometry.per_node_home_values, geometry._dot
+def _count_calls(monkeypatch, module, name, key=lambda *args: None):
+    """Wrap module.name; returns a dict counting its calls per key(*args)."""
+    calls, original = {}, getattr(module, name)
 
-    def counted_merge(*args):
-        calls["merge"] += 1
-        return merge(*args)
+    def counted(*args, **kwargs):
+        k = key(*args)
+        calls[k] = calls.get(k, 0) + 1
+        return original(*args, **kwargs)
 
-    def counted_dot(x, y):
-        calls["conformality"] += np.iscomplexobj(x)
-        return dot(x, y)
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
-    monkeypatch.setattr(geometry, "per_node_home_values", counted_merge)
-    monkeypatch.setattr(geometry, "_dot", counted_dot)
-    report = verify(F)
+
+def test_verify_evaluates_the_kernel_once_and_chart_gradients_only_for_fits(
+        monkeypatch):
+    """A verify runs pointwise_forms once: the forms, the conformality
+    residual, the branch scan's |F_z| and Codazzi read that one evaluation.
+    An unbranched scan forms no chart gradient; a branched one forms each
+    chart's F_z at most once, for its fits."""
+    kernel = _count_calls(monkeypatch, geometry, "pointwise_forms")
+    fz = _count_calls(monkeypatch, geometry, "chart_gradient_from_jet",
+                      key=lambda ft, fp, grid, chart: chart)
+    report = verify(round_sphere(SphericalGrid(12), radius=1.5))
     assert report["conformality_sup"] <= geometry.CONFORMALITY_TOL  # scan ran
-    assert calls == {"merge": 1, "conformality": 1}
+    assert report["codazzi_norm"] < 1e-12
+    assert kernel == {None: 1} and fz == {}
+
+    kernel.clear()
+    report = verify(branched_z2_sphere(SphericalGrid(24)))
+    assert len(report["branch_points"]) + len(report["unresolved_singular_points"]) == 2
+    assert kernel == {None: 1}
+    assert fz and all(n == 1 for n in fz.values())
+
+
+def _reference_conformality(F, chart):
+    """F_z . F_z and lambda^2 = 2 |F_z|^2 from the chart gradients F_z;
+    "home" takes each row's home chart."""
+    if chart == "home":
+        north = (F.grid.home_chart() == "north")[:, None]
+        fz = np.where(north, F.chart_gradient("north"), F.chart_gradient("south"))
+    else:
+        fz = F.chart_gradient(chart)
+    dot = np.einsum("ctp,ctp->tp", fz, fz)
+    return dot, 2.0 * np.einsum("ctp,ctp->tp", fz, np.conj(fz)).real
+
+
+@pytest.mark.parametrize("L", [16, 48])
+def test_chart_free_conformality_matches_chart_gradients(L):
+    """The metric's conformality residual (1/4) mu^-2 e^{-+2i phi}(q1 - i q2)
+    equals F_z . F_z of the chart gradients in the home, north and south
+    charts, NaN on the same nodes, to 1e-13 of the chart's max lambda^2; the
+    conformal factor equals 2 |F_z|^2 to 1e-14 relative.  On a radially
+    perturbed and a stretched sphere, neither of them conformal."""
+    g = SphericalGrid(L)
+    for F in (perturbed_sphere(g, seed=5), ellipsoid(g, a=1.3, c=0.7)):
+        for chart in ("home", "north", "south"):
+            ref, lam2 = _reference_conformality(F, chart)
+            conf = conformality_residual(F, chart)
+            assert np.array_equal(np.isnan(conf), np.isnan(ref))
+            ok = ~np.isnan(ref)
+            assert np.max(np.abs(conf[ok] - ref[ok])) <= 1e-13 * np.nanmax(lam2)
+        _, lam2 = _reference_conformality(F, "home")
+        assert np.max(np.abs(fundamental_forms(F).conformal_factor / lam2 - 1)) <= 1e-14
 
 
 def _rotation(w):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -79,6 +80,20 @@ def test_missing_triples_are_zero():
     f = field_from_dict(d)
     assert f.coeffs[0, 1, 2] == 2.5
     assert np.count_nonzero(f.coeffs) == 1
+
+
+@pytest.mark.parametrize("text, entry", [
+    ('[[0, 0, 0, 2.0], [0, 1, 0, NaN]]', "[0, 1, 0, nan]"),
+    ('[[0, 1, 0, 1e400]]', "[0, 1, 0, inf]"),
+    ('[[0, 1.9, 0, 0.1]]', "[0, 1.9, 0, 0.1]"),
+    ('[[0, true, 0, 0.1]]', "[0, True, 0, 0.1]"),
+], ids=["nan_value", "overflowing_value", "non_integral_index", "boolean_index"])
+def test_field_loader_rejects_entry(text, entry):
+    """json accepts NaN and reads 1e400 as inf; int() truncates 1.9 and takes
+    true as 1.  The loader rejects each, naming the entry."""
+    data = json.loads('{"components": 1, "L": 2, "coeffs": %s}' % text)
+    with pytest.raises(InputError, match=r"bad coefficient entry: " + re.escape(entry)):
+        field_from_dict(data)
 
 
 def test_affine_json_roundtrip():
@@ -400,3 +415,21 @@ def test_cli_solve_stall_exit_2(tmp_path, capsys):
     # no Gauss-Newton step decreases the residual of the round start enough
     report = json.loads((out / "report.json").read_text())
     assert report["stall_reason"] == "line_search_exhausted"
+
+
+def test_cli_solve_nan_target_exits_1_before_solving(tmp_path, monkeypatch, capsys):
+    """A NaN target coefficient is an input error: exit 1 with the entry
+    named, before any solve, and no outputs."""
+    import pmcsphere.cli as cli
+
+    def no_solve(*args):
+        raise AssertionError("the solve started")
+
+    monkeypatch.setattr(cli, "solve_pmc", no_solve)
+    h_path = tmp_path / "nan.json"
+    h_path.write_text('{"components": 1, "L": 0, "coeffs": [[0, 0, 0, NaN]]}')
+    out = tmp_path / "out"
+    code = cli_dispatch(["solve", "--h-target", str(h_path), "--out-dir", str(out)])
+    assert code == 1
+    assert not out.exists()
+    assert "bad coefficient entry: [0, 0, 0, nan]" in capsys.readouterr().err

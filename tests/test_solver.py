@@ -144,6 +144,30 @@ def test_residual_rejects_nonpositive_h():
         residual(HarmonicField(coeffs), np.zeros(3), H, g)
 
 
+def test_residual_rejects_nan_h():
+    """A NaN node of H fails the positivity check instead of giving NaN
+    rows."""
+    g = SphericalGrid(8)
+    H = np.full((g.n_theta, g.n_phi), 2.0)
+    H[3, 4] = np.nan
+    with pytest.raises(DataError, match="positive"):
+        residual(HarmonicField(based_sphere_coeffs(g)), np.zeros(3), H, g)
+
+
+def test_solve_rejects_nan_target_before_any_step(monkeypatch):
+    """A node-valued target with one NaN node raises DataError before the
+    continuation starts."""
+    def no_rung(*args):
+        raise AssertionError("the continuation started")
+
+    monkeypatch.setattr(solver, "_rung_start", no_rung)
+    g = SphericalGrid(8)
+    H = np.full((g.n_theta, g.n_phi), 2.0)
+    H[3, 4] = np.nan
+    with pytest.raises(DataError, match="positive"):
+        solve_pmc(H, SolverConfig(degree=8))
+
+
 def perturbed_sphere_linearization():
     """An L = 8 sphere perturbed off round, with b != 0 and a non-constant
     target: (linearization, coeffs, b, H, grid, workspace)."""
