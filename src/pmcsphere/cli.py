@@ -9,6 +9,7 @@ it on import, before numpy loads.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -33,7 +34,10 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process: building it costs far more than a
+    parse, and parse_args reads it without changing it."""
     p = _Parser(prog="pmc", description=__doc__.strip().splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 

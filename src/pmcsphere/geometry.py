@@ -313,9 +313,12 @@ def codazzi_residual(F: ImmersionField) -> float:
     spectral tables of F, so no tensor component is re-expanded; g, N, A
     and H come from the immersion's one pointwise_forms evaluation (H read
     as 0 on its singular nodes, as verify reads it for the obstruction).
-    Meaningless on a branched immersion: the integrand grows without bound
-    near a branch point (1.1 to 7e7 on z^2 and z^3 maps at L = 48, at most
-    2e-14 on unbranched spheres), so verify reports null there.
+    Meaningless at a branch point: the integrand grows without bound as a
+    node nears one (1.1 to 7e7 on z^2 and z^3 maps with branch points 1e-6
+    from a node at L = 48, at most 2e-14 on unbranched spheres), so verify
+    reports null when its scan finds one.  With no node near the branch
+    point it reads rounding: on band-limited jets the identity holds
+    wherever n != 0.
     """
     jet = F.jet("ft", "fp", "ftt", "ftp", "fpp", "fttt", "fttp", "ftpp", "fppp")
     d1, d2 = jet_derivatives(jet)

@@ -22,14 +22,20 @@ Conventions
    Nodes within ``POLE_MASK_RADIUS`` of a chart's excluded pole are masked
    in that chart; every node is unmasked in at least one chart.
 
-Derivatives of band-limited fields are evaluated pointwise from tables of
-theta-derivatives of Q_{l,m} (obtained from the Legendre ODE), so first,
-second and third derivatives are exact for band-limited input.
+Derivatives of band-limited fields are evaluated pointwise, so first,
+second and third derivatives are exact for band-limited input up to
+rounding.  One table holds Q_{l,m} and dQ_{l,m}/dtheta (from the Legendre
+ODE) at the nodes, zero-padded to [n, m, node, l] with n in {0, 1}: each
+order m is a ready (node, l) matrix.  phi-derivatives scale and swap the
+cos/sin profiles of each order, and the Laplacian weights degree l by
+-l(l+1).  The second and third theta-derivatives are not tabled: they are
+per-row combinations of those, from the round Laplacian
+f_tt = lap f - cot f_t - f_pp / sin^2 and its derivatives (``_expansion``).
 
-One table, Q_{l,m} and its theta-derivatives zero-padded to [n, m, l, node],
-serves one transform pair: ``synthesize_jet`` and its transpose
-``synthesize_jet_adjoint``, each a batched product over all orders m.
-``analyze`` is the adjoint applied to the quadrature-weighted values.
+The table serves one transform pair: ``synthesize_jet`` (one batched
+product per table level, then one product over m per key) and its
+transpose ``synthesize_jet_adjoint``.  ``analyze`` is the adjoint applied to
+the quadrature-weighted values.
 """
 
 from __future__ import annotations
@@ -135,43 +141,44 @@ def _gauss_legendre_colatitude(n: int):
 
 def _legendre_tables(L: int, x: np.ndarray, derivatives: bool = True) -> np.ndarray:
     """Normalized associated Legendre functions and, with ``derivatives``,
-    their first three theta-derivatives, zero-padded to [n, m, l, node]:
-    entry [n, m, l] is d^n Q_{l,m} / d theta^n at x = cos(theta), and zero
-    where l < m.
+    their first theta-derivative, zero-padded to [n, m, node, l]: entry
+    [n, m, t, l] is d^n Q_{l,m} / d theta^n at x[t] = cos(theta), and zero
+    where l < m.  Each order m is a ready (node, l) matrix.
 
     Q_{l,m}(x) = N_{l,m} P_l^m(x) with int_{-1}^{1} Q^2 dx = 1/(2 pi), built
     by the standard stable three-term recurrence in l for every order m at
-    once (Condon-Shortley phase).  The derivatives come from the Legendre
-    ODE and need sin(theta) > 0; Q alone holds at the poles too.  Only the
-    entries l >= m are written, so the zero padding stays untouched.
+    once (Condon-Shortley phase).  The derivative comes from the Legendre
+    ODE and needs sin(theta) > 0; Q alone holds at the poles too.  The
+    recurrence carries two [m, node] rows; each degree l is written into
+    the table in place, rows m <= l only, so the zero padding stays untouched.
     """
     x = np.asarray(x, dtype=float)
     s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    out = np.zeros((4 if derivatives else 1, L + 1, L + 1, x.size))
-    Q = out[0]
+    out = np.zeros((2 if derivatives else 1, L + 1, x.size, L + 1))
     m = np.arange(L + 1.0)[:, None]
     # the diagonal: Q_{m,m} = -sqrt((2m + 1) / 2m) sin(theta) Q_{m-1,m-1}
     diag = np.empty((L + 1, x.size))
     diag[0] = 1.0 / np.sqrt(FOUR_PI)
     diag[1:] = -np.sqrt((2 * m[1:] + 1) / (2.0 * m[1:])) * s
-    Q[np.arange(L + 1), np.arange(L + 1)] = np.cumprod(diag, axis=0)
+    diag = np.cumprod(diag, axis=0)
+    # Q_{l-2,m} and Q_{l-1,m} as [m, node], zero where m exceeds the degree
+    older, old = np.zeros((L + 1, x.size)), np.zeros((L + 1, x.size))
     for l in range(L + 1):
-        mm = m[: l + 1]
+        q = older           # Q_{l,m} overwrites Q_{l-2,m}, rows m <= l
+        q[l] = diag[l]
         if l > 0:
-            Q[l - 1, l] = np.sqrt(2 * l + 1.0) * x * Q[l - 1, l - 1]
-            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - mm[:-2] ** 2))
-            b = np.sqrt(((l - 1.0) ** 2 - mm[:-2] ** 2) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            Q[: l - 1, l] = a * (x * Q[: l - 1, l - 1] - b * Q[: l - 1, l - 2])
-        if not derivatives:
-            continue
-        q = Q[: l + 1, l]
-        prev = Q[: l + 1, l - 1] if l > 0 else 0.0     # Q_{l-1,m}, zero at m = l
-        c = np.sqrt(np.maximum(0.0, (l * l - mm * mm) * (2 * l + 1) / (2 * l - 1)))
-        pot = l * (l + 1.0) - mm * mm / s**2
-        d1 = (l * x * q - c * prev) / s
-        d2 = -x / s * d1 - pot * q
-        d3 = -x / s * d2 + (1.0 / s**2 - pot) * d1 - 2.0 * mm * mm * x / s**3 * q
-        out[1:, : l + 1, l] = d1, d2, d3
+            q[l - 1] = np.sqrt(2 * l + 1.0) * x * old[l - 1]
+            mm = m[: l - 1]
+            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - mm**2))
+            b = np.sqrt(((l - 1.0) ** 2 - mm**2) / (4.0 * (l - 1.0) ** 2 - 1.0))
+            q[: l - 1] = a * (x * old[: l - 1] - b * q[: l - 1])
+        out[0, : l + 1, :, l] = q[: l + 1]
+        if derivatives:
+            mm = m[: l + 1]
+            c = np.sqrt(np.maximum(0.0, (l * l - mm * mm) * (2 * l + 1) / (2 * l - 1)))
+            # old[l] is zero: Q_{l-1,l} does not exist
+            out[1, : l + 1, :, l] = (l * x * q[: l + 1] - c * old[: l + 1]) / s
+        older, old = old, q
     return out
 
 
@@ -214,14 +221,10 @@ class SphericalGrid:
             ]
         )
 
-        # the Legendre table [n, m, l, node], and the p-th phi-derivatives
-        # of the azimuthal basis as [p, (cos, sin), m, longitude]
+        # the Legendre table [n, m, node, l] and the azimuthal basis
+        # [(cos, sin), m, longitude]
         self._theta_tables = _legendre_tables(L, self.x_gl)
-        c, s = _azimuthal_basis(L, self.phi)
-        m = np.arange(L + 1)[:, None]
-        self._azimuthal_tables = np.stack([
-            (c, s), (-m * s, m * c), (-m**2 * c, -m**2 * s), (m**3 * s, -m**3 * c)
-        ])
+        self._azimuthal_table = _azimuthal_basis(L, self.phi)
 
     # ------------------------------------------------------------------
     # charts
@@ -256,26 +259,58 @@ class SphericalGrid:
 # transforms
 # ----------------------------------------------------------------------
 
-_AZIMUTHAL_POWERS = {
-    "f": 0, "ft": 0, "ftt": 0, "fttt": 0,
-    "fp": 1, "ftp": 1, "fttp": 1,
-    "fpp": 2, "ftpp": 2,
-    "fppp": 3,
-    "lap": 0,
-}
-_THETA_TABLE = {
-    "f": 0, "fp": 0, "fpp": 0, "fppp": 0, "lap": 0,
-    "ft": 1, "ftp": 1, "ftpp": 1,
-    "ftt": 2, "fttp": 2,
-    "fttt": 3,
+# base keys: (theta level n, Laplacian-weighted, order p of the phi-derivative)
+_JET_TERMS = {
+    "f": (0, 0, 0), "fp": (0, 0, 1), "fpp": (0, 0, 2), "fppp": (0, 0, 3),
+    "ft": (1, 0, 0), "ftp": (1, 0, 1), "ftpp": (1, 0, 2),
+    "lap": (0, 1, 0),
 }
 
 
-def _by_order(coeffs: np.ndarray):
-    """Coefficients (ncomp, L+1, 2L+1) as [c, m, l] of cos(m phi) and of
-    sin(m phi) (the m = 0 row meets the vanishing sin(0 phi) factors)."""
-    L = coeffs.shape[1] - 1
-    return coeffs[:, :, L:].transpose(0, 2, 1), coeffs[:, :, L::-1].transpose(0, 2, 1)
+def _expansion(key: str, grid: SphericalGrid):
+    """A jet key as [(term, weight)]: the key's node values are the sum of
+    each term's values times its weight, 1 or one value per theta-row.
+
+    The second and third theta-derivatives follow from the round Laplacian,
+    lap f = f_tt + cot f_t + f_pp / sin^2, and its derivatives."""
+    if key in _JET_TERMS:
+        return [(_JET_TERMS[key], 1.0)]
+    sin, cos = grid.sin_theta[:, None, None], grid.cos_theta[:, None, None]
+    cot, csc2 = cos / sin, 1.0 / sin**2
+    if key == "ftt":
+        return [((0, 1, 0), 1.0), ((1, 0, 0), -cot), ((0, 0, 2), -csc2)]
+    if key == "fttp":
+        return [((0, 1, 1), 1.0), ((1, 0, 1), -cot), ((0, 0, 3), -csc2)]
+    # f_ttt = (lap f)_t - cot f_tt + (f_t - f_tpp) / sin^2 + 2 cos f_pp / sin^3,
+    # with f_tt substituted
+    if key == "fttt":
+        return [((1, 1, 0), 1.0), ((0, 1, 0), -cot), ((1, 0, 0), cot**2 + csc2),
+                ((1, 0, 2), -csc2), ((0, 0, 2), 3.0 * cot * csc2)]
+    raise ConfigurationError(f"unknown jet key {key!r}")
+
+
+def _phi_derivative(profile: np.ndarray, p: int, m: np.ndarray) -> np.ndarray:
+    """The p-th phi-derivative of [..., (cos, sin), m] coefficient profiles:
+    a cos(m phi) + b sin(m phi) -> m (b cos(m phi) - a sin(m phi))."""
+    if p == 0:
+        return profile
+    scale = m**p * (-1.0) ** (p // 2)
+    if p % 2:
+        return profile[..., ::-1, :] * np.stack([scale, -scale])
+    return profile * scale
+
+
+def _degree_weights(L: int) -> np.ndarray:
+    """The round Laplacian's eigenvalues -l(l+1), l = 0..L."""
+    l = np.arange(L + 1.0)
+    return -l * (l + 1.0)
+
+
+def _levels(terms: dict):
+    """Per table level n that the terms read, the weightings they read it
+    with (0 plain, 1 Laplacian-weighted), as [(n, [w, ...])]."""
+    need = {(n, w) for ts in terms.values() for (n, w, _), _ in ts}
+    return [(n, ws) for n in (0, 1) if (ws := [w for w in (0, 1) if (n, w) in need])]
 
 
 def synthesize_jet(field: HarmonicField, grid: SphericalGrid, which=("f",)):
@@ -286,22 +321,45 @@ def synthesize_jet(field: HarmonicField, grid: SphericalGrid, which=("f",)):
     Laplace-Beltrami operator, applied in coefficient space).  Returns a dict
     of arrays with shape (ncomp, n_theta, n_phi).  All outputs are exact for
     band-limited input up to rounding.
+
+    The coefficients of each order m, cos and sin columns per component,
+    meet each table level the keys need in one batched product: Q for "f",
+    "fp", "fpp", "fppp" and "lap", dQ/dtheta for "ft", "ftp" and "ftpp", the
+    Laplacian-weighted columns stacked beside the plain ones.  The
+    phi-derivatives scale and swap those profiles order by order, and each
+    key is one product over m against the azimuthal basis.  "ftt", "fttp"
+    and "fttt" are per-row combinations of the profiles (``_expansion``).
     """
     if field.degree > grid.L:
         raise ConfigurationError(
             f"field degree {field.degree} exceeds grid degree {grid.L}"
         )
-    Lf = field.degree
-    ca, cb = _by_order(field.coeffs)
-    lam = -np.arange(Lf + 1) * (np.arange(Lf + 1) + 1.0)
+    Lf, nc, M, nt = field.degree, field.n_components, field.degree + 1, grid.n_theta
+    terms = {key: _expansion(key, grid) for key in which}
+    # [m, l, (cos, sin), component]; the m = 0 sin column meets sin(0 phi) = 0
+    coeffs = np.zeros((M, M, 2, nc))
+    coeffs[:, :, 0] = field.coeffs[:, :, Lf:].transpose(2, 1, 0)
+    coeffs[1:, :, 1] = field.coeffs[:, :, Lf - 1 :: -1].transpose(2, 1, 0)
+    lam = _degree_weights(Lf)[:, None, None]
+    m = np.arange(M, dtype=float)
+    profiles = {}       # (n, w, p) -> [component, theta, (cos, sin), m]
+    for n, weighted in _levels(terms):
+        stacked = np.stack([coeffs * lam if w else coeffs for w in weighted], axis=2)
+        prof = grid._theta_tables[n, :M, :, :M] @ stacked.reshape(M, M, -1)
+        prof = np.ascontiguousarray(
+            prof.reshape(M, nt, len(weighted), 2, nc).transpose(2, 4, 1, 3, 0))
+        profiles.update(((n, w, 0), v) for w, v in zip(weighted, prof))
+
+    def term(t):
+        if t not in profiles:
+            profiles[t] = _phi_derivative(profiles[t[:2] + (0,)], t[2], m)
+        return profiles[t]
+
+    az = grid._azimuthal_table[:, :M].reshape(2 * M, grid.n_phi)
     out = {}
-    for key in which:
-        tab = grid._theta_tables[_THETA_TABLE[key]][: Lf + 1, : Lf + 1]  # [m, l, t]
-        az_a, az_b = grid._azimuthal_tables[_AZIMUTHAL_POWERS[key]]
-        wa, wb = (ca, cb) if key != "lap" else (ca * lam, cb * lam)
-        # theta profiles [c, t, m], then the sum over m against the longitudes
-        out[key] = (np.einsum("mlt,cml->ctm", tab, wa) @ az_a[: Lf + 1]
-                    + np.einsum("mlt,cml->ctm", tab, wb) @ az_b[: Lf + 1])
+    for key, ts in terms.items():
+        total = sum(w * term(t) for t, w in ts) if len(ts) > 1 else term(ts[0][0])
+        out[key] = (total.reshape(nc * nt, 2 * M) @ az).reshape(nc, nt, grid.n_phi)
     return out
 
 
@@ -315,24 +373,38 @@ def synthesize_jet_adjoint(jet: dict, grid: SphericalGrid) -> np.ndarray:
     the Euclidean products of node values and of coefficients, for every
     field f of degree L.  No quadrature weights enter here: ``analyze``
     applies this transpose to the values times the weights.
+
+    The stages of ``synthesize_jet`` transposed, in reverse: each key's
+    values meet the azimuthal basis in one product; its terms' row weights
+    and transposed phi-derivatives (d/dphi is antisymmetric) sum those
+    profiles into their (level, weighting) groups; each table level meets
+    its groups in one batched product.
     """
-    L = grid.L
-    lam = -np.arange(L + 1) * (np.arange(L + 1) + 1.0)
-    ca = cb = 0.0
+    L, M, nt = grid.L, grid.L + 1, grid.n_theta
+    terms = {key: _expansion(key, grid) for key in jet}
+    levels = _levels(terms)
+    nc = np.shape(next(iter(jet.values())))[0]
+    m = np.arange(M, dtype=float)
+    az = grid._azimuthal_table.reshape(2 * M, grid.n_phi)
+    acc = {n: np.zeros((len(ws), nc, nt, 2, M)) for n, ws in levels}
+    groups = {(n, w): acc[n][i] for n, ws in levels for i, w in enumerate(ws)}
     for key, vals in jet.items():
-        vals = np.asarray(vals, dtype=float)
-        vals = vals.reshape(vals.shape[0], grid.n_theta, grid.n_phi)
-        tab = grid._theta_tables[_THETA_TABLE[key]]
-        az_a, az_b = grid._azimuthal_tables[_AZIMUTHAL_POWERS[key]]
-        pa = np.einsum("mlt,ctm->cml", tab, vals @ az_a.T)
-        pb = np.einsum("mlt,ctm->cml", tab, vals @ az_b.T)
-        if key == "lap":
-            pa, pb = pa * lam, pb * lam
-        ca, cb = ca + pa, cb + pb
-    coeffs = np.zeros((ca.shape[0], L + 1, 2 * L + 1))
-    coeffs[:, :, L:] = ca.transpose(0, 2, 1)
-    coeffs[:, :, L - 1 :: -1] = cb[:, 1:].transpose(0, 2, 1)
-    return coeffs
+        vals = np.asarray(vals, dtype=float).reshape(nc * nt, grid.n_phi)
+        prof = (vals @ az.T).reshape(nc, nt, 2, M)
+        for (n, w, p), weight in terms[key]:
+            groups[n, w] += weight * _phi_derivative(prof, p, -m)  # (-m)^p: transpose
+    lam = _degree_weights(L)[:, None, None]
+    coeffs = 0.0        # [m, l, (cos, sin), component]
+    for n, weighted in levels:
+        stacked = acc[n].transpose(4, 2, 0, 3, 1).reshape(M, nt, -1)
+        prof = grid._theta_tables[n].transpose(0, 2, 1) @ stacked
+        parts = prof.reshape(M, M, len(weighted), 2, nc)
+        for i, w in enumerate(weighted):
+            coeffs = coeffs + (parts[:, :, i] * lam if w else parts[:, :, i])
+    out = np.zeros((nc, L + 1, 2 * L + 1))
+    out[:, :, L:] = coeffs[:, :, 0].transpose(2, 1, 0)
+    out[:, :, L - 1 :: -1] = coeffs[1:, :, 1].transpose(2, 1, 0)
+    return out
 
 
 def synthesize(field: HarmonicField, grid: SphericalGrid) -> np.ndarray:
@@ -367,10 +439,13 @@ def analyze(values: np.ndarray, grid: SphericalGrid) -> HarmonicField:
 def synthesize_at(field: HarmonicField, theta, phi) -> np.ndarray:
     """Evaluate a field at arbitrary points (theta, phi); shape (ncomp, npts)."""
     theta, phi = (np.ravel(a).astype(float) for a in np.broadcast_arrays(theta, phi))
-    tab = _legendre_tables(field.degree, np.cos(theta), derivatives=False)[0]  # [m, l, point]
-    az = _azimuthal_basis(field.degree, phi)                    # [(cos, sin), m, point]
-    coeffs = np.stack(_by_order(field.coeffs))                  # [(cos, sin), c, m, l]
-    return np.einsum("mlp,scml,smp->cp", tab, coeffs, az, optimize=True)
+    L = field.degree
+    tab = _legendre_tables(L, np.cos(theta), derivatives=False)[0]  # [m, point, l]
+    az = _azimuthal_basis(L, phi)                               # [(cos, sin), m, point]
+    # [(cos, sin), c, m, l]; the m = 0 sin row meets sin(0 phi) = 0
+    coeffs = np.stack([field.coeffs[:, :, L:], field.coeffs[:, :, L::-1]])
+    coeffs = coeffs.transpose(0, 1, 3, 2)
+    return np.einsum("mpl,scml,smp->cp", tab, coeffs, az, optimize=True)
 
 
 def integrate(values: np.ndarray, grid: SphericalGrid, weight=None) -> float:

@@ -52,7 +52,8 @@ def dumps(obj, indent=0) -> str:
     """Deterministic JSON text: insertion-ordered dicts, %.17g floats.
 
     A list of plain scalars (int, float, str, bool, None) is written on one
-    line in one pass."""
+    line in one pass, and a list of rows of ints and finite floats (a
+    field's coefficient table) with one template."""
     pad = " " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -69,11 +70,35 @@ def dumps(obj, indent=0) -> str:
         flat = all(isinstance(v, (int, float, str, bool)) or v is None for v in seq)
         if flat:
             return "[" + ", ".join(map(_format_scalar, seq)) + "]"
+        rows = _format_rows(seq, pad + "  ")
+        if rows is not None:
+            return "[\n" + rows + "\n" + pad + "]"
         items = ",\n".join(f"{pad}  {dumps(v, indent + 2).lstrip()}" for v in seq)
         return "[\n" + items + "\n" + pad + "]"
     if isinstance(obj, np.ndarray):
         return dumps(obj.tolist(), indent)
     return _format_scalar(obj)
+
+
+def _format_rows(rows: list, pad: str):
+    """The lines of a list of equal-length lists whose every column holds
+    only ints or only finite floats, in one template fill; None for any
+    other list, which ``dumps`` writes item by item."""
+    if not all(type(r) is list for r in rows) or len(set(map(len, rows))) != 1:
+        return None
+    specs = []
+    for col in zip(*rows):
+        types = set(map(type, col))
+        if types == {int}:
+            specs.append("%d")
+        elif types == {float} and all(map(math.isfinite, col)):
+            specs.append("%" + FLOAT_SPEC)
+        else:
+            return None
+    if not specs:
+        return None
+    line = pad + "[" + ", ".join(specs) + "]"
+    return ",\n".join([line] * len(rows)) % tuple(chain.from_iterable(rows))
 
 
 def write_json(obj, path: str) -> None:
@@ -105,30 +130,51 @@ def field_to_dict(field: HarmonicField) -> dict:
 def field_from_dict(data: dict) -> HarmonicField:
     """The HarmonicField of field_to_dict's schema; the header holds JSON
     integers.  The whole coefficient table is checked before any of it is
-    used: a non-finite value, a boolean or non-integral index, or an index
-    out of range raises InputError naming the first such entry."""
+    used: an entry that is not a list of four JSON numbers, a non-finite
+    value, a non-integral index, or an index out of range raises InputError
+    naming the first such entry."""
     try:
         ncomp, L, triples = data["components"], data["L"], data["coeffs"]
-        table = np.array(triples or np.empty((0, 4)), dtype=float)
-        if table.shape != (len(triples), 4):
-            raise ValueError(f"coefficient table of shape {table.shape}")
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError) as err:
         raise InputError(f"bad harmonic-field JSON: {err}") from err
     if type(ncomp) is not int or type(L) is not int or ncomp not in (1, 3) or L < 0:
         raise InputError(f"bad field header: components={ncomp!r}, L={L!r}")
-    types = np.fromiter(map(type, chain.from_iterable(triples)), object, table.size)
+    if type(triples) is not list:
+        raise InputError(f"bad harmonic-field JSON: coeffs is a {type(triples).__name__}")
+    # the rows' types and lengths, the entries' types (float() reads a
+    # boolean as a number), then one read of the entries
+    table = None
+    if (set(map(type, triples)) <= {list} and set(map(len, triples)) <= {4}
+            and set(map(type, chain.from_iterable(triples))) <= {int, float}):
+        try:
+            table = np.fromiter(chain.from_iterable(triples), float,
+                                4 * len(triples)).reshape(-1, 4)
+        except OverflowError:       # an integer beyond the float range
+            pass
+    if (table is None or not np.isfinite(table).all()
+            or (table[:, :3] != np.round(table[:, :3])).any()):
+        raise InputError(f"bad coefficient entry: {next(filter(_bad_entry, triples))!r}")
     c, l, m, v = table.T
-    bad = ((types == bool).reshape(-1, 4).any(axis=1)
-           | ~np.isfinite(table).all(axis=1)
-           | (table[:, :3] != np.round(table[:, :3])).any(axis=1))
     out_of_range = ~((0 <= c) & (c < ncomp) & (0 <= l) & (l <= L) & (np.abs(m) <= l))
-    for mask, what in ((bad, "bad coefficient entry"),
-                       (out_of_range, "coefficient index out of range")):
-        if mask.any():
-            raise InputError(f"{what}: {triples[int(np.argmax(mask))]!r}")
+    if out_of_range.any():
+        raise InputError(
+            f"coefficient index out of range: {triples[int(np.argmax(out_of_range))]!r}")
     coeffs = np.zeros((ncomp, L + 1, 2 * L + 1))
     coeffs[c.astype(int), l.astype(int), L + m.astype(int)] = v
     return HarmonicField(coeffs)
+
+
+def _bad_entry(row) -> bool:
+    """Whether a coefficient entry is not four finite JSON numbers (int or
+    float) with integral indices."""
+    if type(row) is not list or len(row) != 4 or any(
+            type(x) not in (int, float) for x in row):
+        return True
+    try:
+        vals = np.array(row, dtype=float)
+    except OverflowError:
+        return True
+    return not np.isfinite(vals).all() or bool((vals[:3] != np.round(vals[:3])).any())
 
 
 def load_field(path: str) -> HarmonicField:

@@ -381,7 +381,7 @@ class _SectorPreconditioner:
                 idx.append(i)
                 wts.append(w)
                 # meridian jet of each column: f_t = dQ, f_p = i k Q, Lap = -l(l+1) Q
-                qq, dq = grid._theta_tables[:2, am, am:].transpose(0, 2, 1)  # [t, l]
+                qq, dq = grid._theta_tables[:, am, :, am:]  # [t, l]
                 col = (np.einsum("rcn,c,nl->rnl", t0, v, dq)
                        + np.einsum("rcn,c,nl->rnl", p0, v, 1j * k * qq))
                 col[2:] += np.einsum("n,c,nl->cnl", lap0, v, -ls * (ls + 1.0) * qq)

@@ -524,7 +524,12 @@ def branched_z2_sphere(grid):
     node = grid.xyz[:, grid.L // 3, 5]
     tangent = np.cross(node, [0.0, 0.0, 1.0])
     q = node + 1e-6 * tangent / np.linalg.norm(tangent)
-    q /= np.linalg.norm(q)
+    return z2_sphere_branched_at(q / np.linalg.norm(q), grid)
+
+
+def z2_sphere_branched_at(q, grid):
+    """z -> z^2 as a sphere S^2 -> S^2, rotated so that its branch points
+    are the unit vector q and its antipode."""
     # the rotation taking q to e3, about the axis q x e3
     axis = np.cross(q, [0.0, 0.0, 1.0])
     R = _rotation(np.arcsin(np.linalg.norm(axis)) * axis / np.linalg.norm(axis))
@@ -553,6 +558,24 @@ def test_verify_codazzi_null_on_branched_sphere():
     assert verify(F, scan_branches=False)["codazzi_norm"] == codazzi_residual(F)
     unbranched = verify(round_sphere(SphericalGrid(24)))
     assert unbranched["codazzi_norm"] < 1e-12 and "codazzi_unavailable" not in unbranched
+
+
+def test_codazzi_holds_on_branched_sphere_without_singular_node():
+    """Codazzi is an identity of the band-limited jets wherever n != 0, so it
+    does not see branching as such.  With the z^2 map's branch points midway
+    between nodes, no node is singular, Gauss-Bonnet reads the map's degree
+    (int K dA = 8 pi) and codazzi_residual reads rounding (7.4e-15 at
+    L = 32).  The large value on branched_z2_sphere comes only from its two
+    nodes 1e-6 from the branch points."""
+    g = SphericalGrid(32)
+    i = g.L // 3
+    theta, phi = 0.5 * (g.theta[i] + g.theta[i + 1]), 5.5 * g.delta_phi
+    q = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+    F = z2_sphere_branched_at(q, g)
+    assert not F.pointwise["singular"].any()
+    report = verify(F)
+    assert abs(report["gauss_bonnet_residual"] - 4.0 * np.pi) < 1e-8
+    assert codazzi_residual(F) < 1e-13
 
 
 def test_verify_scan_flag_is_keyword_only():

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pmcsphere.affine import AffineFunction
-from pmcsphere.cli import cli_dispatch
+from pmcsphere.cli import _build_parser, cli_dispatch
 from pmcsphere.errors import InputError
 from pmcsphere.grid import HarmonicField, SphericalGrid, analyze, synthesize, synthesize_at
 from pmcsphere.planar import DiskGrid, enneper_blowdown
@@ -87,10 +87,16 @@ def test_missing_triples_are_zero():
     ('[[0, 1, 0, 1e400]]', "[0, 1, 0, inf]"),
     ('[[0, 1.9, 0, 0.1]]', "[0, 1.9, 0, 0.1]"),
     ('[[0, true, 0, 0.1]]', "[0, True, 0, 0.1]"),
-], ids=["nan_value", "overflowing_value", "non_integral_index", "boolean_index"])
+    ('[[0, 0, 0, 1.0], [0, 1, 0], [0, 1, 0, NaN]]', "[0, 1, 0]"),
+    ('[[0, 0, 0, 1.0], 5, [0, 1, 0, 0.1]]', "5"),
+    ('[[0, 0, 0, 1.0], [0, 1, 0, "0.5"]]', "[0, 1, 0, '0.5']"),
+    ('[[0, 1, 0, 1.0], [0, 10' + '0' * 400 + ', 0, 1.0]]', "[0, 1" + "0" * 400),
+], ids=["nan_value", "overflowing_value", "non_integral_index", "boolean_index",
+        "ragged_row", "non_list_row", "string_value", "overflowing_index"])
 def test_field_loader_rejects_entry(text, entry):
     """json accepts NaN and reads 1e400 as inf; int() truncates 1.9 and takes
-    true as 1.  The loader rejects each, naming the entry."""
+    true as 1; a row may be short or no list, a value a string or an integer
+    no float holds.  The loader rejects each, naming the first bad entry."""
     data = json.loads('{"components": 1, "L": 2, "coeffs": %s}' % text)
     with pytest.raises(InputError, match=r"bad coefficient entry: " + re.escape(entry)):
         field_from_dict(data)
@@ -277,6 +283,29 @@ def test_cli_unknown_flag_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         cli_dispatch(["solve", "--nonsense"])
     assert exc.value.code == 1
+
+
+def test_cli_dispatches_in_one_process_are_independent(tmp_path, capsys):
+    """One process, one parser: each dispatch reads only its own arguments
+    and defaults, across subcommands, an input error and a usage error."""
+    h_path = tmp_path / "h.json"
+    write_field(x3_plus_two_field(), h_path)
+    parser = _build_parser()
+    balance = ["balance", "--h", str(h_path), "--weight", "round"]
+    assert cli_dispatch(balance + ["--L", "6", "--out-dir", str(tmp_path / "a")]) == 0
+    assert cli_dispatch(["verify", "--immersion", str(tmp_path / "nope.json")]) == 1
+    with pytest.raises(SystemExit) as exc:
+        cli_dispatch(["verify", "--L", "6"])
+    assert exc.value.code == 1
+    assert cli_dispatch(balance + ["--out-dir", str(tmp_path / "b")]) == 0
+    assert cli_dispatch(balance) == 0
+    for out, L in (("a", 6), ("b", 24)):
+        manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+        assert manifest["config"] == {"L": L, "weight": "round"}
+        assert json.loads((tmp_path / out / "balanced.json").read_text())["L"] == L
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b", "h.json"]
+    assert "H_rep = 3" in capsys.readouterr().out.splitlines()[-1]
+    assert _build_parser() is parser
 
 
 def test_cli_missing_file_exits_1(tmp_path):
