@@ -36,6 +36,14 @@ accepted step appends a newton_log record: the residual and its conformality
 and mean-curvature block norms, the step length, the damping and the CG
 iteration count.
 
+Everything a step needs at one degree (grid, packing, row weights and the
+sector preconditioner) is that degree's _Workspace, a pure function of L.
+The functions that take a state find it from the state's coefficients
+(ContinuationState.ws): ContinuationState.at(s, coeffs, b, H_values),
+gauge_basis(state) and gauge_projected_step(state, H_values) take no grid.
+A process keeps the workspaces of its two most recent degrees, the two rungs
+of a solve; a degree solved again after eviction builds its workspace again.
+
 Solutions come in a 3-parameter family (the affine indeterminacy of the
 curvature class, realized as boost reparametrizations).  The centering rows
 keep every iterate near the Mobius-centered member (area center
@@ -50,7 +58,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -105,8 +113,8 @@ class SolverConfig:
     noise_seed: int = 0
 
     def __post_init__(self):
-        if self.tol <= 0 or self.steps < 1:
-            raise ConfigurationError("tol must be > 0 and steps >= 1")
+        if not 0.0 < self.tol < np.inf or self.steps < 1:
+            raise ConfigurationError("tol must be finite and > 0, and steps >= 1")
 
 
 @dataclass
@@ -123,11 +131,12 @@ class ContinuationState:
     last_update: np.ndarray = None  # accepted raw update, before re-basing
 
     @classmethod
-    def at(cls, s, coeffs, b, H_values, grid: SphericalGrid, **logs):
+    def at(cls, s, coeffs, b, H_values, **logs):
         """The iterate (s, coeffs, b), evaluated once against node values of
         H: the residual rows, and the evaluation flat over the nodes.  |b| in
         ell_b is smoothed to sqrt(|b|^2 + eps^2) - eps."""
-        ws, eps = _workspace(grid), B_NORM_SMOOTHING
+        ws, eps = _workspace(coeffs.shape[1] - 1), B_NORM_SMOOTHING
+        grid = ws.grid
         jet = synthesize_jet(HarmonicField(coeffs), grid, which=("ft", "fp", "lap"))
         p = first_order_forms([jet["ft"], jet["fp"]])
         q1, q2 = conformality_defect(p["g"], grid.sin_theta[:, None])
@@ -144,6 +153,12 @@ class ContinuationState:
     @property
     def residual_norm(self) -> float:
         return float(np.linalg.norm(self.residual))
+
+    @property
+    def ws(self) -> "_Workspace":
+        """The workspace of the iterate's degree, looked up, not held: a
+        kept state does not keep an evicted degree's preconditioner."""
+        return _workspace(self.coeffs.shape[1] - 1)
 
 
 @dataclass(frozen=True)
@@ -179,10 +194,9 @@ class StepFailure(RuntimeError):
 # ----------------------------------------------------------------------
 
 class _Workspace:
-    def __init__(self, grid: SphericalGrid):
-        L = grid.L
+    def __init__(self, L: int):
         self.L = L
-        self.grid = grid
+        self.grid = grid = SphericalGrid(L)
         self.n_nodes = grid.n_theta * grid.n_phi
         # unknowns are ordered by component, then l = 0..L, m = -l..l;
         # mode i multiplies coeffs[c, mode_l[i], mode_col[i]]
@@ -233,14 +247,11 @@ class _Workspace:
         return F0, Fu, Fv
 
 
-# one workspace per degree: the grid is a pure function of L
-_workspaces: dict = {}
-
-
-def _workspace(grid: SphericalGrid) -> _Workspace:
-    if grid.L not in _workspaces:
-        _workspaces[grid.L] = _Workspace(grid)
-    return _workspaces[grid.L]
+@lru_cache(maxsize=2)
+def _workspace(L: int) -> _Workspace:
+    """The workspace of degree L, a pure function of L.  A solve has at most
+    two rungs, so the two most recent degrees stay built."""
+    return _Workspace(L)
 
 
 # ----------------------------------------------------------------------
@@ -258,15 +269,14 @@ def residual(F, b, H_target_values, grid: SphericalGrid) -> np.ndarray:
     """
     if isinstance(F, ImmersionField):
         F = F.field
-    ws = _workspace(grid)
+    ws = _workspace(grid.L)
     H_flat = np.asarray(H_target_values, dtype=float).ravel()
     if H_flat.size != ws.n_nodes:
         raise ConfigurationError("H_target values do not match the grid")
     if not np.all(H_flat > 0):
         raise DataError("H_target must be positive everywhere")
     coeffs = F.truncated(grid.L).coeffs if F.degree != grid.L else F.coeffs
-    return ContinuationState.at(1.0, coeffs, np.asarray(b, dtype=float), H_flat,
-                                grid).residual
+    return ContinuationState.at(1.0, coeffs, np.asarray(b, dtype=float), H_flat).residual
 
 
 # ----------------------------------------------------------------------
@@ -286,9 +296,9 @@ class _Linearization:
     b: np.ndarray               # (3, 3, n_nodes)
 
 
-def _linearization(state: ContinuationState, ws) -> _Linearization:
+def _linearization(state: ContinuationState) -> _Linearization:
     """The Jacobian's coefficients at the state, read from its evaluation."""
-    ev, b = state.evaluation, state.b
+    ev, b, ws = state.evaluation, state.b, state.ws
     ft, fp = ev["ft"], ev["fp"]
     sin = ws.sin_flat
     cw = ws.conf_row_w
@@ -307,24 +317,24 @@ def _linearization(state: ContinuationState, ws) -> _Linearization:
     return _Linearization(t=t, p=p, lap=mw, b=mw * wn[:, None] * dell[None])
 
 
-def _jvp(lin: _Linearization, v, grid, ws) -> np.ndarray:
+def _jvp(lin: _Linearization, v, ws) -> np.ndarray:
     """J v from one jet synthesis of the coefficient part of v."""
     coeffs, db = ws.unpack(v)
-    jet = synthesize_jet(HarmonicField(coeffs), grid, which=("ft", "fp", "lap"))
+    jet = synthesize_jet(HarmonicField(coeffs), ws.grid, which=("ft", "fp", "lap"))
     dft, dfp, dlap = (jet[k].reshape(3, -1) for k in ("ft", "fp", "lap"))
     out = np.einsum("rcn,cn->rn", lin.t, dft) + np.einsum("rcn,cn->rn", lin.p, dfp)
     out[2:] += lin.lap * dlap + np.einsum("ajn,j->an", lin.b, db)
     return out.ravel()
 
 
-def _vjp(lin: _Linearization, w, grid, ws) -> np.ndarray:
+def _vjp(lin: _Linearization, w, ws) -> np.ndarray:
     """J^T w from one adjoint jet synthesis."""
     w = w.reshape(5, -1)
     coeffs = synthesize_jet_adjoint({
         "ft": np.einsum("rcn,rn->cn", lin.t, w),
         "fp": np.einsum("rcn,rn->cn", lin.p, w),
         "lap": lin.lap * w[2:],
-    }, grid)
+    }, ws.grid)
     return ws.pack(coeffs, np.einsum("ajn,an->j", lin.b, w[2:]))
 
 
@@ -354,8 +364,7 @@ class _SectorPreconditioner:
     def __init__(self, ws):
         grid, L, nm = ws.grid, ws.L, ws.n_modes
         round_lin = _linearization(ContinuationState.at(
-            0.0, analyze(grid.xyz, grid).coeffs, np.zeros(3), np.full(ws.n_nodes, 2.0),
-            grid), ws)
+            0.0, analyze(grid.xyz, grid).coeffs, np.zeros(3), np.full(ws.n_nodes, 2.0)))
         meridian = np.arange(grid.n_theta) * grid.n_phi
         t0, p0 = round_lin.t[:, :, meridian], round_lin.p[:, :, meridian]
         lap0, b0 = round_lin.lap[meridian], round_lin.b[:, :, meridian]
@@ -438,35 +447,37 @@ class _SectorPreconditioner:
 # gauge basis and projected step
 # ----------------------------------------------------------------------
 
-def _area_center(state: ContinuationState, grid: SphericalGrid, ws):
+def _area_center(state: ContinuationState):
     """Center c = int p dV / int dV of the induced area measure on the domain
     sphere (dV = |n| / sin dsigma, |n| from the state's evaluation), and
     dc/d|n| at each node (3, n_nodes).  Pointwise: no transform."""
-    w = grid.w.ravel() / ws.sin_flat
+    ws = state.ws
+    w = ws.grid.w.ravel() / ws.sin_flat
     area = state.evaluation["cross_norm"]
     total = w @ area
     c = ws.xyz_flat @ (w * area) / total
     return c, (ws.xyz_flat - c[:, None]) * (w / total)
 
 
-def _center_gradient(state: ContinuationState, grid: SphericalGrid, ws):
+def _center_gradient(state: ContinuationState):
     """The area center c and its exact gradient (3, 3 n_modes) in the packed
     coefficients (c does not depend on b): d|n| = (F_p x N).dF_t +
     (N x F_t).dF_p, so the gradient is one adjoint jet synthesis."""
-    c, dc_darea = _area_center(state, grid, ws)
+    c, dc_darea = _area_center(state)
+    ws = state.ws
     ft, fp, N = (state.evaluation[k] for k in ("ft", "fp", "normal"))
     # rows (k, a): d c_k through F_t and F_p of component a
     grad = synthesize_jet_adjoint({
         "ft": (dc_darea[:, None] * np.cross(fp, N, axis=0)[None]).reshape(9, -1),
         "fp": (dc_darea[:, None] * np.cross(N, ft, axis=0)[None]).reshape(9, -1),
-    }, grid)[:, ws.mode_l, ws.mode_col]                       # (9, n_modes)
+    }, ws.grid)[:, ws.mode_l, ws.mode_col]                       # (9, n_modes)
     return c, grad.reshape(3, -1)
 
 
-def gauge_basis(state: ContinuationState, grid: SphericalGrid) -> GaugeBasis:
+def gauge_basis(state: ContinuationState) -> GaugeBasis:
     """Translations, ambient rotations and area-center gradients at the
     state's immersion, as unit coefficient-space columns, with the center."""
-    ws = _workspace(grid)
+    ws = state.ws
     G = np.zeros((ws.n_unknowns, 9))
     # translations: a constant shift of one component (its l = 0 mode)
     G[np.arange(3) * ws.n_modes, np.arange(3)] = np.sqrt(FOUR_PI)
@@ -474,7 +485,7 @@ def gauge_basis(state: ContinuationState, grid: SphericalGrid) -> GaugeBasis:
     modes = ws.pack(state.coeffs, np.zeros(3))[:-3].reshape(3, -1)
     for k, e in enumerate(np.eye(3)):
         G[:-3, 3 + k] = np.cross(e, modes, axis=0).ravel()
-    center, dc = _center_gradient(state, grid, ws)
+    center, dc = _center_gradient(state)
     G[:-3, 6:] = dc.T
     norms = np.linalg.norm(G, axis=0)
     G /= norms
@@ -488,10 +499,11 @@ def gauge_basis(state: ContinuationState, grid: SphericalGrid) -> GaugeBasis:
     return GaugeBasis(matrix=G, rhs=rhs, center=center, gram_condition=cond)
 
 
-def _rebase(coeffs, ws):
+def _rebase(coeffs):
     """Ambient rigid motion fixing the base point: after it, F(p0) = 0, the
     normal at p0 is e3 and F_u(p0) points along e1 (p0 the north pole).
     Raises DataError when F_u x F_v vanishes at p0."""
+    ws = _workspace(coeffs.shape[1] - 1)
     _, Fu, Fv = ws.pole_frame(coeffs)
     n = np.cross(Fu, Fv)
     nn = np.linalg.norm(n)
@@ -506,7 +518,7 @@ def _rebase(coeffs, ws):
     return out
 
 
-def _projected_cg(lin, basis, g, lam, grid, ws):
+def _projected_cg(lin, basis, g, lam, ws):
     """Solve the damped, gauge-constrained normal equations
     [J^T J + lam I, G; G^T, 0] [delta; mu] = [-g; rhs] (g = J^T r) without
     forming J: projected preconditioned CG (Gould, Hribar & Nocedal 2001)
@@ -528,7 +540,7 @@ def _projected_cg(lin, basis, g, lam, grid, ws):
         return res - G @ v, pre.solve(res, lam) - PG @ v
 
     def normal(v):
-        return _vjp(lin, _jvp(lin, v, grid, ws), grid, ws) + lam * v
+        return _vjp(lin, _jvp(lin, v, ws), ws) + lam * v
 
     x = PG @ (S_inv @ basis.rhs)
     res, y = project(normal(x) + g)
@@ -550,8 +562,7 @@ def _projected_cg(lin, basis, g, lam, grid, ws):
     return (x if rho <= stop else None), KRYLOV_MAX_ITERS
 
 
-def gauge_projected_step(state: ContinuationState, H_values,
-                         grid: SphericalGrid) -> ContinuationState:
+def gauge_projected_step(state: ContinuationState, H_values) -> ContinuationState:
     """One damped Gauss-Newton update under the gauge constraints.
 
     Solves the KKT system of the damped normal equations subject to
@@ -564,32 +575,32 @@ def gauge_projected_step(state: ContinuationState, H_values,
     read its evaluation, and each trial point is evaluated once.
     Appends one record to the state's newton_log.
     """
-    ws = _workspace(grid)
+    ws = state.ws
     n0 = state.residual_norm
-    lin = _linearization(state, ws)
-    basis = gauge_basis(state, grid)
-    g = _vjp(lin, state.residual, grid, ws)
+    lin = _linearization(state)
+    basis = gauge_basis(state)
+    g = _vjp(lin, state.residual, ws)
     lam = 1e-12 * ws.sectors.trace / ws.n_unknowns
 
     x0 = ws.pack(state.coeffs, state.b)
     linear_iters = 0
     for attempt in range(4):
-        delta, iters = _projected_cg(lin, basis, g, lam, grid, ws)
+        delta, iters = _projected_cg(lin, basis, g, lam, ws)
         linear_iters += iters
         if delta is not None:
             alpha = 1.0
             for halvings in range(MAX_HALVINGS + 1):
                 coeffs_try, b_try = ws.unpack(x0 + alpha * delta)
-                if ContinuationState.at(state.s, coeffs_try, b_try, H_values,
-                                        grid).residual_norm < n0:
+                if ContinuationState.at(state.s, coeffs_try, b_try,
+                                        H_values).residual_norm < n0:
                     new = ContinuationState.at(
-                        state.s, _rebase(coeffs_try, ws), b_try, H_values, grid,
+                        state.s, _rebase(coeffs_try), b_try, H_values,
                         step_log=state.step_log, newton_log=state.newton_log,
                         last_update=alpha * delta,
                     )
                     n_conf = 2 * ws.n_nodes
                     new.newton_log.append({
-                        "degree": grid.L, "residual": new.residual_norm,
+                        "degree": ws.L, "residual": new.residual_norm,
                         "residual_conformality": float(np.linalg.norm(new.residual[:n_conf])),
                         "residual_mc": float(np.linalg.norm(new.residual[n_conf:])),
                         "alpha": alpha, "halvings": halvings, "damping_retries": attempt,
@@ -606,18 +617,18 @@ def gauge_projected_step(state: ContinuationState, H_values,
 # continuation driver
 # ----------------------------------------------------------------------
 
-def _round_start(grid, config):
+def _round_start(L, config):
+    grid = _workspace(L).grid
     coeffs = analyze(grid.xyz, grid).coeffs.copy()
-    ws = _workspace(grid)
     if config.noise_amplitude > 0:
         rng = np.random.default_rng(config.noise_seed)
-        valid = np.abs(np.arange(-grid.L, grid.L + 1)) <= np.arange(grid.L + 1)[:, None]
+        valid = np.abs(np.arange(-L, L + 1)) <= np.arange(L + 1)[:, None]
         noise = rng.uniform(-1, 1, size=coeffs.shape) * config.noise_amplitude
         coeffs = coeffs + noise * valid
-    return _rebase(coeffs, ws)
+    return _rebase(coeffs)
 
 
-def _newton_to_tol(state, H_values, grid, target, center=False):
+def _newton_to_tol(state, H_values, target, center=False):
     """Gauss-Newton until the residual norm is at most ``target`` and, with
     ``center``, the area center is at most CENTER_TOL from 0.
 
@@ -626,15 +637,14 @@ def _newton_to_tol(state, H_values, grid, target, center=False):
     """
     def met():
         return state.residual_norm <= target and not (
-            center and np.linalg.norm(
-                _area_center(state, grid, _workspace(grid))[0]) > CENTER_TOL
+            center and np.linalg.norm(_area_center(state)[0]) > CENTER_TOL
         )
 
     for _ in range(MAX_NEWTON_ITERS):
         if met():
             return state, None
         try:
-            state = gauge_projected_step(state, H_values, grid)
+            state = gauge_projected_step(state, H_values)
         except StepFailure:
             return state, "line_search_exhausted"
     return state, None if met() else "iteration_cap"
@@ -650,21 +660,20 @@ def _ladder(L: int) -> list:
     return [COARSEST_DEGREE, L] if L > COARSEST_DEGREE else [L]
 
 
-def _rung_start(state, H_vals, grid, config):
+def _rung_start(state, H_vals, L, config):
     """The first rung starts from the round sphere at s = 0; a later rung
-    starts from the previous rung's state, zero-padded to its degree."""
+    starts from the previous rung's state, zero-padded to degree L."""
     if state is None:
-        coeffs, b, s = _round_start(grid, config), np.zeros(3), 0.0
+        coeffs, b, s = _round_start(L, config), np.zeros(3), 0.0
         logs = {}
     else:
-        coeffs = _rebase(HarmonicField(state.coeffs).truncated(grid.L).coeffs,
-                         _workspace(grid))
+        coeffs = _rebase(HarmonicField(state.coeffs).truncated(L).coeffs)
         b, s = state.b.copy(), state.s
         logs = dict(step_log=state.step_log, newton_log=state.newton_log)
-    return ContinuationState.at(s, coeffs, b, _homotopy(s, H_vals), grid, **logs)
+    return ContinuationState.at(s, coeffs, b, _homotopy(s, H_vals), **logs)
 
 
-def _continue(state, H_vals, grid, config, final):
+def _continue(state, H_vals, config, final):
     """Predictor-corrector continuation on one rung, from state.s to s = 1.
 
     Corrects ``state`` at its own s (logged with ds = 0), then advances s:
@@ -676,16 +685,14 @@ def _continue(state, H_vals, grid, config, final):
     failed stage ends the rung.  Returns (last accepted state, stall reason
     or None).
     """
-    ws = _workspace(grid)
+    ws = state.ws
 
     def correct(trial, ds):
         n_before = len(trial.newton_log)
-        trial, reason = _newton_to_tol(
-            trial, _homotopy(trial.s, H_vals), grid, 10.0 * config.tol
-        )
+        trial, reason = _newton_to_tol(trial, _homotopy(trial.s, H_vals), 10.0 * config.tol)
         iters = len(trial.newton_log) - n_before
         trial.step_log.append(
-            {"degree": grid.L, "s": trial.s, "ds": ds, "converged": reason is None,
+            {"degree": ws.L, "s": trial.s, "ds": ds, "converged": reason is None,
              "residual": trial.residual_norm, "newton_iters": iters}
         )
         return trial, reason, iters
@@ -705,8 +712,8 @@ def _continue(state, H_vals, grid, config, final):
             # secant predictor through the last two accepted states
             s_prev, x_prev = previous
             coeffs, b = ws.unpack(x + ds / (s - s_prev) * (x - x_prev))
-            coeffs = _rebase(coeffs, ws)
-        trial = ContinuationState.at(s_next, coeffs, b, _homotopy(s_next, H_vals), grid,
+            coeffs = _rebase(coeffs)
+        trial = ContinuationState.at(s_next, coeffs, b, _homotopy(s_next, H_vals),
                                      step_log=state.step_log,
                                      newton_log=state.newton_log)
         trial, reason, iters = correct(trial, ds)
@@ -770,7 +777,7 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
             f"{need / 1e9:.2f} GB, more than the {have / 1e9:.2f} GB of "
             "physical memory"
         )
-    grid = SphericalGrid(config.degree)
+    grid = _workspace(config.degree).grid
     if isinstance(H_target, HarmonicField):
         if H_target.degree > grid.L:
             raise ConfigurationError("H_target degree exceeds solver degree")
@@ -788,23 +795,21 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
     state = None
     for L in rungs:
         final = L == grid.L
-        rung_grid, rung_H = grid, H_vals
+        rung_H = H_vals
         if not final:
             # a coarse rung pays off only on a target it resolves
             if np.linalg.norm(H_target.coeffs[:, L + 1:]) > config.tol:
                 continue
-            rung_grid = SphericalGrid(L)
-            rung_H = synthesize(H_target.truncated(L), rung_grid)
+            rung_H = synthesize(H_target.truncated(L), _workspace(L).grid)
             if not np.all(rung_H > 0):
                 continue
-        state = _rung_start(state, rung_H, rung_grid, config)
-        state, reason = _continue(state, rung_H, rung_grid, config, final)
+        state = _rung_start(state, rung_H, L, config)
+        state, reason = _continue(state, rung_H, config, final)
 
     if reason is None:
         # final polish; row weighting makes the norm the chart-form L2 norm,
         # so driving it to tol/2 bounds both reported block residuals by tol
-        state, reason = _newton_to_tol(state, H_vals, grid, 0.5 * config.tol,
-                                       center=True)
+        state, reason = _newton_to_tol(state, H_vals, 0.5 * config.tol, center=True)
 
     field = HarmonicField(state.coeffs)
     affine = AffineFunction(state.b)

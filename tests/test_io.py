@@ -447,18 +447,26 @@ def test_cli_solve_stall_exit_2(tmp_path, capsys):
 
 
 def test_cli_solve_nan_target_exits_1_before_solving(tmp_path, monkeypatch, capsys):
-    """A NaN target coefficient is an input error: exit 1 with the entry
-    named, before any solve, and no outputs."""
+    """A NaN target coefficient, and a non-finite --tol on a valid target,
+    are input errors: exit 1 with the cause named, before any solve, and no
+    outputs."""
     import pmcsphere.cli as cli
 
     def no_solve(*args):
         raise AssertionError("the solve started")
 
     monkeypatch.setattr(cli, "solve_pmc", no_solve)
-    h_path = tmp_path / "nan.json"
-    h_path.write_text('{"components": 1, "L": 0, "coeffs": [[0, 0, 0, NaN]]}')
-    out = tmp_path / "out"
-    code = cli_dispatch(["solve", "--h-target", str(h_path), "--out-dir", str(out)])
-    assert code == 1
-    assert not out.exists()
-    assert "bad coefficient entry: [0, 0, 0, nan]" in capsys.readouterr().err
+    nan_path, valid_path = tmp_path / "nan.json", tmp_path / "valid.json"
+    nan_path.write_text('{"components": 1, "L": 0, "coeffs": [[0, 0, 0, NaN]]}')
+    write_field(x3_plus_two_field(), valid_path)
+    for i, (h_path, extra, message) in enumerate([
+        (nan_path, [], "bad coefficient entry: [0, 0, 0, nan]"),
+        (valid_path, ["--tol", "inf"], "tol must be finite"),
+        (valid_path, ["--tol", "nan"], "tol must be finite"),
+    ]):
+        out = tmp_path / f"out{i}"
+        code = cli_dispatch(["solve", "--h-target", str(h_path), *extra,
+                             "--out-dir", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert message in capsys.readouterr().err

@@ -47,8 +47,7 @@ from test_acceptance import _mobius_reparametrize
 
 
 def based_sphere_coeffs(grid):
-    ws = _workspace(grid)
-    return _rebase(analyze(grid.xyz, grid).coeffs.copy(), ws)
+    return _rebase(analyze(grid.xyz, grid).coeffs.copy())
 
 
 def centered_radii(field, grid):
@@ -93,7 +92,7 @@ def test_residual_zero_at_based_sphere():
     coeffs = based_sphere_coeffs(g)
     H2 = np.full((g.n_theta, g.n_phi), 2.0)
     r = residual(HarmonicField(coeffs), np.zeros(3), H2, g)
-    assert r.shape == (5 * _workspace(g).n_nodes,)
+    assert r.shape == (5 * _workspace(g.L).n_nodes,)
     assert np.linalg.norm(r) < 1e-8
 
 
@@ -102,8 +101,8 @@ def test_residual_wrong_radius_floor():
     below (the chart-free residual is the unit vector field, L2 norm
     sqrt(4 pi))."""
     g = SphericalGrid(12)
-    ws = _workspace(g)
-    coeffs = _rebase(2.0 * analyze(g.xyz, g).coeffs, ws)
+    ws = _workspace(g.L)
+    coeffs = _rebase(2.0 * analyze(g.xyz, g).coeffs)
     H2 = np.full((g.n_theta, g.n_phi), 2.0)
     r = residual(HarmonicField(coeffs), np.zeros(3), H2, g)
     nn = ws.n_nodes
@@ -119,7 +118,7 @@ def test_rebase_rejects_degenerate_base_frame():
     coeffs = analyze(g.xyz, g).coeffs.copy()
     coeffs[:, :, [g.L - 1, g.L + 1]] = 0.0
     with pytest.raises(DataError, match="degenerate frame"):
-        _rebase(coeffs, _workspace(g))
+        _rebase(coeffs)
 
 
 def test_residual_depends_only_on_sum():
@@ -170,40 +169,40 @@ def test_solve_rejects_nan_target_before_any_step(monkeypatch):
 
 def perturbed_sphere_linearization():
     """An L = 8 sphere perturbed off round, with b != 0 and a non-constant
-    target: (linearization, coeffs, b, H, grid, workspace)."""
+    target: (linearization, coeffs, b, H, workspace)."""
     g = SphericalGrid(8)
-    ws = _workspace(g)
+    ws = _workspace(g.L)
     vals = g.xyz * (1.0 + 0.1 * g.xyz[0] * g.xyz[2])[None]
-    coeffs = _rebase(analyze(vals, g).coeffs.copy(), ws)
+    coeffs = _rebase(analyze(vals, g).coeffs.copy())
     b = np.array([0.2, -0.1, 0.3])
     H = (2.0 + 0.2 * g.xyz[2] + 0.1 * g.xyz[0] ** 2).ravel()
-    state = ContinuationState.at(1.0, coeffs, b, H, g)
-    return _linearization(state, ws), coeffs, b, H, g, ws
+    state = ContinuationState.at(1.0, coeffs, b, H)
+    return _linearization(state), coeffs, b, H, ws
 
 
-def jacobian_columns(lin, grid, ws):
+def jacobian_columns(lin, ws):
     """The dense Jacobian, column by column from J e_j (a test reference)."""
     eye = np.eye(ws.n_unknowns)
-    return np.stack([_jvp(lin, e, grid, ws) for e in eye], axis=1)
+    return np.stack([_jvp(lin, e, ws) for e in eye], axis=1)
 
 
 def test_jacobian_matches_centred_differences():
     """J v (on every unit vector) and J^T w (on every unit row vector) equal
     centred differences of the pointwise residual rows, on a perturbed
     sphere with b != 0."""
-    lin, coeffs, b, H, g, ws = perturbed_sphere_linearization()
+    lin, coeffs, b, H, ws = perturbed_sphere_linearization()
     rows = 5 * ws.n_nodes
     x0, h = ws.pack(coeffs, b), 1e-5
     fd = np.empty((rows, x0.size))
     for j in range(x0.size):
         step = np.zeros_like(x0)
         step[j] = h
-        rp = ContinuationState.at(1.0, *ws.unpack(x0 + step), H, g).residual
-        rm = ContinuationState.at(1.0, *ws.unpack(x0 - step), H, g).residual
+        rp = ContinuationState.at(1.0, *ws.unpack(x0 + step), H).residual
+        rm = ContinuationState.at(1.0, *ws.unpack(x0 - step), H).residual
         fd[:, j] = (rp - rm)[:rows] / (2 * h)
-    J = jacobian_columns(lin, g, ws)
+    J = jacobian_columns(lin, ws)
     assert np.max(np.abs(J - fd)) <= 1e-8
-    JT = np.stack([_vjp(lin, e, g, ws) for e in np.eye(rows)])
+    JT = np.stack([_vjp(lin, e, ws) for e in np.eye(rows)])
     assert np.max(np.abs(JT - fd)) <= 1e-8
 
 
@@ -211,16 +210,16 @@ def test_jacobian_matches_centred_differences():
 def test_jacobian_products_are_adjoint(L, seed):
     """<J v, w> = <v, J^T w> at a random state, for random v and w."""
     g = SphericalGrid(L)
-    ws = _workspace(g)
+    ws = _workspace(L)
     rng = np.random.default_rng(seed)
     x = ws.pack(analyze(g.xyz, g).coeffs, np.zeros(3))
     x += 0.05 * rng.standard_normal(x.size)
     coeffs, b = ws.unpack(x)
     H = 2.0 + 0.1 * rng.standard_normal(ws.n_nodes)
-    lin = _linearization(ContinuationState.at(1.0, coeffs, b, H, g), ws)
+    lin = _linearization(ContinuationState.at(1.0, coeffs, b, H))
     v = rng.standard_normal(ws.n_unknowns)
     w = rng.standard_normal(5 * ws.n_nodes)
-    Jv, JTw = _jvp(lin, v, g, ws), _vjp(lin, w, g, ws)
+    Jv, JTw = _jvp(lin, v, ws), _vjp(lin, w, ws)
     assert abs(Jv @ w - v @ JTw) <= 1e-12 * np.linalg.norm(Jv) * np.linalg.norm(w)
 
 
@@ -243,12 +242,12 @@ def test_sector_blocks_match_round_normal_matrix():
     P = sum_q U B_q U^H with those six values lifted to the smallest other
     eigenvalue."""
     g = SphericalGrid(8)
-    ws = _workspace(g)
+    ws = _workspace(g.L)
     pre = ws.sectors
     H0 = np.full(ws.n_nodes, 2.0)
     lin0 = _linearization(ContinuationState.at(1.0, analyze(g.xyz, g).coeffs, np.zeros(3),
-                                               H0, g), ws)
-    J0 = jacobian_columns(lin0, g, ws)
+                                               H0))
+    J0 = jacobian_columns(lin0, ws)
     A0 = J0.T @ J0
     assert abs(pre.trace - np.trace(A0)) <= 1e-12 * np.trace(A0)
     n = ws.n_unknowns
@@ -287,19 +286,19 @@ def test_sector_blocks_match_round_normal_matrix():
         assert np.linalg.norm(defect) < 1e-10 * np.linalg.norm(r)
 
 
-def kkt_reference(state, H, g, lam_factor=1e-12):
+def kkt_reference(state, lam_factor=1e-12):
     """The damped KKT update solved densely from J's columns (a reference
     for the matrix-free solve), with the step's own damping."""
-    ws = _workspace(g)
-    lin = _linearization(state, ws)
-    basis = gauge_basis(state, g)
-    J = jacobian_columns(lin, g, ws)
+    ws = state.ws
+    lin = _linearization(state)
+    basis = gauge_basis(state)
+    J = jacobian_columns(lin, ws)
     n, G = ws.n_unknowns, basis.matrix
     lam = lam_factor * ws.sectors.trace / n
     K = np.block([[J.T @ J + lam * np.eye(n), G], [G.T, np.zeros((9, 9))]])
     r0 = state.residual[: 5 * ws.n_nodes]
     rhs = np.concatenate([-(J.T @ r0), basis.rhs])
-    krylov = _projected_cg(lin, basis, _vjp(lin, r0, g, ws), lam, g, ws)
+    krylov = _projected_cg(lin, basis, _vjp(lin, r0, ws), lam, ws)
     return np.linalg.solve(K, rhs)[:n], krylov
 
 
@@ -308,23 +307,22 @@ def test_krylov_update_matches_dense_kkt():
     1e-9 (relative), at the round start against target 103 (eps = 0.1) and
     at a noisy state against 2 + x3."""
     g = SphericalGrid(12)
-    ws = _workspace(g)
+    ws = _workspace(g.L)
     rng = np.random.default_rng(4)
-    round_start = _round_start(g, SolverConfig(degree=12))
+    round_start = _round_start(g.L, SolverConfig(degree=12))
     x = ws.pack(round_start, np.zeros(3)) + 1e-3 * rng.uniform(-1, 1, ws.n_unknowns)
     noisy, b_noisy = ws.unpack(x)
-    noisy = _rebase(noisy, ws)
+    noisy = _rebase(noisy)
     for coeffs, b, H in ((round_start, np.zeros(3), acceptance_target(g, 103, 0.1)),
                          (noisy, b_noisy, 2.0 + g.xyz[2])):
-        state = ContinuationState.at(1.0, coeffs, b, H, g)
-        dense, (krylov, iters) = kkt_reference(state, H, g)
+        state = ContinuationState.at(1.0, coeffs, b, H)
+        dense, (krylov, iters) = kkt_reference(state)
         assert 1 <= iters <= 40
         assert np.linalg.norm(krylov - dense) <= 1e-9 * np.linalg.norm(dense)
 
 
 def test_pack_unpack_roundtrip():
-    g = SphericalGrid(6)
-    ws = _workspace(g)
+    ws = _workspace(6)
     x = np.random.default_rng(1).standard_normal(ws.n_unknowns)
     coeffs, b = ws.unpack(x)
     assert np.array_equal(ws.pack(coeffs, b), x)
@@ -333,20 +331,21 @@ def test_pack_unpack_roundtrip():
 
 
 def test_workspace_cache_one_entry_per_degree():
-    """Repeated solves at one degree reuse one workspace."""
-    solver._workspaces.clear()
+    """Repeated solves at one degree build its workspace once."""
+    _workspace.cache_clear()
     g = SphericalGrid(6)
     for _ in range(2):
         solve_pmc(np.full((g.n_theta, g.n_phi), 2.0),
                   SolverConfig(degree=6, steps=1))
-    assert len(solver._workspaces) == 1
+    info = _workspace.cache_info()
+    assert info.misses == info.currsize == 1 and info.hits > 0
 
 
 def test_gauge_basis_independent():
     g = SphericalGrid(10)
     H = np.full((g.n_theta, g.n_phi), 2.0)
-    state = ContinuationState.at(1.0, based_sphere_coeffs(g), np.zeros(3), H, g)
-    basis = gauge_basis(state, g)
+    state = ContinuationState.at(1.0, based_sphere_coeffs(g), np.zeros(3), H)
+    basis = gauge_basis(state)
     assert basis.matrix.shape[1] == 9
     assert basis.gram_condition < 1e10
 
@@ -355,19 +354,18 @@ def test_step_basin_of_attraction():
     """Noise 1e-3 at the round sphere, H = 2: residual < 1e-8 within 10
     Gauss-Newton iterations."""
     g = SphericalGrid(12)
-    ws = _workspace(g)
     rng = np.random.default_rng(5)
     coeffs = based_sphere_coeffs(g)
     valid = np.zeros_like(coeffs, dtype=bool)
     for l in range(g.L + 1):
         valid[:, l, g.L - l : g.L + l + 1] = True
-    coeffs = _rebase(coeffs + 1e-3 * rng.uniform(-1, 1, coeffs.shape) * valid, ws)
+    coeffs = _rebase(coeffs + 1e-3 * rng.uniform(-1, 1, coeffs.shape) * valid)
     H = np.full((g.n_theta, g.n_phi), 2.0)
-    state = ContinuationState.at(1.0, coeffs, np.zeros(3), H, g)
+    state = ContinuationState.at(1.0, coeffs, np.zeros(3), H)
     for _ in range(10):
         if state.residual_norm < 1e-8:
             break
-        state = gauge_projected_step(state, H, g)
+        state = gauge_projected_step(state, H)
     assert state.residual_norm < 1e-8
 
 
@@ -396,12 +394,12 @@ def test_accepted_full_step_evaluates_residual_twice(monkeypatch):
     is built, the step synthesizes one jet per CG product, one for the CG
     start and one per evaluation: linear_iters + 3."""
     g = SphericalGrid(10)
-    ws = _workspace(g)
+    ws = _workspace(g.L)
     rng = np.random.default_rng(5)
     x = ws.pack(based_sphere_coeffs(g), np.zeros(3))
-    coeffs = _rebase(ws.unpack(x + 1e-3 * rng.uniform(-1, 1, x.size))[0], ws)
+    coeffs = _rebase(ws.unpack(x + 1e-3 * rng.uniform(-1, 1, x.size))[0])
     H = np.full((g.n_theta, g.n_phi), 2.0)
-    state = ContinuationState.at(1.0, coeffs, np.zeros(3), H, g)
+    state = ContinuationState.at(1.0, coeffs, np.zeros(3), H)
     ws.sectors  # the preconditioner's own round-sphere evaluation is not counted
     calls, at = [], ContinuationState.at.__func__
 
@@ -411,7 +409,7 @@ def test_accepted_full_step_evaluates_residual_twice(monkeypatch):
 
     monkeypatch.setattr(ContinuationState, "at", classmethod(counted))
     transforms = count_transforms(monkeypatch)
-    new = gauge_projected_step(state, H, g)
+    new = gauge_projected_step(state, H)
     assert len(calls) == 2
     assert new.newton_log[-1]["alpha"] == 1.0
     assert transforms["synthesize_jet"] == new.newton_log[-1]["linear_iters"] + 3
@@ -424,22 +422,21 @@ def test_polish_center_check_runs_no_transform(monkeypatch):
     target (the based round sphere, H = 2) it runs neither transform."""
     g = SphericalGrid(10)
     H = np.full((g.n_theta, g.n_phi), 2.0)
-    state = ContinuationState.at(1.0, based_sphere_coeffs(g), np.zeros(3), H, g)
-    assert np.linalg.norm(_area_center(state, g, _workspace(g))[0]) <= CENTER_TOL
+    state = ContinuationState.at(1.0, based_sphere_coeffs(g), np.zeros(3), H)
+    assert np.linalg.norm(_area_center(state)[0]) <= CENTER_TOL
     calls = count_transforms(monkeypatch)
-    done, reason = solver._newton_to_tol(state, H, g, 1e-8, center=True)
+    done, reason = solver._newton_to_tol(state, H, 1e-8, center=True)
     assert done is state and reason is None
     assert calls == {"synthesize_jet": 0, "synthesize_jet_adjoint": 0}
 
 
 def test_step_zero_update_at_solution():
     g = SphericalGrid(10)
-    ws = _workspace(g)
     coeffs = based_sphere_coeffs(g)
     H = np.full((g.n_theta, g.n_phi), 2.0)
-    state = ContinuationState.at(1.0, coeffs, np.zeros(3), H, g)
+    state = ContinuationState.at(1.0, coeffs, np.zeros(3), H)
     try:
-        new = gauge_projected_step(state, H, g)
+        new = gauge_projected_step(state, H)
         assert np.linalg.norm(new.last_update) < 1e-6
     except StepFailure:
         pass  # no strict decrease available at a machine-precision solution
@@ -452,22 +449,21 @@ def test_step_update_orthogonal_to_gauge():
     rng = np.random.default_rng(2)
     for L in (10, 16):
         g = SphericalGrid(L)
-        ws = _workspace(g)
         coeffs = based_sphere_coeffs(g)
         valid = np.zeros_like(coeffs, dtype=bool)
         for l in range(g.L + 1):
             valid[:, l, g.L - l : g.L + l + 1] = True
-        coeffs = _rebase(coeffs + 2e-3 * rng.uniform(-1, 1, coeffs.shape) * valid, ws)
+        coeffs = _rebase(coeffs + 2e-3 * rng.uniform(-1, 1, coeffs.shape) * valid)
         H = np.full((g.n_theta, g.n_phi), 2.0)
-        state = ContinuationState.at(1.0, coeffs, np.zeros(3), H, g)
-        basis = gauge_basis(state, g)
-        new = gauge_projected_step(state, H, g)
+        state = ContinuationState.at(1.0, coeffs, np.zeros(3), H)
+        basis = gauge_basis(state)
+        new = gauge_projected_step(state, H)
         delta = new.last_update
         scale = 1e-10 * np.linalg.norm(delta)
         # orthogonal to the 3 translations and 3 rotations
         assert np.max(np.abs(basis.matrix[:, :6].T @ delta)) < scale
         # the linearized centering holds: C . delta = -c
-        _, C = _center_gradient(state, g, ws)
+        _, C = _center_gradient(state)
         assert np.linalg.norm(basis.center) > 1e-6
         assert np.max(np.abs(C @ delta[:-3] + basis.center)) < scale
 
@@ -698,9 +694,9 @@ def _solve_counting_steps(H, config):
     """solve_pmc, with the degree of every Gauss-Newton step recorded."""
     step, degrees = solver.gauge_projected_step, []
 
-    def counted(state, H_values, grid):
-        degrees.append(grid.L)
-        return step(state, H_values, grid)
+    def counted(state, H_values):
+        degrees.append(state.ws.L)
+        return step(state, H_values)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "gauge_projected_step", counted)
@@ -723,10 +719,9 @@ def ladder_vs_direct():
 
 
 def _center_norm(field):
-    g = SphericalGrid(field.degree)
-    H = np.full((g.n_theta, g.n_phi), 2.0)
-    state = ContinuationState.at(1.0, field.coeffs, np.zeros(3), H, g)
-    return np.linalg.norm(_area_center(state, g, _workspace(g))[0])
+    state = ContinuationState.at(1.0, field.coeffs, np.zeros(3),
+                                 np.full(_workspace(field.degree).n_nodes, 2.0))
+    return np.linalg.norm(_area_center(state)[0])
 
 
 def test_ladder_matches_single_degree_solution(ladder_vs_direct):
@@ -758,17 +753,15 @@ def test_polish_centers_without_stall(ladder_vs_direct):
     a converged, centered state."""
     H, ladder, _, _ = ladder_vs_direct["103"]
     g = SphericalGrid(16)
-    ws = _workspace(g)
     v = 1e-9 * np.array([0.6, -0.48, 0.64])
     boosted = _mobius_reparametrize(ladder.field, g, g, v, np.eye(3)).coeffs
-    coeffs = _rebase(boosted, ws)
+    coeffs = _rebase(boosted)
     b = ladder.affine.b
-    state = ContinuationState.at(1.0, coeffs, b, H, g)
+    state = ContinuationState.at(1.0, coeffs, b, H)
     config = SolverConfig(degree=16)
     assert state.residual_norm <= 0.5 * config.tol
     assert _center_norm(HarmonicField(coeffs)) > CENTER_TOL
-    polished, reason = solver._newton_to_tol(state, H, g, 0.5 * config.tol,
-                                             center=True)
+    polished, reason = solver._newton_to_tol(state, H, 0.5 * config.tol, center=True)
     assert reason is None
     assert len(polished.newton_log) >= 1
     assert polished.residual_norm <= 0.5 * config.tol
@@ -880,7 +873,7 @@ def test_workspace_holds_no_dense_tables():
     g = SphericalGrid(16)
     res = solve_pmc(acceptance_target(g, 103, 0.1), SolverConfig(degree=16))
     assert 16 in {e["degree"] for e in res.report["newton_log"]}
-    ws = solver._workspaces[16]
+    ws = _workspace(16)
     arrays = [v for v in vars(ws).values() if isinstance(v, np.ndarray)]
     arrays += [v for v in vars(ws.sectors).values() if isinstance(v, np.ndarray)]
     assert arrays
@@ -888,23 +881,23 @@ def test_workspace_holds_no_dense_tables():
     assert all(a.size < big for a in arrays)
 
 
-def test_step_bytes_bounds_traced_first_step():
+@pytest.mark.parametrize("L", [16, 48])
+def test_step_bytes_bounds_traced_first_step(L):
     """The memory model behind the solve refusal exceeds the traced
-    allocation peak of a first Gauss-Newton step at L = 16 (the step that
-    also builds the sector preconditioner)."""
-    g = SphericalGrid(16)
-    ws = _workspace(g)
+    allocation peak of a first Gauss-Newton step at L = 16 and 48 (the
+    step that also builds the sector preconditioner)."""
+    ws = _workspace(L)
     ws.__dict__.pop("sectors", None)
-    H = acceptance_target(g, 103, 0.1)
-    coeffs = _round_start(g, SolverConfig(degree=16))
-    state = ContinuationState.at(1.0, coeffs, np.zeros(3), H, g)
+    H = acceptance_target(ws.grid, 103, 0.1)
+    coeffs = _round_start(L, SolverConfig(degree=L))
+    state = ContinuationState.at(1.0, coeffs, np.zeros(3), H)
     tracemalloc.start()
     try:
-        gauge_projected_step(state, H, g)
+        gauge_projected_step(state, H)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < _step_bytes(16)
+    assert peak < _step_bytes(L)
 
 
 def test_repeated_solves_keep_memory_flat():
@@ -923,6 +916,30 @@ def test_repeated_solves_keep_memory_flat():
     finally:
         tracemalloc.stop()
     assert sizes[-1] - sizes[0] < 16 * 1024
+
+
+def test_degree_sweep_retains_one_solve():
+    """Solves of target 103 (eps = 0.1) at L = 32, 40 and 48 in one process
+    retain, after gc, within 2 % of the traced size a lone L = 48 solve
+    retains from an empty cache (20.6 MB): only the workspaces of the two
+    most recent degrees stay.  A cache that kept every degree would retain
+    39.0 MB."""
+    targets = {L: acceptance_target(SphericalGrid(L), 103, 0.1) for L in (32, 40, 48)}
+
+    def retained(degrees):
+        _workspace.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for L in degrees:
+                assert solve_pmc(targets[L], SolverConfig(degree=L)).status == "converged"
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    lone = retained([48])
+    assert retained([32, 40, 48]) < 1.02 * lone
 
 
 def test_normal_variation_operator_eigenfunctions():
