@@ -102,9 +102,11 @@ def _format_rows(rows: list, pad: str):
 
 
 def write_json(obj, path: str) -> None:
+    """Write ``dumps(obj)`` and a newline to ``path``; a value ``dumps``
+    refuses raises before the file is opened, so it leaves no file."""
+    text = dumps(obj) + "\n"
     with open(path, "w") as fh:
-        fh.write(dumps(obj))
-        fh.write("\n")
+        fh.write(text)
 
 
 # ----------------------------------------------------------------------

@@ -10,10 +10,12 @@ degree COARSEST_DEGREE and finished at the requested degree.
 The residual is 5 * n_nodes pointwise rows, quadrature-weighted so that the
 Euclidean norm is an L2 norm: conformality q1 = g_tt - g_pp/sin^2 and
 q2 = 2 g_tp / sin (2 rows/node, geometry.conformality_defect, the formula
-behind every conformality residual), and the mean-curvature residual
+behind every conformality residual), and 4 times the mean-curvature residual
 (1/4)(Lap_round F + (H + ell_b) n/sin), n = F_t x F_p (3 rows/node,
 geometry.mc_residual_global, the chart residual divided by the positive chart
-factor).  Each iterate is evaluated once (ContinuationState.at): one jet
+factor).  The weights are uniform, so the norm is rotation-invariant, and
+it bounds the L2 norms of the chart residuals, whose chart factor is at
+most 4.  Each iterate is evaluated once (ContinuationState.at): one jet
 synthesis of (F_t, F_p, Lap F) and geometry.first_order_forms, the one place
 that forms g and n, give both blocks, and the state keeps F_t, F_p, n, |n|
 and N, from which the Jacobian and the area center are read with no further
@@ -28,16 +30,16 @@ halving line search, under 9 linear constraints: orthogonal to the 3
 translations and 3 ambient rotations, and cancelling the linearized area
 center, grad c . delta = -c.  The solver is projected conjugate gradients in
 the constraints' null space (_projected_cg), preconditioned by the round
-sphere's normal matrix A0 split into its 2L + 3 charge sectors
-(_SectorPreconditioner, O(L^4) once per degree), exact off the gauge: a
-step takes at most 11 iterations at every L from 16 to 128 on target 103
-(eps = 0.1).  The base damping is lam0 = 1e-12 trace(A0) / n.  Each
-accepted step appends a newton_log record: the residual and its conformality
-and mean-curvature block norms, the step length, the damping and the CG
-iteration count.
+sphere's normal matrix A0, which splits by total angular momentum j into
+blocks of at most 4 (_MultipletPreconditioner: O(L^2) per degree and per
+apply), exact off the gauge and below the top multiplet: a step takes at
+most 10 iterations at every L from 16 to 128 on target 103 (eps = 0.1).
+The base damping is lam0 = 1e-12 trace(A0) / n.  Each accepted step appends
+a newton_log record: the residual and its conformality and mean-curvature
+block norms, the step length, the damping and the CG iteration count.
 
 Everything a step needs at one degree (grid, packing, row weights and the
-sector preconditioner) is that degree's _Workspace, a pure function of L.
+preconditioner) is that degree's _Workspace, a pure function of L.
 The functions that take a state find it from the state's coefficients
 (ContinuationState.ws): ContinuationState.at(s, coeffs, b, H_values),
 gauge_basis(state) and gauge_projected_step(state, H_values) take no grid.
@@ -59,7 +61,6 @@ import os
 import time
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -86,7 +87,6 @@ from .grid import (
     HarmonicField,
     SphericalGrid,
     analyze,
-    chart_area_factors,
     integrate,
     synthesize,
     synthesize_jet,
@@ -215,17 +215,16 @@ class _Workspace:
         self.sqrt_w = np.sqrt(grid.w).ravel()
         self.sin_flat = np.repeat(grid.sin_theta, grid.n_phi)
         self.xyz_flat = grid.xyz.reshape(3, -1)
-        # home-chart conformal factor mu^{-2}: the row weights below make the
-        # Euclidean norm of each block equal to the L2 norm of the
-        # stereographic-chart residuals F_z.F_z and mc_residual
-        mu2inv = np.repeat(chart_area_factors(grid, "home"), grid.n_phi)
-        self.conf_row_w = 0.25 * mu2inv * self.sqrt_w
-        self.mc_row_w = mu2inv * self.sqrt_w
+        # uniform row weights keep the norm rotation-invariant; it bounds the
+        # L2 norms of the stereographic-chart residuals F_z.F_z =
+        # (1/4) mu^-2 (q1 - i q2) e^{-+2i phi} and mu^-2 r_mc, as mu^-2 <= 4
+        self.conf_row_w = self.sqrt_w
+        self.mc_row_w = 4.0 * self.sqrt_w
         self.n_unknowns = 3 * self.n_modes + 3
 
     @cached_property
-    def sectors(self) -> "_SectorPreconditioner":
-        return _SectorPreconditioner(self)
+    def preconditioner(self) -> "_MultipletPreconditioner":
+        return _MultipletPreconditioner(self)
 
     # -- packing ---------------------------------------------------------
 
@@ -339,108 +338,165 @@ def _vjp(lin: _Linearization, w, ws) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# preconditioner: the round sphere's normal matrix in its charge sectors
+# preconditioner: the round sphere's normal matrix by total angular momentum
 # ----------------------------------------------------------------------
 
-class _SectorPreconditioner:
-    """Block-diagonal approximation P of J^T J from the round sphere.
+def _clebsch_gordan(L, j, m):
+    """<j + d, m - s; 1, s | j, m> (Condon-Shortley phase) as [d + 1, s + 1, ...]
+    for d, s in -1, 0, 1 and integer arrays j, m; zero where the coupling or
+    the degree j + d <= L does not exist."""
+    out = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for d in (-1, 0, 1):
+            l = j + d
+            if d == -1:     # j = l + 1
+                rows = [(l - m) * (l - m + 1) / ((2 * l + 1) * (2 * l + 2)),
+                        (l - m + 1) * (l + m + 1) / ((2 * l + 1) * (l + 1.0)),
+                        (l + m) * (l + m + 1) / ((2 * l + 1) * (2 * l + 2))]
+                signs = (1, 1, 1)
+            elif d == 0:    # j = l
+                rows = [(l - m) * (l + m + 1) / (2 * l * (l + 1.0)),
+                        m * m / (l * (l + 1.0)),
+                        (l + m) * (l - m + 1) / (2 * l * (l + 1.0))]
+                signs = (1, np.sign(m), -1)
+            else:           # j = l - 1
+                rows = [(l + m + 1) * (l + m) / (2 * l * (2 * l + 1.0)),
+                        (l - m) * (l + m) / (l * (2 * l + 1.0)),
+                        (l - m) * (l - m + 1) / (2 * l * (2 * l + 1.0))]
+                signs = (1, -1, 1)
+            for s, (r, sign) in enumerate(zip(rows, signs), start=-1):
+                ok = ((abs(m) <= j) & (abs(m - s) <= l) & (l <= L)
+                      & (abs(l - 1) <= j))
+                out.append(np.where(ok, sign * np.sqrt(np.where(ok, r, 0.0)), 0.0))
+    return np.stack(out).reshape(3, 3, *np.broadcast(j, m).shape)
 
-    The round sphere's normal matrix A0 (H = 2, b = 0) commutes with the
-    generator of "ambient rotation about e3 and shift phi -> phi - alpha",
-    exactly for the grid's own rotations.  Its eigenvectors, the charge-q
-    vectors v_s (x) Q_{l,|k|}(theta) e^{i k phi} with q = k + s (v_{+-1} =
-    (e1 +- i e2) / sqrt 2 for F1 +- i F2, v_0 = e3), and b along v_q, split A0
-    into 2L + 3 blocks B_q, q = -(L+1)..L+1.  J0 maps a charge-q vector to
-    rows that are e^{i q phi} times the rotation R_phi of their phi = 0 values,
-    so B_q = n_phi * M_q^H M_q, with M_q the rows of J0 on the phi = 0
-    meridian: O(L) rows and columns per sector.  B_{-q} = conj(B_q), so only
-    q >= 0 is stored.  Each block is eigendecomposed once per degree.  A0 is
-    null on the nine real gauge directions (3 translations, 3 rotations, 3
-    boosts), the three lowest eigenvectors of sectors 0 and 1 (-1 mirrors 1).
-    Projected CG keeps off them, so solve lifts those six values to the
-    smallest other one and applies (B_q + lam)^-1 for the step's damping lam.
+
+class _MultipletPreconditioner:
+    """Block-diagonal P = J0^T J0 of the round sphere, by total angular momentum.
+
+    With uniform row weights the round sphere's normal matrix A0 (H = 2,
+    b = 0) is invariant under rotations.  The Cartesian-component
+    coefficients of F couple to the vector harmonics Y^lam_{jm} = sum_s
+    <lam, m - s; 1, s | j, m> Y_lam^{m-s} e_s (Hill 1954; Edmonds 1957), lam in
+    j - 1, j, j + 1, and b to e_m in j = 1.  A0 is one block B_j per j, 3 x 3
+    (4 x 4 at j = 1) and the same for every m, so the blocks are read from
+    the m = 0 columns: J0 maps them to rows that are the rotations R_phi of
+    their phi = 0 values, and B_j = n_phi M_j^H M_j with M_j the rows of J0 on
+    that meridian.  In j = 1 the three field slots are A0's null space (per
+    m: a translation, a rotation and a boost), and B_1 = sigma e_b e_b^H.
+    Projected CG keeps off those nine gauge directions, so solve lifts their
+    value to sigma, which makes the j = 1 block sigma I.  The top multiplet
+    j = L + 1 is not invariant on the grid: its rows reach degree L + 1,
+    past the quadrature, and m = +-(L + 1) alias on the longitude grid.  There
+    P keeps the m = 0 value, within 3 % of A0 at L = 8 and 1.1 % at L = 16.
+
+    An apply is O(L^2): real to complex harmonics, Cartesian to spherical
+    components, the coupling, one (B_j + lam)^-1 per j, and back.  The
+    coupled coefficients are held as [slot, j, m + 1, k], slot lam - j + 1
+    and 3 for b, zero where no state exists, for m >= -1 only: a real
+    vector's coefficient at -m is +-conj of the one at m, and the states
+    m >= -1 reach the complex harmonics of orders K = m - s >= -2 only.
     """
 
     def __init__(self, ws):
-        grid, L, nm = ws.grid, ws.L, ws.n_modes
+        grid, L = ws.grid, ws.L
+        self.L = L
+        # the spherical basis e_s, s = -1, 0, 1 (row s + 1):
+        # e_{+-1} = -+(e1 +- i e2) / sqrt 2, e_0 = e3
+        h = np.sqrt(0.5)
+        self.spherical = np.array([[h, -1j * h, 0.0], [0.0, 0.0, 1.0], [-h, -1j * h, 0.0]])
+        # complex harmonics from packed real modes a (a zero appended at
+        # n_modes): f^0 = a_0, f^K = (a_K - i a_-K) / sqrt 2, f^-K = (-1)^K conj(f^K).
+        # f[l + 1, K + 2], l = -1..L+2 and K = -2..L+2, is the sum over p of
+        # phase[p, K + 2] a[source[p, l + 1, K + 2]], from the modes (l, +-|K|)
+        l, K = np.arange(-1, L + 3)[:, None], np.arange(-2, L + 3)
+        self.source = np.where((abs(K) <= l) & (l <= L),
+                               l * l + l + np.stack([abs(K), -abs(K)])[:, None], ws.n_modes)
+        sign = np.where(K < 0, (-1.0) ** abs(K), 1.0) * np.where(K == 0, 1.0, h)
+        self.phase = np.stack([sign, -1j * np.sign(K) * sign])[..., None]
+        # and back: the packed mode (l, m) is Re(target_phase f^|m|)
+        m = ws.mode_col - L
+        self.target = ws.mode_l * (L + 1) + abs(m)
+        self.target_phase = np.where(m == 0, 1.0, np.where(m > 0, 1.0, 1j) * 2 * h)[:, None]
+        # [d + 1, s + 1, j, m + 1, 1]: m >= -1, a trailing axis for the columns
+        js = np.arange(L + 2)
+        self.coupling = _clebsch_gordan(L, js[:, None], np.arange(-1, L + 2)[None])[..., None]
+
         round_lin = _linearization(ContinuationState.at(
             0.0, analyze(grid.xyz, grid).coeffs, np.zeros(3), np.full(ws.n_nodes, 2.0)))
         meridian = np.arange(grid.n_theta) * grid.n_phi
         t0, p0 = round_lin.t[:, :, meridian], round_lin.p[:, :, meridian]
         lap0, b0 = round_lin.lap[meridian], round_lin.b[:, :, meridian]
-        r2 = 1.0 / np.sqrt(2.0)
-        spin = {1: np.array([r2, 1j * r2, 0.0]), -1: np.array([r2, -1j * r2, 0.0]),
-                0: np.array([0.0, 0.0, 1.0])}
+        # meridian rows of J0 on Y_l^{-s} e_s, s = -1, 0, 1, as [s, row, node, l]
+        # with l padded by one on each side; Y_l^{-1} = -Q_{l,1} e^{-i phi}
+        ls = np.arange(L + 1.0)
+        cols = np.zeros((3, 5, grid.n_theta, L + 4), dtype=complex)
+        for s, e in zip((-1, 0, 1), self.spherical):
+            k = -s
+            qq, dq = grid._theta_tables[:, abs(k)] * (-1.0 if k < 0 else 1.0)
+            col = (np.einsum("rcn,c,nl->rnl", t0, e, dq)
+                   + np.einsum("rcn,c,nl->rnl", p0, e, 1j * k * qq))
+            col[2:] += np.einsum("n,c,nl->cnl", lap0, e, -ls * (ls + 1.0) * qq)
+            cols[s + 1, :, :, 1:L + 2] = col
+        # M_j: the m = 0 states of each slot, and b along e_0 in j = 1
+        cg0 = self.coupling[..., 1, 0]                              # [d, s, j]
+        M = np.zeros((5, grid.n_theta, L + 2, 4), dtype=complex)
+        for d in range(3):
+            M[..., d] = np.einsum("sj,srnj->rnj", cg0[d], cols[:, :, :, d:d + L + 2])
+        M[2:, :, 1, 3] = b0[:, 2]
+        self.blocks = grid.n_phi * np.einsum("rnja,rnjb->jab", M.conj(), M)
+        # trace(A0): each block once per m
+        traces = np.trace(self.blocks, axis1=1, axis2=2).real
+        self.trace = float(np.sum((2 * js + 1) * traces))
+        self.lifted = float(self.blocks[1, 3, 3].real)
+        # solve's blocks: j = 1 lifted to sigma I, and a unit diagonal where a
+        # slot holds no state (its row of M, and its coefficients, are 0)
+        self.solve_blocks = self.blocks.copy()
+        self.solve_blocks[1] = self.lifted * np.eye(4)
+        diag = np.arange(4)
+        self.solve_blocks[:, diag, diag] += self.solve_blocks[:, diag, diag] == 0
+        self.inverse = None, None   # (lam, (solve_blocks + lam)^-1) of the last solve
 
-        sectors = []    # per q >= 0: packed indices and weights of U_q, and M_q
-        for q in range(L + 2):
-            idx, wts, cols = [], [], []
-            for s_, v in spin.items():
-                k = q - s_
-                am = abs(k)
-                if am > L:
-                    continue
-                ls = np.arange(am, L + 1)
-                # Q_{l,|k|} e^{ikphi} = (Y_{l,|k|} + i sgn(k) Y_{l,-|k|}) / sqrt 2
-                slots = [(0, 1.0)] if k == 0 else [(am, r2), (-am, 1j * np.sign(k) * r2)]
-                i, w = np.zeros((ls.size, 4), dtype=int), np.zeros((ls.size, 4), dtype=complex)
-                for j, (c, (m, u)) in enumerate(product(np.flatnonzero(v), slots)):
-                    i[:, j] = c * nm + ls * ls + ls + m
-                    w[:, j] = v[c] * u
-                idx.append(i)
-                wts.append(w)
-                # meridian jet of each column: f_t = dQ, f_p = i k Q, Lap = -l(l+1) Q
-                qq, dq = grid._theta_tables[:, am, :, am:]  # [t, l]
-                col = (np.einsum("rcn,c,nl->rnl", t0, v, dq)
-                       + np.einsum("rcn,c,nl->rnl", p0, v, 1j * k * qq))
-                col[2:] += np.einsum("n,c,nl->cnl", lap0, v, -ls * (ls + 1.0) * qq)
-                cols.append(col.reshape(5 * grid.n_theta, -1))
-            if q <= 1:
-                v = spin[q]
-                nz = np.flatnonzero(v)
-                i, w = np.zeros((1, 4), dtype=int), np.zeros((1, 4), dtype=complex)
-                i[0, : nz.size], w[0, : nz.size] = 3 * nm + nz, v[nz]
-                idx.append(i)
-                wts.append(w)
-                col = np.zeros((5, grid.n_theta), dtype=complex)
-                col[2:] = np.einsum("ajn,j->an", b0, v)
-                cols.append(col.reshape(-1, 1))
-            M = np.concatenate(cols, axis=1)
-            sectors.append((np.concatenate(idx), np.concatenate(wts),
-                            grid.n_phi * (M.conj().T @ M)))
+    def coupled(self, r: np.ndarray) -> np.ndarray:
+        """Coupled coefficients [slot, j, m + 1, k], m >= -1, of packed real
+        vectors r (n, k)."""
+        L, k = self.L, r.shape[1]
+        modes = np.concatenate([r[:-3].reshape(3, -1, k), np.zeros((3, 1, k))], axis=1)
+        f = np.take(modes, self.source[0], axis=1) * self.phase[0]
+        f += np.take(modes, self.source[1], axis=1) * self.phase[1]
+        # spherical components g_s = conj(e_s) . f, each shifted so that
+        # h[s, l + 1, m + 1] = g_s[l, m - s]
+        g = (self.spherical.conj() @ f.reshape(3, -1)).reshape(f.shape)
+        del f       # keeps the 9-column solve's peak down
+        h = np.stack([g[s, :, 2 - s:L + 5 - s] for s in range(3)])
+        del g
+        u = np.zeros((4, L + 2, L + 3, k), dtype=complex)
+        for d in range(3):
+            u[d] = (self.coupling[d] * h[:, d:d + L + 2]).sum(axis=0)
+        u[3, 1, :3] = self.spherical.conj() @ r[-3:]
+        return u
 
-        nq, D = len(sectors), max(len(B) for *_, B in sectors)
-        self.index = np.zeros((nq, D, 4), dtype=int)
-        self.weight = np.zeros((nq, D, 4), dtype=complex)
-        # eigenpairs of each block; padding: infinite values, zero vectors
-        self.values = np.full((nq, D), np.inf)
-        self.vectors = np.zeros((nq, D, D), dtype=complex)
-        # trace(A0) over all 2L + 3 sectors: q and -q share a trace
-        traces = [np.trace(B).real for *_, B in sectors]
-        self.trace = 2.0 * sum(traces) - traces[0]
-        for q, (i, w, B) in enumerate(sectors):
-            d = len(B)
-            self.index[q, :d], self.weight[q, :d] = i, w
-            self.values[q, :d], self.vectors[q, :d, :d] = np.linalg.eigh(B)
-        self.lifted = min(self.values[:2, 3:].min(), self.values[2:].min())
-        self.spectrum = self.values.copy()      # values stays the raw spectrum
-        self.spectrum[:2, :3] = self.lifted
-        # P^-1 r = sum_q U_q B_q^-1 U_q^H r = Re(term 0) + 2 Re(sum of terms q > 0)
-        self.fold = np.where(np.arange(nq) == 0, 1.0, 2.0)[:, None, None]
-        self.n = ws.n_unknowns
+    def uncoupled(self, u: np.ndarray) -> np.ndarray:
+        """The packed real vectors (n, k) of coupled coefficients: the inverse
+        of coupled."""
+        L, k = self.L, u.shape[-1]
+        h = np.zeros((3, L + 4, L + 3, k), dtype=complex)
+        for d in range(3):
+            h[:, d:d + L + 2] += self.coupling[d] * u[d]
+        g = np.stack([h[s, 1:L + 2, s:L + 1 + s] for s in range(3)])   # K = 0..L
+        del h
+        f = (self.spherical.T @ g.reshape(3, -1)).reshape(3, -1, k)
+        del g
+        modes = (np.take(f, self.target, axis=1) * self.target_phase).real
+        return np.concatenate([modes.reshape(-1, k), (self.spherical.T @ u[3, 1, :3]).real])
 
     def solve(self, r: np.ndarray, lam: float) -> np.ndarray:
         """(P + lam I)^-1 r for r of shape (n,) or (n, k), gauge values lifted."""
-        r2 = r.reshape(self.n, -1)
-        z = np.einsum("qdj,qdjk->qdk", self.weight.conj(), r2[self.index])
-        # V^H z without a conjugated copy of V
-        vz = np.conj(self.vectors.transpose(0, 2, 1) @ np.conj(z))
-        y = self.vectors @ (vz / (self.spectrum + lam)[..., None])
-        contrib = (np.real(self.weight[..., None] * y[:, :, None, :])
-                   * self.fold[..., None]).reshape(-1, r2.shape[1])
-        out = np.stack([np.bincount(self.index.ravel(), weights=col, minlength=self.n)
-                        for col in contrib.T], axis=1)
-        return out.reshape(r.shape)
+        if lam != self.inverse[0]:
+            self.inverse = lam, np.linalg.inv(self.solve_blocks + lam * np.eye(4))
+        u = self.coupled(r.reshape(len(r), -1))
+        y = np.einsum("jab,bjx->ajx", self.inverse[1], u.reshape(4, self.L + 2, -1))
+        return self.uncoupled(y.reshape(u.shape)).reshape(r.shape)
 
 
 # ----------------------------------------------------------------------
@@ -522,8 +578,9 @@ def _projected_cg(lin, basis, g, lam, ws):
     """Solve the damped, gauge-constrained normal equations
     [J^T J + lam I, G; G^T, 0] [delta; mu] = [-g; rhs] (g = J^T r) without
     forming J: projected preconditioned CG (Gould, Hribar & Nocedal 2001)
-    with the constraint preconditioner [P + lam I, G; G^T, 0], P the sector
-    blocks of the round sphere (_SectorPreconditioner).
+    with the constraint preconditioner [P + lam I, G; G^T, 0], P the round
+    sphere's normal matrix by total angular momentum
+    (_MultipletPreconditioner).
 
     The particular solution x0 = P^-1 G S^-1 rhs (S = G^T P^-1 G, 9 x 9)
     meets the constraints; CG then runs in their null space, each residual
@@ -531,7 +588,7 @@ def _projected_cg(lin, basis, g, lam, ws):
     part.  Each iteration costs one J v and one J^T w.  Returns (delta,
     iterations); delta is None when CG does not reach KRYLOV_TOL within
     KRYLOV_MAX_ITERS iterations."""
-    pre, G = ws.sectors, basis.matrix
+    pre, G = ws.preconditioner, basis.matrix
     PG = pre.solve(G, lam)
     S_inv = np.linalg.inv(G.T @ PG)
 
@@ -580,7 +637,7 @@ def gauge_projected_step(state: ContinuationState, H_values) -> ContinuationStat
     lin = _linearization(state)
     basis = gauge_basis(state)
     g = _vjp(lin, state.residual, ws)
-    lam = 1e-12 * ws.sectors.trace / ws.n_unknowns
+    lam = 1e-12 * ws.preconditioner.trace / ws.n_unknowns
 
     x0 = ws.pack(state.coeffs, state.b)
     linear_iters = 0
@@ -678,18 +735,20 @@ def _continue(state, H_vals, config, final):
 
     Corrects ``state`` at its own s (logged with ds = 0), then advances s:
     each stage starts from the secant extrapolation of the last two accepted
-    states and is corrected by Gauss-Newton to 10 tol.  The first step is
-    1 / config.steps; it doubles after a stage that converged in at most two
-    iterations.  On the final rung a failed stage halves the step, and the
-    solve stalls once it falls below MIN_STEP; on a coarse rung a
-    failed stage ends the rung.  Returns (last accepted state, stall reason
-    or None).
+    states and is corrected by Gauss-Newton to 16 tol: on a residual spread
+    evenly over the sphere the uniform row norm reads sqrt(80 / 31) = 1.61
+    times the chart-form norm, in which stages were corrected to 10 tol.
+    The first step is 1 / config.steps; it doubles after a stage that
+    converged in at most two iterations.  On the final rung a failed stage
+    halves the step, and the solve stalls once it falls below MIN_STEP; on a
+    coarse rung a failed stage ends the rung.  Returns (last accepted state,
+    stall reason or None).
     """
     ws = state.ws
 
     def correct(trial, ds):
         n_before = len(trial.newton_log)
-        trial, reason = _newton_to_tol(trial, _homotopy(trial.s, H_vals), 10.0 * config.tol)
+        trial, reason = _newton_to_tol(trial, _homotopy(trial.s, H_vals), 16.0 * config.tol)
         iters = len(trial.newton_log) - n_before
         trial.step_log.append(
             {"degree": ws.L, "s": trial.s, "ds": ds, "converged": reason is None,
@@ -733,16 +792,16 @@ def _continue(state, H_vals, config, final):
 
 
 def _step_bytes(L: int) -> int:
-    """Bytes a Gauss-Newton step holds at degree L, modeled on its largest
-    arrays: the sector preconditioner's complex blocks, held twice while the
-    first step at a degree inverts them, and about 120 arrays the length of
-    the node count or of the unknowns (the linearization, the jets, the
-    gauge columns, their preconditioned copies and the CG vectors).  The
-    model exceeds the traced peak of a first step from L = 16 up (by 25 %
-    at L = 16 and 57 % at L = 48)."""
+    """Bytes a Gauss-Newton step holds at degree L, modeled as 128 arrays the
+    length of the node count or of the unknowns: the linearization, the
+    jets, the gauge columns, their preconditioned copies with the
+    preconditioner's complex coefficients, and the CG vectors.  The
+    preconditioner it builds on a first step holds O(L^2) numbers.  The model
+    exceeds the traced peak of a first step from L = 16 up (by 20 % at
+    L = 16 and 45 % at L = 96)."""
     n_nodes = 2 * (L + 1) ** 2
     n_unknowns = 3 * (L + 1) ** 2 + 3
-    return 2 * 16 * (L + 2) * (3 * L + 3) ** 2 + 8 * 120 * (n_nodes + n_unknowns)
+    return 8 * 128 * (n_nodes + n_unknowns)
 
 
 def _physical_memory_bytes() -> int:
@@ -807,8 +866,8 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
         state, reason = _continue(state, rung_H, config, final)
 
     if reason is None:
-        # final polish; row weighting makes the norm the chart-form L2 norm,
-        # so driving it to tol/2 bounds both reported block residuals by tol
+        # final polish; the row norm is at least the chart-form L2 norm, so
+        # driving it to tol/2 bounds both reported block residuals by tol
         state, reason = _newton_to_tol(state, H_vals, 0.5 * config.tol, center=True)
 
     field = HarmonicField(state.coeffs)

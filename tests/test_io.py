@@ -208,6 +208,15 @@ def test_obj_non_finite_vertex_raises(tmp_path):
         export_obj(P, str(tmp_path / "bad.obj"))
 
 
+def test_write_json_refusal_leaves_no_file(tmp_path):
+    """A value dumps refuses raises before the file is opened: no empty file
+    is left behind."""
+    path = tmp_path / "report.json"
+    with pytest.raises(InputError, match="non-finite float nan"):
+        write_json({"r": float("nan")}, str(path))
+    assert not path.exists()
+
+
 def test_unwritable_path_raises():
     g = DiskGrid(1.0, n_r=6, n_phi=8)
     P = enneper_blowdown(1.0, g)
@@ -412,7 +421,7 @@ def test_cli_outputs_byte_deterministic(tmp_path, capsys):
 
 def test_cli_solve_refuses_beyond_physical_memory(tmp_path, monkeypatch, capsys):
     """A solve whose Gauss-Newton step cannot fit in memory (1 MiB; a step
-    at L = 16 needs about 2.9 MB) exits 1 before any work and writes no
+    at L = 16 needs about 1.5 MB) exits 1 before any work and writes no
     outputs."""
     from pmcsphere import solver
 

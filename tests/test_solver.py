@@ -223,63 +223,67 @@ def test_jacobian_products_are_adjoint(L, seed):
     assert abs(Jv @ w - v @ JTw) <= 1e-12 * np.linalg.norm(Jv) * np.linalg.norm(w)
 
 
-def sector_basis(pre, q, n):
-    """Dense columns U_q of sector q >= 0 from the preconditioner's packed
-    indices and weights."""
-    d = int(np.count_nonzero(np.any(pre.weight[q] != 0, axis=1)))
-    U = np.zeros((n, d), dtype=complex)
-    for j in range(d):
-        np.add.at(U[:, j], pre.index[q, j], pre.weight[q, j])
-    return U
-
-
-def test_sector_blocks_match_round_normal_matrix():
-    """The meridian-built sector blocks equal U^H A0 U of the dense round
-    normal matrix, the sectors q and -q together form a unitary basis, the
-    stored trace (the source of the step's base damping) is trace(A0), A0's
-    only null values are the three lowest of sectors 0 and 1 (the nine real
-    gauge directions), and solve applies the real matrix (P + lam)^-1,
-    P = sum_q U B_q U^H with those six values lifted to the smallest other
-    eigenvalue."""
-    g = SphericalGrid(8)
+@pytest.mark.parametrize("L, top_defect", [(8, 0.03), (16, 0.011)])
+def test_multiplet_blocks_match_round_normal_matrix(L, top_defect):
+    """In the coupled basis the dense round normal matrix A0 is block-diagonal,
+    with the preconditioner's block B_j for every m of each j <= L; at the
+    top multiplet j = L + 1, which the grid does not keep invariant, it is
+    within top_defect of the block, and so is the stored trace.  The coupling
+    basis is unitary, A0's only null values are the nine gauge directions
+    in j = 1, and solve applies the real matrix (P + lam)^-1,
+    P = U^H blockdiag(B_j) U with the j = 1 block lifted to sigma I."""
+    g = SphericalGrid(L)
     ws = _workspace(g.L)
-    pre = ws.sectors
-    H0 = np.full(ws.n_nodes, 2.0)
+    pre = ws.preconditioner
+    n = ws.n_unknowns
     lin0 = _linearization(ContinuationState.at(1.0, analyze(g.xyz, g).coeffs, np.zeros(3),
-                                               H0))
+                                               np.full(ws.n_nodes, 2.0)))
     J0 = jacobian_columns(lin0, ws)
     A0 = J0.T @ J0
-    assert abs(pre.trace - np.trace(A0)) <= 1e-12 * np.trace(A0)
-    n = ws.n_unknowns
-    Us = [sector_basis(pre, q, n) for q in range(g.L + 2)]
-    for q, U in enumerate(Us):
-        d = U.shape[1]
-        V = pre.vectors[q, :d, :d]
-        block = V @ np.diag(pre.values[q, :d]) @ V.conj().T
-        dense = U.conj().T @ A0 @ U
-        assert np.max(np.abs(block - dense)) <= 1e-12 * np.max(np.abs(dense))
-    U_all = np.concatenate(Us + [U.conj() for U in Us[1:]], axis=1)
-    assert U_all.shape == (n, n)
-    assert np.max(np.abs(U_all.conj().T @ U_all - np.eye(n))) < 1e-13
-    # the six gauge values are null; every other one is at least the
-    # lifted value, 0.617 at L = 8
-    top = max(np.max(pre.values[q, : U.shape[1]]) for q, U in enumerate(Us))
-    assert np.all(np.abs(pre.values[:2, :3]) < 1e-9 * top)
-    for q, U in enumerate(Us):
-        assert np.all(pre.values[q, 3 * (q < 2) : U.shape[1]] >= pre.lifted)
-    assert pre.lifted > 0.6
-    # the preconditioner applies U blockdiag(B_q + lam)^-1 U^H, B_q with its
-    # gauge values lifted
-    r = np.random.default_rng(0).standard_normal(n)
-    terms = []
-    for q, U in enumerate(Us):
-        block = U.conj().T @ A0 @ U
-        if q < 2:
-            V = pre.vectors[q, : U.shape[1], :3]
-            block += V @ np.diag(pre.lifted - pre.values[q, :3]) @ V.conj().T
-        terms.append(U @ block @ U.conj().T)
-    P = terms[0] + sum(t + t.conj() for t in terms[1:])
+    # rows of U: the coupled coefficients of each unit vector, per state
+    # (j, slot, m); solve keeps m >= -1, and a real vector's coefficient at
+    # -m is (-1)^(m + lam + 1 - j) conj(that at m), (-1)^m for b
+    half = pre.coupled(np.eye(n)).transpose(3, 1, 0, 2)
+    j, slot, m = np.meshgrid(np.arange(L + 2), np.arange(4), np.arange(-L - 1, L + 2),
+                             indexing="ij")
+    sign = (-1.0) ** (m + slot + (slot == 3))
+    full = np.concatenate([sign[..., :L] * half[..., :2:-1].conj(), half],
+                          axis=-1).reshape(n, -1)
+    states = np.flatnonzero(np.any(full != 0, axis=0))
+    U = full[:, states].T
+    assert U.shape == (n, n)
+    assert np.max(np.abs(U @ U.conj().T - np.eye(n))) < 1e-13
+    assert np.max(np.abs(U.conj().T @ U - np.eye(n))) < 1e-13
+    j, slot, m = j.ravel()[states], slot.ravel()[states], m.ravel()[states]
+    same = (j[:, None] == j[None]) & (m[:, None] == m[None])
+
+    def blockdiag(blocks):
+        return np.where(same, blocks[j[:, None], slot[:, None], slot[None]], 0.0)
+
+    dense = U @ A0 @ U.conj().T
+    defect = np.abs(dense - blockdiag(pre.blocks))
+    low = (j[:, None] <= L) & (j[None] <= L)
+    assert np.max(defect[low]) <= 1e-12 * np.max(np.abs(A0))
+    top = pre.blocks[L + 1, 0, 0].real
+    assert np.max(defect[~low]) <= top_defect * top
+    # the stored trace, the source of the step's base damping, differs from
+    # trace(A0) by the top multiplet's 2L + 3 diagonal defects at most
+    assert abs(pre.trace - np.trace(A0)) <= (2 * L + 3) * top_defect * top
+    # nine null values, all in the three j = 1 field slots
+    values, vectors = np.linalg.eigh(A0)
+    null = np.abs(values) < 1e-9 * values[-1]
+    assert np.count_nonzero(null) == 9
+    gauge = (j == 1) & (slot < 3)
+    assert np.allclose(np.linalg.norm(U[gauge] @ vectors[:, null], axis=0), 1.0, atol=1e-9)
+    # j = 1 holds one nonzero value, sigma at b: the lifted value
+    e_b = np.eye(4)[3]
+    assert np.max(np.abs(pre.blocks[1] - pre.lifted * np.outer(e_b, e_b))) <= 1e-12 * pre.lifted
+    # solve applies (P + lam)^-1 with the j = 1 block sigma I
+    blocks = pre.blocks.copy()
+    blocks[1] = pre.lifted * np.eye(4)
+    P = U.conj().T @ blockdiag(blocks) @ U
     assert np.max(np.abs(P.imag)) < 1e-10 * np.max(np.abs(P.real))
+    r = np.random.default_rng(0).standard_normal(n)
     for lam in (0.0, 1e3 * pre.lifted):
         x = pre.solve(r, lam)
         defect = (P.real + lam * np.eye(n)) @ x - r
@@ -294,7 +298,7 @@ def kkt_reference(state, lam_factor=1e-12):
     basis = gauge_basis(state)
     J = jacobian_columns(lin, ws)
     n, G = ws.n_unknowns, basis.matrix
-    lam = lam_factor * ws.sectors.trace / n
+    lam = lam_factor * ws.preconditioner.trace / n
     K = np.block([[J.T @ J + lam * np.eye(n), G], [G.T, np.zeros((9, 9))]])
     r0 = state.residual[: 5 * ws.n_nodes]
     rhs = np.concatenate([-(J.T @ r0), basis.rhs])
@@ -400,7 +404,7 @@ def test_accepted_full_step_evaluates_residual_twice(monkeypatch):
     coeffs = _rebase(ws.unpack(x + 1e-3 * rng.uniform(-1, 1, x.size))[0])
     H = np.full((g.n_theta, g.n_phi), 2.0)
     state = ContinuationState.at(1.0, coeffs, np.zeros(3), H)
-    ws.sectors  # the preconditioner's own round-sphere evaluation is not counted
+    ws.preconditioner  # the preconditioner's own round-sphere evaluation is not counted
     calls, at = [], ContinuationState.at.__func__
 
     def counted(cls, *args, **kwargs):
@@ -836,12 +840,12 @@ def test_newton_log_one_record_per_step(ladder_vs_direct):
     assert json.loads(dumps(ladder.report))["newton_log"] == log
 
 
-@pytest.mark.parametrize("L", [24, 48])
+@pytest.mark.parametrize("L", [24, 48, 96])
 def test_final_step_cg_count_does_not_grow_with_degree(L):
     """On target 103 (eps = 0.1) the solve takes 9 Gauss-Newton steps at
-    L = 24 and 48, and its final step at most 15 projected-CG iterations:
-    the sector preconditioner is exact off the gauge directions at every
-    degree."""
+    L = 24, 48 and 96, and its final step at most 15 projected-CG
+    iterations: the preconditioner is exact off the gauge directions and
+    below the top multiplet at every degree."""
     res = solve_pmc(acceptance_target(SphericalGrid(L), 103, 0.1), SolverConfig(degree=L))
     log = res.report["newton_log"]
     assert res.status == "converged" and len(log) == 9
@@ -875,19 +879,19 @@ def test_workspace_holds_no_dense_tables():
     assert 16 in {e["degree"] for e in res.report["newton_log"]}
     ws = _workspace(16)
     arrays = [v for v in vars(ws).values() if isinstance(v, np.ndarray)]
-    arrays += [v for v in vars(ws.sectors).values() if isinstance(v, np.ndarray)]
+    arrays += [v for v in vars(ws.preconditioner).values() if isinstance(v, np.ndarray)]
     assert arrays
     big = ws.n_nodes * ws.n_modes
     assert all(a.size < big for a in arrays)
 
 
-@pytest.mark.parametrize("L", [16, 48])
+@pytest.mark.parametrize("L", [16, 48, 96])
 def test_step_bytes_bounds_traced_first_step(L):
     """The memory model behind the solve refusal exceeds the traced
-    allocation peak of a first Gauss-Newton step at L = 16 and 48 (the
-    step that also builds the sector preconditioner)."""
+    allocation peak of a first Gauss-Newton step at L = 16, 48 and 96 (the
+    step that also builds the preconditioner)."""
     ws = _workspace(L)
-    ws.__dict__.pop("sectors", None)
+    ws.__dict__.pop("preconditioner", None)
     H = acceptance_target(ws.grid, 103, 0.1)
     coeffs = _round_start(L, SolverConfig(degree=L))
     state = ContinuationState.at(1.0, coeffs, np.zeros(3), H)
@@ -921,9 +925,9 @@ def test_repeated_solves_keep_memory_flat():
 def test_degree_sweep_retains_one_solve():
     """Solves of target 103 (eps = 0.1) at L = 32, 40 and 48 in one process
     retain, after gc, within 2 % of the traced size a lone L = 48 solve
-    retains from an empty cache (20.6 MB): only the workspaces of the two
+    retains from an empty cache (2.6 MB): only the workspaces of the two
     most recent degrees stay.  A cache that kept every degree would retain
-    39.0 MB."""
+    5.3 MB."""
     targets = {L: acceptance_target(SphericalGrid(L), 103, 0.1) for L in (32, 40, 48)}
 
     def retained(degrees):
