@@ -22,7 +22,7 @@ from .grid import SphericalGrid, analyze, synthesize
 from .planar import DiskGrid, enneper_blowdown, weierstrass_family
 from .serialize import (affine_to_dict, dumps, export_obj, field_to_dict,
                         load_field, write_json, write_manifest)
-from .solver import SolverConfig, solve_pmc
+from .solver import SolverConfig, check_memory, solve_pmc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,17 +80,21 @@ def _build_parser() -> _Parser:
 def _write_outputs(out_dir, command, config, inputs, outputs, diagnostics):
     """Write each (name, obj) of ``outputs`` into out_dir, created if
     missing: obj(path) for a callable obj, JSON otherwise; then the run
-    manifest naming them.  Returns the output paths."""
-    os.makedirs(out_dir, exist_ok=True)
+    manifest naming them.  Returns the output paths.  An OS error is an
+    InputError."""
     paths = []
-    for name, obj in outputs:
-        path = os.path.join(out_dir, name)
-        if callable(obj):
-            obj(path)
-        else:
-            write_json(obj, path)
-        paths.append(path)
-    write_manifest(out_dir, command, config, inputs, paths, diagnostics)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, obj in outputs:
+            path = os.path.join(out_dir, name)
+            if callable(obj):
+                obj(path)
+            else:
+                write_json(obj, path)
+            paths.append(path)
+        write_manifest(out_dir, command, config, inputs, paths, diagnostics)
+    except OSError as err:
+        raise InputError(f"cannot write outputs to {out_dir}: {err}") from err
     return paths
 
 
@@ -123,7 +127,9 @@ def _cmd_verify(args) -> int:
     field = load_field(args.immersion)
     if field.n_components != 3:
         raise InputError("--immersion must be a 3-component field")
-    grid = SphericalGrid(max(args.L, field.degree))
+    L = max(args.L, field.degree)
+    check_memory(L)
+    grid = SphericalGrid(L)
     report = verify(ImmersionField(field, grid))
     print(dumps(report))
     if args.out_dir:
@@ -221,6 +227,9 @@ def cli_dispatch(argv) -> int:
     """Parse and run; returns the process exit code."""
     args = _build_parser().parse_args(argv)
     try:
+        out_dir = getattr(args, "out_dir", None)
+        if out_dir and os.path.exists(out_dir) and not os.path.isdir(out_dir):
+            raise InputError(f"--out-dir {out_dir} exists and is not a directory")
         return _COMMANDS[args.command](args)
     except (InputError, ConfigurationError, DataError) as err:
         sys.stderr.write(f"error: {err}\n")

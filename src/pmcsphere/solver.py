@@ -19,24 +19,27 @@ most 4.  Each iterate is evaluated once (ContinuationState.at): one jet
 synthesis of (F_t, F_p, Lap F) and geometry.first_order_forms, the one place
 that forms g and n, give both blocks, and the state keeps F_t, F_p, n, |n|
 and N, from which the Jacobian and the area center are read with no further
-synthesis.  The base point has no rows: each accepted iterate is re-based by
-an ambient rigid motion (_rebase) so that F(p0) = 0, the normal at the north
-pole p0 is e3 and the frame there lies along e1.
+synthesis.  No row fixes the placement in space: the step's constraints do.
 
 The Jacobian is exact and never formed: J v is one jet synthesis of v times
 pointwise coefficients (_linearization), J^T w the adjoint synthesis; each
-costs O(L^3).  Updates solve damped least-squares normal equations with a
-halving line search, under 9 linear constraints: orthogonal to the 3
+costs O(L^3).  Updates solve the undamped least-squares normal equations
+with a halving line search, under 9 linear constraints: orthogonal to the 3
 translations and 3 ambient rotations, and cancelling the linearized area
-center, grad c . delta = -c.  The solver is projected conjugate gradients in
-the constraints' null space (_projected_cg), preconditioned by the round
-sphere's normal matrix A0, which splits by total angular momentum j into
-blocks of at most 4 (_MultipletPreconditioner: O(L^2) per degree and per
-apply), exact off the gauge and below the top multiplet: a step takes at
-most 10 iterations at every L from 16 to 128 on target 103 (eps = 0.1).
-The base damping is lam0 = 1e-12 trace(A0) / n.  Each accepted step appends
-a newton_log record: the residual and its conformality and mean-curvature
-block norms, the step length, the damping and the CG iteration count.
+center, grad c . delta = -c.  The translation columns are the l = 0 modes,
+so no update moves them: F keeps the round-measure mean of its start (0 for
+the round sphere).  The rotation columns keep each update free of
+first-order rotation.  So the start and the path alone place a solution in
+space, and the surface is determined up to a rigid motion.  The solver is
+projected conjugate gradients in the constraints' null space
+(_projected_cg), preconditioned by the round sphere's normal matrix A0,
+which splits by total angular momentum j into blocks of at most 4
+(_MultipletPreconditioner: O(L^2) per degree and per apply), exact off the
+gauge and below the top multiplet: a step takes at most 10 iterations at
+every L from 16 to 128 on target 103 (eps = 0.1).
+Each accepted step appends a newton_log record: the residual and its
+conformality and mean-curvature block norms, the step length, the halving
+count and the CG iteration count.
 
 Everything a step needs at one degree (grid, packing, row weights and the
 preconditioner) is that degree's _Workspace, a pure function of L.
@@ -99,7 +102,7 @@ MAX_HALVINGS = 20
 COARSEST_DEGREE = 12        # first rung of the coarse-to-fine degree ladder
 CENTER_TOL = 1e-10          # |area center| of a converged solve
 KRYLOV_TOL = 1e-10          # relative residual at which projected CG stops
-KRYLOV_MAX_ITERS = 100      # projected CG iterations before the damping rises
+KRYLOV_MAX_ITERS = 100      # projected CG iterations before a step fails
 MAX_NEWTON_ITERS = 30       # Gauss-Newton steps per correction or polish
 MIN_STEP = 1.0 / 160.0      # smallest step in s of the final rung before a stall
 
@@ -128,7 +131,6 @@ class ContinuationState:
     evaluation: dict            # ft, fp, h_total = H + ell_b, cross, cross_norm, normal
     step_log: list = dataclass_field(default_factory=list)
     newton_log: list = dataclass_field(default_factory=list)  # one record per step
-    last_update: np.ndarray = None  # accepted raw update, before re-basing
 
     @classmethod
     def at(cls, s, coeffs, b, H_values, **logs):
@@ -190,7 +192,7 @@ class StepFailure(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# workspace: packing, pole weights and the per-degree preconditioner
+# workspace: packing and the per-degree preconditioner
 # ----------------------------------------------------------------------
 
 class _Workspace:
@@ -203,15 +205,6 @@ class _Workspace:
         self.mode_l = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
         self.mode_col = L + np.concatenate([np.arange(-l, l + 1) for l in range(L + 1)])
         self.n_modes = self.mode_l.size
-
-        # pole-frame weights: F(p0) from m = 0, (F_u, F_v)(p0) from m = +-1
-        ls = np.arange(L + 1)
-        self.pole_value_w = np.sqrt((2 * ls + 1) / FOUR_PI)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            alpha = -np.sqrt((2 * ls + 1.0) * ls * (ls + 1.0) / (8 * np.pi))
-        alpha[0] = 0.0
-        self.pole_deriv_w = 2.0 * alpha  # F_u = 2 dF/dtheta at phi = 0
-
         self.sqrt_w = np.sqrt(grid.w).ravel()
         self.sin_flat = np.repeat(grid.sin_theta, grid.n_phi)
         self.xyz_flat = grid.xyz.reshape(3, -1)
@@ -236,15 +229,6 @@ class _Workspace:
         coeffs[:, self.mode_l, self.mode_col] = x[:-3].reshape(3, self.n_modes)
         return coeffs, x[-3:].copy()
 
-    # -- pole frame -------------------------------------------------------
-
-    def pole_frame(self, coeffs: np.ndarray):
-        L = self.L
-        F0 = coeffs[:, :, L] @ self.pole_value_w
-        Fu = coeffs[:, :, L + 1] @ self.pole_deriv_w
-        Fv = coeffs[:, :, L - 1] @ self.pole_deriv_w
-        return F0, Fu, Fv
-
 
 @lru_cache(maxsize=2)
 def _workspace(L: int) -> _Workspace:
@@ -260,8 +244,8 @@ def _workspace(L: int) -> _Workspace:
 def residual(F, b, H_target_values, grid: SphericalGrid) -> np.ndarray:
     """Stacked solver residual for an immersion, affine vector and target H:
     the 5 * n_nodes pointwise rows (2 conformality, then 3 mean-curvature
-    rows per node).  The base point has no rows; the solver fixes it by
-    re-basing each iterate.
+    rows per node).  No row fixes the immersion's placement in space; the
+    step's gauge constraints keep it.
 
     ``F`` may be a 3-component HarmonicField or an ImmersionField.  Raises
     on H_target + ell <= 0 anywhere (outside the solvable regime).
@@ -391,7 +375,7 @@ class _MultipletPreconditioner:
     P keeps the m = 0 value, within 3 % of A0 at L = 8 and 1.1 % at L = 16.
 
     An apply is O(L^2): real to complex harmonics, Cartesian to spherical
-    components, the coupling, one (B_j + lam)^-1 per j, and back.  The
+    components, the coupling, one B_j^-1 per j, and back.  The
     coupled coefficients are held as [slot, j, m + 1, k], slot lam - j + 1
     and 3 for b, zero where no state exists, for m >= -1 only: a real
     vector's coefficient at -m is +-conj of the one at m, and the states
@@ -445,17 +429,14 @@ class _MultipletPreconditioner:
             M[..., d] = np.einsum("sj,srnj->rnj", cg0[d], cols[:, :, :, d:d + L + 2])
         M[2:, :, 1, 3] = b0[:, 2]
         self.blocks = grid.n_phi * np.einsum("rnja,rnjb->jab", M.conj(), M)
-        # trace(A0): each block once per m
-        traces = np.trace(self.blocks, axis1=1, axis2=2).real
-        self.trace = float(np.sum((2 * js + 1) * traces))
         self.lifted = float(self.blocks[1, 3, 3].real)
         # solve's blocks: j = 1 lifted to sigma I, and a unit diagonal where a
         # slot holds no state (its row of M, and its coefficients, are 0)
-        self.solve_blocks = self.blocks.copy()
-        self.solve_blocks[1] = self.lifted * np.eye(4)
+        solve_blocks = self.blocks.copy()
+        solve_blocks[1] = self.lifted * np.eye(4)
         diag = np.arange(4)
-        self.solve_blocks[:, diag, diag] += self.solve_blocks[:, diag, diag] == 0
-        self.inverse = None, None   # (lam, (solve_blocks + lam)^-1) of the last solve
+        solve_blocks[:, diag, diag] += solve_blocks[:, diag, diag] == 0
+        self.inverse = np.linalg.inv(solve_blocks)
 
     def coupled(self, r: np.ndarray) -> np.ndarray:
         """Coupled coefficients [slot, j, m + 1, k], m >= -1, of packed real
@@ -490,12 +471,10 @@ class _MultipletPreconditioner:
         modes = (np.take(f, self.target, axis=1) * self.target_phase).real
         return np.concatenate([modes.reshape(-1, k), (self.spherical.T @ u[3, 1, :3]).real])
 
-    def solve(self, r: np.ndarray, lam: float) -> np.ndarray:
-        """(P + lam I)^-1 r for r of shape (n,) or (n, k), gauge values lifted."""
-        if lam != self.inverse[0]:
-            self.inverse = lam, np.linalg.inv(self.solve_blocks + lam * np.eye(4))
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """P^-1 r for r of shape (n,) or (n, k), gauge values lifted."""
         u = self.coupled(r.reshape(len(r), -1))
-        y = np.einsum("jab,bjx->ajx", self.inverse[1], u.reshape(4, self.L + 2, -1))
+        y = np.einsum("jab,bjx->ajx", self.inverse, u.reshape(4, self.L + 2, -1))
         return self.uncoupled(y.reshape(u.shape)).reshape(r.shape)
 
 
@@ -555,32 +534,16 @@ def gauge_basis(state: ContinuationState) -> GaugeBasis:
     return GaugeBasis(matrix=G, rhs=rhs, center=center, gram_condition=cond)
 
 
-def _rebase(coeffs):
-    """Ambient rigid motion fixing the base point: after it, F(p0) = 0, the
-    normal at p0 is e3 and F_u(p0) points along e1 (p0 the north pole).
-    Raises DataError when F_u x F_v vanishes at p0."""
-    ws = _workspace(coeffs.shape[1] - 1)
-    _, Fu, Fv = ws.pole_frame(coeffs)
-    n = np.cross(Fu, Fv)
-    nn = np.linalg.norm(n)
-    if nn < 1e-14:
-        raise DataError("degenerate frame at the base point")
-    N = n / nn
-    u = Fu / np.linalg.norm(Fu)
-    R = np.stack([u, np.cross(N, u), N])
-    out = np.einsum("dc,clm->dlm", R, coeffs)
-    F0r, _, _ = ws.pole_frame(out)
-    out[:, 0, ws.L] -= F0r * np.sqrt(FOUR_PI)
-    return out
-
-
-def _projected_cg(lin, basis, g, lam, ws):
-    """Solve the damped, gauge-constrained normal equations
-    [J^T J + lam I, G; G^T, 0] [delta; mu] = [-g; rhs] (g = J^T r) without
-    forming J: projected preconditioned CG (Gould, Hribar & Nocedal 2001)
-    with the constraint preconditioner [P + lam I, G; G^T, 0], P the round
-    sphere's normal matrix by total angular momentum
-    (_MultipletPreconditioner).
+def _projected_cg(lin, basis, g, ws):
+    """Solve the gauge-constrained normal equations
+    [J^T J, G; G^T, 0] [delta; mu] = [-g; rhs] (g = J^T r) without forming
+    J: projected preconditioned CG (Gould, Hribar & Nocedal 2001) with the
+    constraint preconditioner [P, G; G^T, 0], P the round sphere's normal
+    matrix by total angular momentum (_MultipletPreconditioner).  There is
+    no damping: J^T J is positive definite on the constraints' null space
+    wherever that space meets J's null space (the nine gauge directions at
+    the round sphere) only in 0, and the curvature guard ends CG where it
+    does not.
 
     The particular solution x0 = P^-1 G S^-1 rhs (S = G^T P^-1 G, 9 x 9)
     meets the constraints; CG then runs in their null space, each residual
@@ -589,15 +552,15 @@ def _projected_cg(lin, basis, g, lam, ws):
     iterations); delta is None when CG does not reach KRYLOV_TOL within
     KRYLOV_MAX_ITERS iterations."""
     pre, G = ws.preconditioner, basis.matrix
-    PG = pre.solve(G, lam)
+    PG = pre.solve(G)
     S_inv = np.linalg.inv(G.T @ PG)
 
     def project(res):
         v = S_inv @ (PG.T @ res)
-        return res - G @ v, pre.solve(res, lam) - PG @ v
+        return res - G @ v, pre.solve(res) - PG @ v
 
     def normal(v):
-        return _vjp(lin, _jvp(lin, v, ws), ws) + lam * v
+        return _vjp(lin, _jvp(lin, v, ws), ws)
 
     x = PG @ (S_inv @ basis.rhs)
     res, y = project(normal(x) + g)
@@ -620,53 +583,40 @@ def _projected_cg(lin, basis, g, lam, ws):
 
 
 def gauge_projected_step(state: ContinuationState, H_values) -> ContinuationState:
-    """One damped Gauss-Newton update under the gauge constraints.
+    """One Gauss-Newton update under the gauge constraints.
 
-    Solves the KKT system of the damped normal equations subject to
+    Solves the KKT system of the undamped normal equations subject to
     G^T delta = rhs (gauge_basis: no rigid motion, and the linearized area
     center cancelled) matrix-free by projected CG, then line-searches with
-    halving factor LINE_SEARCH_FACTOR.  The damping starts at
-    1e-12 trace(A0) / n and rises after a failed linear solve or line
-    search; raises StepFailure when no decrease is found.  The state must
-    have been evaluated against H_values; the Jacobian and the gauge columns
-    read its evaluation, and each trial point is evaluated once.
-    Appends one record to the state's newton_log.
+    halving factor LINE_SEARCH_FACTOR, at most MAX_HALVINGS times.  Raises
+    StepFailure when CG fails or no trial point decreases the residual.  The
+    state must have been evaluated against H_values; the Jacobian and the
+    gauge columns read its evaluation, each trial point is evaluated once,
+    and the accepted trial is the new state.  Appends one record to the
+    state's newton_log.
     """
     ws = state.ws
     n0 = state.residual_norm
     lin = _linearization(state)
-    basis = gauge_basis(state)
-    g = _vjp(lin, state.residual, ws)
-    lam = 1e-12 * ws.preconditioner.trace / ws.n_unknowns
-
+    delta, linear_iters = _projected_cg(lin, gauge_basis(state),
+                                        _vjp(lin, state.residual, ws), ws)
+    if delta is None:
+        raise StepFailure(f"projected CG failed at residual {n0:.3e}")
     x0 = ws.pack(state.coeffs, state.b)
-    linear_iters = 0
-    for attempt in range(4):
-        delta, iters = _projected_cg(lin, basis, g, lam, ws)
-        linear_iters += iters
-        if delta is not None:
-            alpha = 1.0
-            for halvings in range(MAX_HALVINGS + 1):
-                coeffs_try, b_try = ws.unpack(x0 + alpha * delta)
-                if ContinuationState.at(state.s, coeffs_try, b_try,
-                                        H_values).residual_norm < n0:
-                    new = ContinuationState.at(
-                        state.s, _rebase(coeffs_try), b_try, H_values,
-                        step_log=state.step_log, newton_log=state.newton_log,
-                        last_update=alpha * delta,
-                    )
-                    n_conf = 2 * ws.n_nodes
-                    new.newton_log.append({
-                        "degree": ws.L, "residual": new.residual_norm,
-                        "residual_conformality": float(np.linalg.norm(new.residual[:n_conf])),
-                        "residual_mc": float(np.linalg.norm(new.residual[n_conf:])),
-                        "alpha": alpha, "halvings": halvings, "damping_retries": attempt,
-                        "damping": float(lam), "linear_solver": "krylov",
-                        "linear_iters": linear_iters,
-                    })
-                    return new
-                alpha *= LINE_SEARCH_FACTOR
-        lam *= 1e4
+    alpha = 1.0
+    for halvings in range(MAX_HALVINGS + 1):
+        new = ContinuationState.at(state.s, *ws.unpack(x0 + alpha * delta), H_values,
+                                   step_log=state.step_log, newton_log=state.newton_log)
+        if new.residual_norm < n0:
+            n_conf = 2 * ws.n_nodes
+            new.newton_log.append({
+                "degree": ws.L, "residual": new.residual_norm,
+                "residual_conformality": float(np.linalg.norm(new.residual[:n_conf])),
+                "residual_mc": float(np.linalg.norm(new.residual[n_conf:])),
+                "alpha": alpha, "halvings": halvings, "linear_iters": linear_iters,
+            })
+            return new
+        alpha *= LINE_SEARCH_FACTOR
     raise StepFailure(f"no residual decrease from {n0:.3e}")
 
 
@@ -682,7 +632,7 @@ def _round_start(L, config):
         valid = np.abs(np.arange(-L, L + 1)) <= np.arange(L + 1)[:, None]
         noise = rng.uniform(-1, 1, size=coeffs.shape) * config.noise_amplitude
         coeffs = coeffs + noise * valid
-    return _rebase(coeffs)
+    return coeffs
 
 
 def _newton_to_tol(state, H_values, target, center=False):
@@ -724,7 +674,7 @@ def _rung_start(state, H_vals, L, config):
         coeffs, b, s = _round_start(L, config), np.zeros(3), 0.0
         logs = {}
     else:
-        coeffs = _rebase(HarmonicField(state.coeffs).truncated(L).coeffs)
+        coeffs = HarmonicField(state.coeffs).truncated(L).coeffs
         b, s = state.b.copy(), state.s
         logs = dict(step_log=state.step_log, newton_log=state.newton_log)
     return ContinuationState.at(s, coeffs, b, _homotopy(s, H_vals), **logs)
@@ -771,7 +721,6 @@ def _continue(state, H_vals, config, final):
             # secant predictor through the last two accepted states
             s_prev, x_prev = previous
             coeffs, b = ws.unpack(x + ds / (s - s_prev) * (x - x_prev))
-            coeffs = _rebase(coeffs)
         trial = ContinuationState.at(s_next, coeffs, b, _homotopy(s_next, H_vals),
                                      step_log=state.step_log,
                                      newton_log=state.newton_log)
@@ -792,20 +741,35 @@ def _continue(state, H_vals, config, final):
 
 
 def _step_bytes(L: int) -> int:
-    """Bytes a Gauss-Newton step holds at degree L, modeled as 128 arrays the
-    length of the node count or of the unknowns: the linearization, the
-    jets, the gauge columns, their preconditioned copies with the
-    preconditioner's complex coefficients, and the CG vectors.  The
-    preconditioner it builds on a first step holds O(L^2) numbers.  The model
-    exceeds the traced peak of a first step from L = 16 up (by 20 % at
-    L = 16 and 45 % at L = 96)."""
+    """Bytes that work at degree L holds: the grid's Legendre table, 16 (L + 1)^3
+    (Q and dQ/dtheta as [n, m, node, l]), and a Gauss-Newton step modeled as
+    128 arrays the length of the node count or of the unknowns: the
+    linearization, the jets, the gauge columns, their preconditioned copies
+    with the preconditioner's complex coefficients, and the CG vectors.  The
+    preconditioner it builds on a first step holds O(L^2) numbers.  The
+    model exceeds the traced peak of building the workspace and taking a
+    first step from L = 16 up (by 7 % at L = 16, 21 % at 48 and 20 % at
+    96), and that of a verify at degree L (7.1 MB traced against 14 MB
+    modeled at L = 48, 35 against 63 MB at L = 96)."""
     n_nodes = 2 * (L + 1) ** 2
     n_unknowns = 3 * (L + 1) ** 2 + 3
-    return 8 * 128 * (n_nodes + n_unknowns)
+    return 16 * (L + 1) ** 3 + 8 * 128 * (n_nodes + n_unknowns)
 
 
 def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_memory(L: int) -> None:
+    """Raise ConfigurationError when work at degree L, a solve or a verify,
+    would need more bytes (_step_bytes) than the physical memory.  Call it
+    before building the degree's grid."""
+    need, have = _step_bytes(L), _physical_memory_bytes()
+    if need > have:
+        raise ConfigurationError(
+            f"degree L = {L} needs about {need / 1e9:.2f} GB, more than the "
+            f"{have / 1e9:.2f} GB of physical memory"
+        )
 
 
 def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
@@ -825,17 +789,11 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
     starts the final rung at the same s.  Only config.degree is polished, to
     tol / 2 and an area center of at most CENTER_TOL.
 
-    Raises ConfigurationError, before any work, when one Gauss-Newton step
-    at config.degree would need more bytes than the physical memory.
+    Raises ConfigurationError, before any work, when config.degree would
+    need more bytes than the physical memory (check_memory).
     """
     t_start = time.perf_counter()
-    need, have = _step_bytes(config.degree), _physical_memory_bytes()
-    if need > have:
-        raise ConfigurationError(
-            f"a Gauss-Newton step at L = {config.degree} needs about "
-            f"{need / 1e9:.2f} GB, more than the {have / 1e9:.2f} GB of "
-            "physical memory"
-        )
+    check_memory(config.degree)
     grid = _workspace(config.degree).grid
     if isinstance(H_target, HarmonicField):
         if H_target.degree > grid.L:

@@ -437,6 +437,66 @@ def test_cli_solve_refuses_beyond_physical_memory(tmp_path, monkeypatch, capsys)
     assert "physical memory" in capsys.readouterr().err
 
 
+def test_cli_refuses_degree_whose_legendre_table_exceeds_memory(tmp_path, monkeypatch,
+                                                               capsys):
+    """At L = 200 the Gauss-Newton step alone (207 MB) fits in a physical
+    memory that the step and the grid's Legendre table (130 MB) together do
+    not: solve and verify both exit 1 before any grid is built, and write no
+    outputs."""
+    from pmcsphere import solver
+
+    L = 200
+    step_alone = 8 * 128 * (5 * (L + 1) ** 2 + 3)
+    have = step_alone + 8 * (L + 1) ** 3
+    assert step_alone < have < solver._step_bytes(L)
+    monkeypatch.setattr(solver, "_physical_memory_bytes", lambda: have)
+
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(SphericalGrid, "__init__", no_grid)
+    h_path, f_path = tmp_path / "h.json", tmp_path / "f.json"
+    write_field(constant_field(2.0), h_path)
+    write_field(random_field(4, ncomp=3), f_path)
+    for i, argv in enumerate([["solve", "--h-target", str(h_path)],
+                              ["verify", "--immersion", str(f_path)]]):
+        out = tmp_path / f"out{i}"
+        assert cli_dispatch(argv + ["--L", str(L), "--out-dir", str(out)]) == 1
+        assert not out.exists()
+        assert "physical memory" in capsys.readouterr().err
+
+
+def test_cli_out_dir_that_is_a_file_exits_1_before_any_work(tmp_path, monkeypatch,
+                                                            capsys):
+    """Every command that writes outputs exits 1 with an error line, before
+    any solve, when --out-dir names an existing regular file, which it
+    leaves unchanged.  An out-dir that cannot be created once the work is
+    done (its parent is a file) exits 1 the same way."""
+    import pmcsphere.cli as cli
+
+    def no_solve(*args):
+        raise AssertionError("the solve started")
+
+    monkeypatch.setattr(cli, "solve_pmc", no_solve)
+    h_path, f_path = tmp_path / "h.json", tmp_path / "f.json"
+    write_field(constant_field(2.0), h_path)
+    write_field(random_field(4, ncomp=3), f_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"not a directory\n")
+    for argv in (["solve", "--h-target", str(h_path), "--L", "6"],
+                 ["verify", "--immersion", str(f_path), "--L", "8"],
+                 ["balance", "--h", str(h_path), "--weight", "round", "--L", "8"],
+                 ["example", "--family", "enneper", "--param", "0.5"]):
+        assert cli_dispatch(argv + ["--out-dir", str(blocker)]) == 1
+        assert "is not a directory" in capsys.readouterr().err
+        assert blocker.read_bytes() == b"not a directory\n"
+    argv = ["verify", "--immersion", str(f_path), "--L", "8",
+            "--out-dir", str(blocker / "sub")]
+    assert cli_dispatch(argv) == 1
+    assert "error: cannot write outputs" in capsys.readouterr().err
+    assert blocker.read_bytes() == b"not a directory\n"
+
+
 def test_cli_solve_stall_exit_2(tmp_path, capsys):
     h_path = tmp_path / "h.json"
     write_field(x3_plus_two_field(), h_path)
