@@ -143,7 +143,9 @@ def _cmd_balance(args) -> int:
     h_field = load_field(args.h)
     if h_field.n_components != 1:
         raise InputError("--h must be a scalar field")
-    grid = SphericalGrid(max(args.L, h_field.degree))
+    L = max(args.L, h_field.degree)
+    check_memory(L)
+    grid = SphericalGrid(L)
     H = synthesize(h_field.truncated(grid.L), grid)
     if args.weight == "round":
         weight = np.ones_like(H)
@@ -209,6 +211,7 @@ def _cmd_export_obj(args) -> int:
     if field.n_components != 3:
         raise InputError("--in must be a 3-component immersion field")
     L = args.L if args.L is not None else max(field.degree, 8)
+    check_memory(L)
     export_obj(field, args.out, SphericalGrid(L))
     print(f"wrote {args.out}")
     return 0

@@ -9,9 +9,12 @@ runs from F_a alone and is the one place that forms n, for the solver's
 residual and Jacobian too.  An ImmersionField runs the kernel once, and all
 but the branch fits read that evaluation: the chart residual F_z . F_z and
 lambda^2 = 2|F_z|^2 come from the metric (conformality_defect), and F_z is
-formed only where the fits need chart coordinates.  All reported scalars
-(H, K, |A|^2, area element) are parametrization-invariant.  verify reports
-codazzi_norm as null on a map whose branch scan finds a branch point or an
+formed only where the fits need chart coordinates.  Its home-chart F_z . F_z
+is computed once per immersion (ImmersionField.conformality) and gates
+mc_residual, the branch scan and verify.  All reported scalars (H, K,
+|A|^2, area element) are parametrization-invariant.  verify is the one
+report of an immersion: on a conformal map it scans for branch points, and
+it reports codazzi_norm as null when the scan finds a branch point or an
 unresolved singular point.
 
 Sign conventions: N follows F_theta x F_phi and is flipped globally (together
@@ -64,8 +67,9 @@ BRANCH_FIT_TOL = 0.1            # largest relative residual of a branch fit
 class ImmersionField:
     """An immersion given by three harmonic component fields on a grid.
 
-    Derivative jets, the kernel's evaluation on them, the fundamental forms
-    and each chart's F_z are computed lazily, once; the object is immutable.
+    Derivative jets, the kernel's evaluation on them, the fundamental forms,
+    the home-chart F_z . F_z and each chart's F_z are computed lazily, once;
+    the object is immutable.
     """
 
     def __init__(self, field: HarmonicField, grid: SphericalGrid):
@@ -133,6 +137,16 @@ class ImmersionField:
             singular=p["singular"],
             orientation_flipped=flipped,
         )
+
+    @cached_property
+    def conformality(self) -> np.ndarray:
+        """conformality_residual in each node's home chart."""
+        return conformality_residual(self)
+
+    @cached_property
+    def conformality_sup(self) -> float:
+        """sup |F_z . F_z| over the nodes, the quantity CONFORMALITY_TOL gates."""
+        return float(np.nanmax(np.abs(self.conformality)))
 
     @property
     def is_regular(self) -> bool:
@@ -243,7 +257,8 @@ def conformality_residual(F: ImmersionField, chart="home") -> np.ndarray:
     parametrization is conformal), read from the metric:
     (1/4) mu^-2 e^{-+2i phi} (q1 - i q2) with (q1, q2) = conformality_defect,
     - in the north chart and + in the south.  "home" takes each theta-row's
-    home chart; nodes masked in a chart are NaN."""
+    home chart (ImmersionField.conformality caches it); nodes masked in a
+    chart are NaN."""
     grid = F.grid
     rows = grid.home_chart() if chart == "home" else np.full(grid.n_theta, chart)
     phase = np.exp(np.where(rows == NORTH, -2j, 2j)[:, None] * grid.phi)
@@ -263,10 +278,8 @@ def mc_residual(F: ImmersionField, H_target: np.ndarray) -> np.ndarray:
     node's home chart (F_{zbar z} and i Fbar_z x F_z are both real): the
     chart-free residual times mu^{-2}.
     """
-    conf = conformality_residual(F)
-    sup = float(np.nanmax(np.abs(conf)))
-    if sup > CONFORMALITY_TOL:
-        raise ConformalityError(sup)
+    if F.conformality_sup > CONFORMALITY_TOL:
+        raise ConformalityError(F.conformality_sup)
     r_global = mc_residual_global(F.jet("lap")["lap"], F.pointwise["cross"],
                                   np.asarray(H_target, float), F.grid)
     return chart_area_factors(F.grid, "home")[None, :, None] * r_global
@@ -533,19 +546,17 @@ def branch_scan(absfz, cluster_radius, chart_at, fz_of) -> BranchScan:
     return BranchScan(points=points, unresolved=unresolved)
 
 
-def detect_branch_points(F: ImmersionField,
-                         conformality_tol: float = CONFORMALITY_TOL) -> BranchScan:
+def detect_branch_points(F: ImmersionField) -> BranchScan:
     """Locate and classify branch points of a conformal map of the sphere.
 
-    Runs ``branch_scan`` on |F_z| = sqrt(lambda^2 / 2) in each node's home
-    chart, fitting F_z ~ (z - q)^k G over k in 1..BRANCH_MAX_ORDER in the
-    candidate's home chart; a chart's F_z is formed only for the fits.
+    Raises ConformalityError when sup |F_z . F_z| exceeds CONFORMALITY_TOL:
+    the fits assume G.G = 0.  Runs ``branch_scan`` on |F_z| =
+    sqrt(lambda^2 / 2) in each node's home chart, fitting F_z ~ (z - q)^k G
+    over k in 1..BRANCH_MAX_ORDER in the candidate's home chart; a chart's
+    F_z is formed only for the fits.
     """
-    conf = conformality_residual(F)
-    sup = float(np.nanmax(np.abs(conf)))
-    if sup > conformality_tol:
-        raise ConformalityError(sup)
-
+    if F.conformality_sup > CONFORMALITY_TOL:
+        raise ConformalityError(F.conformality_sup)
     absfz = np.sqrt(0.5 * F.forms.conformal_factor)
     home = F.grid.home_chart()
     z = {c: F.grid.chart_z(c) for c in (NORTH, SOUTH)}
@@ -557,17 +568,19 @@ def detect_branch_points(F: ImmersionField,
 # verification report
 # ----------------------------------------------------------------------
 
-def verify(F: ImmersionField, *, scan_branches=True) -> dict:
+def verify(F: ImmersionField) -> dict:
     """Assemble the verification report for an immersion on its grid.
 
-    The branch scan runs first, on a conformal F only; when it finds a branch
-    point or an unresolved singular point, codazzi_norm is null with a
-    codazzi_unavailable reason (codazzi_residual is unbounded there)."""
+    On a conformal F (conformality_sup within CONFORMALITY_TOL) the branch
+    scan runs first and fills branch_points and unresolved_singular_points;
+    when either is non-empty, codazzi_norm is null with a codazzi_unavailable
+    reason (codazzi_residual is unbounded there).  A non-conformal F is not
+    scanned: its branch_points is empty and unresolved_singular_points absent.
+    """
     grid = F.grid
     forms = fundamental_forms(F)
-    conf_sup = float(np.nanmax(np.abs(conformality_residual(F))))
-    found = (branch_scan_report(detect_branch_points(F))
-             if scan_branches and conf_sup <= CONFORMALITY_TOL else {})
+    scan = detect_branch_points(F) if F.conformality_sup <= CONFORMALITY_TOL else None
+    branched = scan is not None and bool(scan.points or scan.unresolved)
     area = integrate(np.ones_like(forms.area_weight), grid, forms.area_weight)
     intA2, gauss_identity = _gauss_identity(forms, grid)
     intK = integrate(np.nan_to_num(forms.gauss_curvature), grid, forms.area_weight)
@@ -578,22 +591,8 @@ def verify(F: ImmersionField, *, scan_branches=True) -> dict:
         "area": area,
         "intA2": intA2,
         "gauss_identity": gauss_identity,
-        "codazzi_norm": None if "codazzi_unavailable" in found else codazzi_residual(F),
+        "codazzi_norm": None if branched else codazzi_residual(F),
         "obstruction": obstruction.tolist(),
-        "branch_points": [],
-        "gauss_bonnet_residual": intK - FOUR_PI,
-        "conformality_sup": conf_sup,
-        "mc_convention_constant": MC_CONVENTION_CONSTANT,
-    }
-    report.update(found)
-    return report
-
-
-def branch_scan_report(scan: BranchScan) -> dict:
-    """The report entries of a sphere branch scan: ``branch_points`` and
-    ``unresolved_singular_points``, and on a branched immersion (either list
-    non-empty) ``codazzi_norm`` null with its ``codazzi_unavailable`` reason."""
-    found = {
         "branch_points": [
             {
                 "chart": bp.location.chart,
@@ -603,17 +602,20 @@ def branch_scan_report(scan: BranchScan) -> dict:
                 "null_defect": bp.null_defect,
                 "fit_residual": bp.fit_residual,
             }
-            for bp in scan.points
+            for bp in (scan.points if scan is not None else [])
         ],
-        "unresolved_singular_points": [
-            {"chart": p.chart, "z": [p.z.real, p.z.imag]} for p in scan.unresolved
-        ],
+        "gauss_bonnet_residual": intK - FOUR_PI,
+        "conformality_sup": F.conformality_sup,
+        "mc_convention_constant": MC_CONVENTION_CONSTANT,
     }
-    if scan.points or scan.unresolved:
-        found["codazzi_norm"] = None
-        found["codazzi_unavailable"] = (
+    if scan is not None:
+        report["unresolved_singular_points"] = [
+            {"chart": p.chart, "z": [p.z.real, p.z.imag]} for p in scan.unresolved
+        ]
+    if branched:
+        report["codazzi_unavailable"] = (
             f"the branch scan found {len(scan.points)} branch point(s) and "
             f"{len(scan.unresolved)} unresolved singular point(s); the Codazzi "
             "integrand is unbounded near a branch point"
         )
-    return found
+    return report

@@ -483,17 +483,15 @@ def chart_gradient_from_jet(ft, fp, grid: SphericalGrid, chart: str) -> np.ndarr
     return fz
 
 
-def chart_gradient(field, grid: SphericalGrid, chart: str, nodes=None) -> np.ndarray:
-    """Complex chart derivative F_z = (F_u - i F_v)/2 at grid nodes.
+def chart_gradient(field: HarmonicField, grid: SphericalGrid, chart: str,
+                   nodes=None) -> np.ndarray:
+    """Complex chart derivative F_z = (F_u - i F_v)/2 of a HarmonicField at
+    grid nodes.
 
-    ``field`` may be a HarmonicField or an array of node values (which is
-    first projected onto harmonics of degree <= L).  Nodes masked in the
-    chart are returned as NaN.  If ``nodes`` is given as an index pair
-    (i_idx, j_idx), only those nodes are returned, and requesting a masked
-    node raises ChartDomainError.
+    Nodes masked in the chart are returned as NaN.  If ``nodes`` is given as
+    an index pair (i_idx, j_idx), only those nodes are returned, and
+    requesting a masked node raises ChartDomainError.
     """
-    if not isinstance(field, HarmonicField):
-        field = analyze(field, grid)
     jet = synthesize_jet(field, grid, which=("ft", "fp"))
     fz = chart_gradient_from_jet(jet["ft"], jet["fp"], grid, chart)
     if field.n_components == 1:

@@ -72,10 +72,7 @@ from .errors import ConfigurationError, ConformalityError, DataError
 from .geometry import (
     CONFORMALITY_TOL,
     ImmersionField,
-    branch_scan_report,
     conformality_defect,
-    conformality_residual,
-    detect_branch_points,
     first_order_forms,
     fundamental_forms,
     jet_derivatives,
@@ -188,7 +185,13 @@ class SolveResult:
 
 
 class StepFailure(RuntimeError):
-    """A Gauss-Newton step could not decrease the residual."""
+    """A Gauss-Newton step could not decrease the residual; ``reason`` is the
+    stall reason it ends a solve with: "krylov_failure" (projected CG did not
+    converge) or "line_search_exhausted" (no trial point decreased it)."""
+
+    def __init__(self, reason: str, message: str):
+        super().__init__(message)
+        self.reason = reason
 
 
 # ----------------------------------------------------------------------
@@ -601,7 +604,7 @@ def gauge_projected_step(state: ContinuationState, H_values) -> ContinuationStat
     delta, linear_iters = _projected_cg(lin, gauge_basis(state),
                                         _vjp(lin, state.residual, ws), ws)
     if delta is None:
-        raise StepFailure(f"projected CG failed at residual {n0:.3e}")
+        raise StepFailure("krylov_failure", f"projected CG failed at residual {n0:.3e}")
     x0 = ws.pack(state.coeffs, state.b)
     alpha = 1.0
     for halvings in range(MAX_HALVINGS + 1):
@@ -617,7 +620,7 @@ def gauge_projected_step(state: ContinuationState, H_values) -> ContinuationStat
             })
             return new
         alpha *= LINE_SEARCH_FACTOR
-    raise StepFailure(f"no residual decrease from {n0:.3e}")
+    raise StepFailure("line_search_exhausted", f"no residual decrease from {n0:.3e}")
 
 
 # ----------------------------------------------------------------------
@@ -640,7 +643,8 @@ def _newton_to_tol(state, H_values, target, center=False):
     ``center``, the area center is at most CENTER_TOL from 0.
 
     Returns (state, None) on success, else the last accepted state and the
-    stall reason: "line_search_exhausted" or "iteration_cap".
+    stall reason: a StepFailure's ("krylov_failure" or
+    "line_search_exhausted") or "iteration_cap".
     """
     def met():
         return state.residual_norm <= target and not (
@@ -652,8 +656,8 @@ def _newton_to_tol(state, H_values, target, center=False):
             return state, None
         try:
             state = gauge_projected_step(state, H_values)
-        except StepFailure:
-            return state, "line_search_exhausted"
+        except StepFailure as err:
+            return state, err.reason
     return state, None if met() else "iteration_cap"
 
 
@@ -761,8 +765,9 @@ def _physical_memory_bytes() -> int:
 
 
 def check_memory(L: int) -> None:
-    """Raise ConfigurationError when work at degree L, a solve or a verify,
-    would need more bytes (_step_bytes) than the physical memory.  Call it
+    """Raise ConfigurationError when work at degree L would need more bytes
+    (_step_bytes) than the physical memory: a solve, or a verify, balance or
+    OBJ export, which build the same grid and fewer node arrays.  Call it
     before building the degree's grid."""
     need, have = _step_bytes(L), _physical_memory_bytes()
     if need > have:
@@ -777,9 +782,10 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
 
     ``H_target`` is a scalar HarmonicField (degree <= config.degree) or node
     values on the solver grid; it must be positive everywhere.  Returns the
-    immersion, the normalized affine function ell, and a verification
-    report.  On a stall the partial state is returned with status "stalled",
-    the report's "stall_reason" and branch diagnostics.
+    immersion, the normalized affine function ell, and a report: geometry.verify
+    of the immersion and the solve's own entries.  On a stall the partial
+    state is returned with status "stalled", the report's "stall_reason" and
+    its "stall_diagnostics" (the top degrees' norms and a suggested degree).
 
     The homotopy is followed coarse to fine over the degrees of
     ``_ladder(config.degree)`` (``_continue`` on each).  A coarse rung
@@ -870,45 +876,30 @@ def _spectral_tail(coeffs, tol):
 
 
 def _solution_report(F, affine, H_vals, grid, stall_reason, tol):
-    """Verification report of a solve; a solve that met its residual
+    """verify(F) and the solve's own entries.  A solve that met its residual
     tolerance but not the conformality gate stalls as "non_conformal".  A
-    line-search stall whose branch scan finds nothing while the iterate's
-    top degrees carry more than tol / 2 (and more than rounding) stalls as
-    "truncation_floor": the degree cannot resolve the solution."""
-    report = verify(F, scan_branches=False)
+    line-search stall whose iterate verify scanned (a conformal one) and
+    found neither a branch point nor an unresolved singular point, while
+    its top degrees carry more than tol / 2 (and more than rounding), stalls
+    as "truncation_floor": the degree cannot resolve the solution."""
+    report = verify(F)
     if stall_reason is None and report["conformality_sup"] > CONFORMALITY_TOL:
         stall_reason = "non_conformal"
     status = "converged" if stall_reason is None else "stalled"
     if status != "converged":
-        # a stall may come from branch-point formation; scan once, with the
-        # conformality gate relaxed to the iterate's own defect.  Within the
-        # default gate this scan is the one verify would run.
         diag = {"note": "possible branch-point formation"}
-        try:
-            gate = max(CONFORMALITY_TOL, 2.0 * report["conformality_sup"])
-            found = branch_scan_report(detect_branch_points(F, conformality_tol=gate))
-        except Exception as err:
-            diag["branch_scan_error"] = str(err)
-        else:
-            if report["conformality_sup"] <= CONFORMALITY_TOL:
-                report.update(found)
-            diag["branch_points"] = [
-                {key: bp[key] for key in ("chart", "z", "order")}
-                for bp in found["branch_points"]
-            ]
-            diag["unresolved_singular_points"] = list(found["unresolved_singular_points"])
         diag["top_degree_norms"], diag["suggested_degree"], floor_hit = (
             _spectral_tail(F.field.coeffs, tol))
+        # verify leaves unresolved_singular_points out of an unscanned report
         if (stall_reason == "line_search_exhausted" and floor_hit
-                and diag.get("branch_points") == []
-                and diag["unresolved_singular_points"] == []):
+                and report["branch_points"] == []
+                and report.get("unresolved_singular_points") == []):
             stall_reason = "truncation_floor"
             diag["note"] = ("truncation floor: the top degrees carry more than "
                             "tol / 2; solve at the suggested degree")
     ell = affine.evaluate(grid)
-    conf = conformality_residual(F)
     report["conformality_l2"] = float(
-        np.sqrt(integrate(np.abs(np.nan_to_num(conf)) ** 2, grid))
+        np.sqrt(integrate(np.abs(np.nan_to_num(F.conformality)) ** 2, grid))
     )
     try:
         mc = mc_residual(F, H_vals + ell)

@@ -209,6 +209,8 @@ def test_mc_residual_wrong_h_floor():
 
 
 def test_mc_residual_precondition():
+    """On a non-conformal parametrization mc_residual and the branch scan
+    raise ConformalityError with the sup-norm, and verify reports no scan."""
     g = SphericalGrid(16)
     theta_s = g.theta + 0.1 * np.sin(g.theta)
     vals = np.stack(
@@ -222,6 +224,11 @@ def test_mc_residual_precondition():
     with pytest.raises(ConformalityError) as err:
         mc_residual(F, np.full((g.n_theta, g.n_phi), 2.0))
     assert err.value.sup_norm > 1e-3
+    with pytest.raises(ConformalityError) as err:
+        detect_branch_points(F)
+    assert err.value.sup_norm == F.conformality_sup > 1e-3
+    report = verify(F)
+    assert report["branch_points"] == [] and "unresolved_singular_points" not in report
 
 
 def test_obstruction_vector_examples():
@@ -543,8 +550,7 @@ def z2_sphere_branched_at(q, grid):
 def test_verify_codazzi_null_on_branched_sphere():
     """On a branched z -> z^2 sphere the scan finds its singular points, and
     verify reports codazzi_norm as null with its reason, in the key's usual
-    place, instead of the unbounded integral; without the scan the number
-    stands."""
+    place, instead of the unbounded integral."""
     F = branched_z2_sphere(SphericalGrid(24))
     report = verify(F)
     assert report["conformality_sup"] <= geometry.CONFORMALITY_TOL
@@ -555,7 +561,6 @@ def test_verify_codazzi_null_on_branched_sphere():
     assert list(report)[3] == "codazzi_norm"
     assert list(report)[-1] == "codazzi_unavailable"
     assert codazzi_residual(F) > 1e-3   # 0.03; unbranched spheres read <= 2e-14
-    assert verify(F, scan_branches=False)["codazzi_norm"] == codazzi_residual(F)
     unbranched = verify(round_sphere(SphericalGrid(24)))
     assert unbranched["codazzi_norm"] < 1e-12 and "codazzi_unavailable" not in unbranched
 
@@ -579,8 +584,8 @@ def test_codazzi_holds_on_branched_sphere_without_singular_node():
 
 
 def test_verify_scan_flag_is_keyword_only():
-    """A stray positional argument (a grid, say) raises instead of turning
-    the branch scan on."""
+    """verify takes the immersion alone: a stray positional argument (a
+    grid, say) raises."""
     g = SphericalGrid(8)
     with pytest.raises(TypeError):
         verify(round_sphere(g), g)

@@ -466,6 +466,32 @@ def test_cli_refuses_degree_whose_legendre_table_exceeds_memory(tmp_path, monkey
         assert "physical memory" in capsys.readouterr().err
 
 
+def test_cli_balance_and_export_obj_refuse_beyond_physical_memory(tmp_path, monkeypatch,
+                                                                 capsys):
+    """With 1 MiB of physical memory, balance and export-obj at L = 64 exit 1
+    with the refusal before any grid is built, and write no outputs, as
+    verify does at the same degree."""
+    from pmcsphere import solver
+
+    monkeypatch.setattr(solver, "_physical_memory_bytes", lambda: 1 << 20)
+
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(SphericalGrid, "__init__", no_grid)
+    h_path, f_path = tmp_path / "h.json", tmp_path / "f.json"
+    write_field(constant_field(2.0), h_path)
+    write_field(random_field(4, ncomp=3), f_path)
+    out = tmp_path / "out"
+    for argv in (["balance", "--h", str(h_path), "--weight", "round",
+                  "--out-dir", str(out)],
+                 ["export-obj", "--in", str(f_path), "--out", str(out)],
+                 ["verify", "--immersion", str(f_path), "--out-dir", str(out)]):
+        assert cli_dispatch(argv + ["--L", "64"]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: degree L = 64 needs about")
+
+
 def test_cli_out_dir_that_is_a_file_exits_1_before_any_work(tmp_path, monkeypatch,
                                                             capsys):
     """Every command that writes outputs exits 1 with an error line, before

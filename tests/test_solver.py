@@ -43,6 +43,7 @@ from pmcsphere.solver import (
     solve_pmc,
 )
 from test_acceptance import _mobius_reparametrize
+from test_geometry import _count_calls
 
 
 def based_sphere_coeffs(grid):
@@ -415,6 +416,27 @@ def test_polish_center_check_runs_no_transform(monkeypatch):
     assert calls == {"synthesize_jet": 0, "synthesize_jet_adjoint": 0}
 
 
+def test_cg_failure_is_its_own_stall_reason(monkeypatch):
+    """Off the solution (the round sphere against H = 2 + x3 / 2, whose step
+    takes 11 CG iterations), projected CG capped at one iteration fails, and
+    Gauss-Newton stops with "krylov_failure" at the state it started from,
+    not with "line_search_exhausted"."""
+    g = SphericalGrid(8)
+    H = (2.0 + 0.5 * g.xyz[2]).ravel()
+    state = ContinuationState.at(1.0, based_sphere_coeffs(g), np.zeros(3), H)
+    monkeypatch.setattr(solver, "KRYLOV_MAX_ITERS", 1)
+    lin = _linearization(state)
+    delta, iters = _projected_cg(lin, gauge_basis(state),
+                                 _vjp(lin, state.residual, state.ws), state.ws)
+    assert delta is None and iters == 1
+    with pytest.raises(StepFailure) as failure:
+        gauge_projected_step(state, H)
+    assert failure.value.reason == "krylov_failure"
+    done, reason = solver._newton_to_tol(state, H, 1e-8)
+    assert done is state and reason == "krylov_failure"
+    assert state.newton_log == []
+
+
 def test_step_zero_update_at_solution():
     g = SphericalGrid(10)
     coeffs = based_sphere_coeffs(g)
@@ -639,30 +661,41 @@ def test_stall_reports_partial_state(monkeypatch):
 
 
 def test_stall_report_scans_branches_once(monkeypatch):
-    """A stall at a conformal iterate fills both the verify entries and the
-    stall diagnostics from one branch scan."""
+    """A stall at a conformal iterate is reported by one verify: one branch
+    scan and one conformality residual fill the report, and the stall
+    diagnostics copy neither branch list."""
     from pmcsphere import geometry
 
-    scan, calls = geometry.detect_branch_points, []
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs)
-        return scan(*args, **kwargs)
-
-    monkeypatch.setattr(geometry, "detect_branch_points", counted)
-    monkeypatch.setattr(solver, "detect_branch_points", counted)
+    scans = _count_calls(monkeypatch, geometry, "detect_branch_points")
+    conformality = _count_calls(monkeypatch, geometry, "conformality_residual")
     one_step_stages(monkeypatch)
     g = SphericalGrid(8)
     res = solve_pmc(2.0 + 0.9 * g.xyz[2], SolverConfig(degree=8, steps=1))
     rep = res.report
     assert res.status == "stalled" and rep["conformality_sup"] <= 1e-6
-    assert len(calls) == 1
-    assert rep["unresolved_singular_points"] == (
-        rep["stall_diagnostics"]["unresolved_singular_points"]
-    )
-    assert [bp["order"] for bp in rep["branch_points"]] == [
-        bp["order"] for bp in rep["stall_diagnostics"]["branch_points"]
-    ]
+    assert scans == conformality == {None: 1}
+    assert rep["unresolved_singular_points"] == [] and rep["branch_points"] == []
+    assert set(rep["stall_diagnostics"]) == {"note", "top_degree_norms",
+                                             "suggested_degree"}
+
+
+def test_verify_and_solve_report_evaluate_conformality_once(monkeypatch):
+    """A verify and a converged solve's report each evaluate the home-chart
+    conformality residual once: the gate, the branch scan, mc_residual and
+    conformality_l2 read ImmersionField.conformality.  A converged report
+    carries the scan's unresolved_singular_points, as verify does."""
+    from pmcsphere import geometry
+
+    conformality = _count_calls(monkeypatch, geometry, "conformality_residual")
+    scans = _count_calls(monkeypatch, geometry, "detect_branch_points")
+    g = SphericalGrid(8)
+    geometry.verify(ImmersionField(analyze(g.xyz, g), g))
+    assert conformality == scans == {None: 1}
+    res = solve_pmc(2.0 + 0.5 * g.xyz[2], SolverConfig(degree=8, steps=2))
+    assert res.status == "converged"
+    assert conformality == scans == {None: 2}
+    assert res.report["unresolved_singular_points"] == []
+    assert res.report["mc_l2"] is not None
 
 
 def test_stall_report_serializable(monkeypatch):
@@ -797,15 +830,23 @@ def test_bad_coarse_rung_is_harmless(ladder_vs_direct, monkeypatch):
 
 
 def test_nonpositive_truncation_skips_its_rung(monkeypatch):
-    """A positive node-valued L = 16 target whose degree-12 truncation dips
-    below zero (the Gibbs undershoot of a step) is solved at L = 16 only."""
-    g = SphericalGrid(16)
-    H = 1e-3 + (g.xyz[2] > 0)
-    coarse = SphericalGrid(12)
+    """A positive node-valued L = 16 target of degree 12 whose values on the
+    degree-12 grid dip below zero is solved at L = 16 only.  H = 1 - 1.01 k,
+    k the normalized degree-12 reproducing kernel at an L = 12 node: its
+    coefficient norm above degree 12 is rounding, so the tail rule keeps
+    the rung, and the positivity rule skips it."""
+    g, coarse = SphericalGrid(16), SphericalGrid(12)
+    x0 = coarse.xyz[:, 6, 5]
+    kernel = (2.0 * np.arange(13) + 1.0) / (4.0 * np.pi)
+    k = (np.polynomial.legendre.legval(np.einsum("ctp,c->tp", g.xyz, x0), kernel)
+         / np.polynomial.legendre.legval(1.0, kernel))
+    H = 1.0 - 1.01 * k
+    config = SolverConfig(degree=16, steps=1)
     assert np.min(H) > 0
+    assert np.linalg.norm(analyze(H, g).coeffs[:, 13:]) <= config.tol
     assert np.min(synthesize(analyze(H, g).truncated(12), coarse)) < 0
     one_step_stages(monkeypatch)
-    res = solve_pmc(H, SolverConfig(degree=16, steps=1))
+    res = solve_pmc(H, config)
     assert {e["degree"] for e in res.report["step_log"]} == {16}
 
 
@@ -856,15 +897,18 @@ def test_final_step_cg_count_does_not_grow_with_degree(L):
 
 
 def test_truncation_floor_named():
-    """Target 103 (eps = 0.1) at L = 12 stalls in the line search with its
-    top degrees above tol / 2 and no branch point: the stall reads
-    "truncation_floor" and suggests a degree above 12."""
+    """Target 103 (eps = 0.1) at L = 12 stalls in the line search at a
+    conformal iterate with its top degrees above tol / 2 and no branch
+    point: the stall reads "truncation_floor" and suggests a degree above
+    12."""
     g = SphericalGrid(12)
     res = solve_pmc(acceptance_target(g, 103, 0.1), SolverConfig(degree=12))
+    rep = res.report
     assert res.status == "stalled"
-    assert res.report["stall_reason"] == "truncation_floor"
-    diag = res.report["stall_diagnostics"]
-    assert diag["branch_points"] == [] and diag["unresolved_singular_points"] == []
+    assert rep["stall_reason"] == "truncation_floor"
+    assert rep["conformality_sup"] <= 1e-6
+    assert rep["branch_points"] == [] and rep["unresolved_singular_points"] == []
+    diag = rep["stall_diagnostics"]
     top = diag["top_degree_norms"]
     assert len(top) == 3 and np.linalg.norm(top) > 0.5 * SolverConfig().tol
     assert diag["suggested_degree"] > 12
@@ -872,6 +916,32 @@ def test_truncation_floor_named():
     res = solve_pmc(acceptance_target(fine, 103, 0.1),
                     SolverConfig(degree=diag["suggested_degree"]))
     assert res.status == "converged"
+
+
+def test_resolved_branch_point_is_reported_and_blocks_truncation_floor(monkeypatch):
+    """With the branch scan stubbed to find one resolved branch point, the
+    L = 12 stall of target 103 (eps = 0.1) reports the point's entry and a
+    null Codazzi norm with its reason, and stays "line_search_exhausted":
+    a stall near a branch point is not read as a truncation floor."""
+    from pmcsphere import geometry
+    from pmcsphere.grid import ChartPoint
+
+    G = np.array([1.0, 1j, 0.0])
+    point = geometry.BranchPoint(ChartPoint("north", 0.25 - 0.5j), 2, G, 0.01)
+    monkeypatch.setattr(geometry, "detect_branch_points",
+                        lambda F: geometry.BranchScan(points=[point]))
+    g = SphericalGrid(12)
+    rep = solve_pmc(acceptance_target(g, 103, 0.1), SolverConfig(degree=12)).report
+    assert rep["stall_reason"] == "line_search_exhausted"
+    assert rep["branch_points"] == [{
+        "chart": "north", "z": [0.25, -0.5], "order": 2,
+        "G": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
+        "null_defect": 0.0, "fit_residual": 0.01,
+    }]
+    assert rep["unresolved_singular_points"] == []
+    assert rep["codazzi_norm"] is None
+    assert "1 branch point(s) and 0 unresolved" in rep["codazzi_unavailable"]
+    assert json.loads(dumps(rep))["branch_points"] == rep["branch_points"]
 
 
 def test_workspace_holds_no_dense_tables():
