@@ -468,7 +468,7 @@ def fit_branch_point(z: np.ndarray, Fz: np.ndarray, q0: complex):
     if norm == 0:
         return None
     rms = norm / np.sqrt(z.size)
-    spacing = np.median(np.abs(np.diff(np.sort_complex(z)))) + 1e-30
+    spacing = _median(np.abs(np.diff(np.sort_complex(z)))) + 1e-30
     patch_radius = float(np.abs(z - q0).max())
     orders = np.arange(1, BRANCH_MAX_ORDER + 1)
     q = _refine_locations(z, Fz, q0, orders, spacing)
@@ -484,6 +484,15 @@ def fit_branch_point(z: np.ndarray, Fz: np.ndarray, q0: complex):
     if not acceptable:
         return None
     return max(acceptable, key=lambda item: item[0])
+
+
+def _median(a):
+    """np.median of all of a (finite), bit for bit, without the numpy.ma
+    import that np.median makes on first use: the mean of the two middle
+    order statistics (one for an odd size)."""
+    a = np.ravel(a)
+    lo, hi = (a.size - 1) // 2, a.size // 2
+    return np.mean(np.partition(a, [lo, hi])[lo:hi + 1])
 
 
 def _scan_branch_candidates(absfz, threshold):
@@ -519,7 +528,7 @@ def branch_scan(absfz, cluster_radius, chart_at, fz_of) -> BranchScan:
     unresolved singular point.
     """
     candidates = _scan_branch_candidates(
-        absfz, BRANCH_THRESHOLD_FACTOR * float(np.median(absfz))
+        absfz, BRANCH_THRESHOLD_FACTOR * float(_median(absfz))
     )
     kept = []
     for ij in sorted(candidates, key=lambda ij: absfz[ij]):
@@ -575,7 +584,7 @@ def verify(F: ImmersionField) -> dict:
     scan runs first and fills branch_points and unresolved_singular_points;
     when either is non-empty, codazzi_norm is null with a codazzi_unavailable
     reason (codazzi_residual is unbounded there).  A non-conformal F is not
-    scanned: its branch_points is empty and unresolved_singular_points absent.
+    scanned: its branch_points and unresolved_singular_points are None.
     """
     grid = F.grid
     forms = fundamental_forms(F)
@@ -593,7 +602,7 @@ def verify(F: ImmersionField) -> dict:
         "gauss_identity": gauss_identity,
         "codazzi_norm": None if branched else codazzi_residual(F),
         "obstruction": obstruction.tolist(),
-        "branch_points": [
+        "branch_points": None if scan is None else [
             {
                 "chart": bp.location.chart,
                 "z": [bp.location.z.real, bp.location.z.imag],
@@ -602,16 +611,15 @@ def verify(F: ImmersionField) -> dict:
                 "null_defect": bp.null_defect,
                 "fit_residual": bp.fit_residual,
             }
-            for bp in (scan.points if scan is not None else [])
+            for bp in scan.points
         ],
         "gauss_bonnet_residual": intK - FOUR_PI,
         "conformality_sup": F.conformality_sup,
         "mc_convention_constant": MC_CONVENTION_CONSTANT,
-    }
-    if scan is not None:
-        report["unresolved_singular_points"] = [
+        "unresolved_singular_points": None if scan is None else [
             {"chart": p.chart, "z": [p.z.real, p.z.imag]} for p in scan.unresolved
-        ]
+        ],
+    }
     if branched:
         report["codazzi_unavailable"] = (
             f"the branch scan found {len(scan.points)} branch point(s) and "

@@ -34,9 +34,10 @@ space, and the surface is determined up to a rigid motion.  The solver is
 projected conjugate gradients in the constraints' null space
 (_projected_cg), preconditioned by the round sphere's normal matrix A0,
 which splits by total angular momentum j into blocks of at most 4
-(_MultipletPreconditioner: O(L^2) per degree and per apply), exact off the
-gauge and below the top multiplet: a step takes at most 10 iterations at
-every L from 16 to 128 on target 103 (eps = 0.1).
+(_MultipletPreconditioner: closed forms in rho = (j (j + 1) - 2)^2 and
+tau = (j (j + 1))^2 - 4, O(L^2) per apply), exact off the gauge and below
+the top multiplet (1.6 % off at L = 8): a step takes at most 10 iterations
+at every L from 16 to 128 on target 103 (eps = 0.1).
 Each accepted step appends a newton_log record: the residual and its
 conformality and mean-curvature block norms, the step length, the halving
 count and the CG iteration count.
@@ -366,16 +367,18 @@ class _MultipletPreconditioner:
     coefficients of F couple to the vector harmonics Y^lam_{jm} = sum_s
     <lam, m - s; 1, s | j, m> Y_lam^{m-s} e_s (Hill 1954; Edmonds 1957), lam in
     j - 1, j, j + 1, and b to e_m in j = 1.  A0 is one block B_j per j, 3 x 3
-    (4 x 4 at j = 1) and the same for every m, so the blocks are read from
-    the m = 0 columns: J0 maps them to rows that are the rotations R_phi of
-    their phi = 0 values, and B_j = n_phi M_j^H M_j with M_j the rows of J0 on
-    that meridian.  In j = 1 the three field slots are A0's null space (per
-    m: a translation, a rotation and a boost), and B_1 = sigma e_b e_b^H.
+    (4 x 4 at j = 1) and the same for every m.  A0 is diagonal on the unit
+    fields r Y_jm, grad Y_jm and r x grad Y_jm: rho = (j (j + 1) - 2)^2, the
+    squared Jacobi operator -Lap - 2, on the normal one and
+    tau = (j (j + 1))^2 - 4 on both tangential ones.  Slot j is r x grad Y_jm;
+    slots j -+ 1 rotate (r Y_jm, grad Y_jm) by cos^2 = j / (2 j + 1).  In j = 1
+    rho = tau = 0: the field slots are A0's null space (per m: a translation,
+    a rotation and a boost), and B_1 = sigma e_b e_b^H, sigma = 4 pi / 3.
     Projected CG keeps off those nine gauge directions, so solve lifts their
     value to sigma, which makes the j = 1 block sigma I.  The top multiplet
-    j = L + 1 is not invariant on the grid: its rows reach degree L + 1,
-    past the quadrature, and m = +-(L + 1) alias on the longitude grid.  There
-    P keeps the m = 0 value, within 3 % of A0 at L = 8 and 1.1 % at L = 16.
+    j = L + 1 is not invariant on the grid: its rows reach degree L + 1, past
+    the quadrature, and m = +-(L + 1) alias on the longitude grid.  P keeps
+    the formula there, within 1.6 % of A0 at L = 8 and 0.6 % at L = 16.
 
     An apply is O(L^2): real to complex harmonics, Cartesian to spherical
     components, the coupling, one B_j^-1 per j, and back.  The
@@ -386,8 +389,7 @@ class _MultipletPreconditioner:
     """
 
     def __init__(self, ws):
-        grid, L = ws.grid, ws.L
-        self.L = L
+        self.L = L = ws.L
         # the spherical basis e_s, s = -1, 0, 1 (row s + 1):
         # e_{+-1} = -+(e1 +- i e2) / sqrt 2, e_0 = e3
         h = np.sqrt(0.5)
@@ -409,33 +411,20 @@ class _MultipletPreconditioner:
         js = np.arange(L + 2)
         self.coupling = _clebsch_gordan(L, js[:, None], np.arange(-1, L + 2)[None])[..., None]
 
-        round_lin = _linearization(ContinuationState.at(
-            0.0, analyze(grid.xyz, grid).coeffs, np.zeros(3), np.full(ws.n_nodes, 2.0)))
-        meridian = np.arange(grid.n_theta) * grid.n_phi
-        t0, p0 = round_lin.t[:, :, meridian], round_lin.p[:, :, meridian]
-        lap0, b0 = round_lin.lap[meridian], round_lin.b[:, :, meridian]
-        # meridian rows of J0 on Y_l^{-s} e_s, s = -1, 0, 1, as [s, row, node, l]
-        # with l padded by one on each side; Y_l^{-1} = -Q_{l,1} e^{-i phi}
-        ls = np.arange(L + 1.0)
-        cols = np.zeros((3, 5, grid.n_theta, L + 4), dtype=complex)
-        for s, e in zip((-1, 0, 1), self.spherical):
-            k = -s
-            qq, dq = grid._theta_tables[:, abs(k)] * (-1.0 if k < 0 else 1.0)
-            col = (np.einsum("rcn,c,nl->rnl", t0, e, dq)
-                   + np.einsum("rcn,c,nl->rnl", p0, e, 1j * k * qq))
-            col[2:] += np.einsum("n,c,nl->cnl", lap0, e, -ls * (ls + 1.0) * qq)
-            cols[s + 1, :, :, 1:L + 2] = col
-        # M_j: the m = 0 states of each slot, and b along e_0 in j = 1
-        cg0 = self.coupling[..., 1, 0]                              # [d, s, j]
-        M = np.zeros((5, grid.n_theta, L + 2, 4), dtype=complex)
-        for d in range(3):
-            M[..., d] = np.einsum("sj,srnj->rnj", cg0[d], cols[:, :, :, d:d + L + 2])
-        M[2:, :, 1, 3] = b0[:, 2]
-        self.blocks = grid.n_phi * np.einsum("rnja,rnjb->jab", M.conj(), M)
-        self.lifted = float(self.blocks[1, 3, 3].real)
+        j = js.astype(float)
+        rho, tau = (j * (j + 1) - 2) ** 2, (j * (j + 1)) ** 2 - 4
+        self.blocks = blocks = np.zeros((L + 2, 4, 4))
+        blocks[:, 0, 0] = (j * rho + (j + 1) * tau) / (2 * j + 1)
+        blocks[:, 1, 1] = tau
+        blocks[:, 2, 2] = ((j + 1) * rho + j * tau) / (2 * j + 1)
+        blocks[:, 0, 2] = blocks[:, 2, 0] = np.sqrt(j * (j + 1)) * (tau - rho) / (2 * j + 1)
+        blocks[1, 3, 3] = self.lifted = FOUR_PI / 3
+        # zero in a slot that holds no state (no coupling at m = 0)
+        held = np.any(self.coupling[:, :, :, 1, 0] != 0, axis=1).T      # [j, slot]
+        blocks[:, :3, :3] *= held[:, :, None] & held[:, None]
         # solve's blocks: j = 1 lifted to sigma I, and a unit diagonal where a
-        # slot holds no state (its row of M, and its coefficients, are 0)
-        solve_blocks = self.blocks.copy()
+        # slot holds no state (its coefficients are 0)
+        solve_blocks = blocks.copy()
         solve_blocks[1] = self.lifted * np.eye(4)
         diag = np.arange(4)
         solve_blocks[:, diag, diag] += solve_blocks[:, diag, diag] == 0
@@ -887,16 +876,13 @@ def _solution_report(F, affine, H_vals, grid, stall_reason, tol):
         stall_reason = "non_conformal"
     status = "converged" if stall_reason is None else "stalled"
     if status != "converged":
-        diag = {"note": "possible branch-point formation"}
-        diag["top_degree_norms"], diag["suggested_degree"], floor_hit = (
-            _spectral_tail(F.field.coeffs, tol))
-        # verify leaves unresolved_singular_points out of an unscanned report
+        top, suggested, floor_hit = _spectral_tail(F.field.coeffs, tol)
+        diag = {"top_degree_norms": top, "suggested_degree": suggested}
+        # an unscanned (non-conformal) report holds null, not []
         if (stall_reason == "line_search_exhausted" and floor_hit
                 and report["branch_points"] == []
-                and report.get("unresolved_singular_points") == []):
+                and report["unresolved_singular_points"] == []):
             stall_reason = "truncation_floor"
-            diag["note"] = ("truncation floor: the top degrees carry more than "
-                            "tol / 2; solve at the suggested degree")
     ell = affine.evaluate(grid)
     report["conformality_l2"] = float(
         np.sqrt(integrate(np.abs(np.nan_to_num(F.conformality)) ** 2, grid))

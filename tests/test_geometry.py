@@ -1,5 +1,10 @@
 """Tests for fundamental forms, structure-equation residuals, obstruction."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -228,7 +233,7 @@ def test_mc_residual_precondition():
         detect_branch_points(F)
     assert err.value.sup_norm == F.conformality_sup > 1e-3
     report = verify(F)
-    assert report["branch_points"] == [] and "unresolved_singular_points" not in report
+    assert report["branch_points"] is None and report["unresolved_singular_points"] is None
 
 
 def test_obstruction_vector_examples():
@@ -581,6 +586,32 @@ def test_codazzi_holds_on_branched_sphere_without_singular_node():
     report = verify(F)
     assert abs(report["gauss_bonnet_residual"] - 4.0 * np.pi) < 1e-8
     assert codazzi_residual(F) < 1e-13
+
+
+def test_branch_scans_do_not_import_numpy_ma():
+    """The scan's threshold and the fit's node spacing are medians taken
+    without np.median, which imports numpy.ma (about 1 MB and 11 ms) on
+    first use: after a verify that scans and fits the branched z^2 sphere,
+    and a planar scan of the Enneper t = 0 limit, a fresh process has not
+    loaded numpy.ma."""
+    script = textwrap.dedent("""
+        import sys
+        from pmcsphere.geometry import verify
+        from pmcsphere.grid import SphericalGrid
+        from pmcsphere.planar import DiskGrid, detect_branch_points_planar, enneper_blowdown
+        from test_geometry import branched_z2_sphere
+
+        report = verify(branched_z2_sphere(SphericalGrid(24)))
+        scan = detect_branch_points_planar(enneper_blowdown(0.0, DiskGrid(1.0, 48, 48)))
+        found = len(report["branch_points"]) + len(report["unresolved_singular_points"])
+        print(found, len(scan.points), "numpy.ma" in sys.modules)
+    """)
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(geometry.__file__))
+    path = [src, tests] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    out = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+    assert out.stdout.split() == ["2", "1", "False"]
 
 
 def test_verify_scan_flag_is_keyword_only():

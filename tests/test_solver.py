@@ -25,6 +25,7 @@ from pmcsphere.solver import (
     ContinuationState,
     SolverConfig,
     StepFailure,
+    _MultipletPreconditioner,
     _area_center,
     _center_gradient,
     _jvp,
@@ -212,12 +213,13 @@ def test_jacobian_products_are_adjoint(L, seed):
     assert abs(Jv @ w - v @ JTw) <= 1e-12 * np.linalg.norm(Jv) * np.linalg.norm(w)
 
 
-@pytest.mark.parametrize("L, top_defect", [(8, 0.03), (16, 0.011)])
+@pytest.mark.parametrize("L, top_defect", [(8, 0.02), (16, 0.007)])
 def test_multiplet_blocks_match_round_normal_matrix(L, top_defect):
     """In the coupled basis the dense round normal matrix A0 is block-diagonal,
-    with the preconditioner's block B_j for every m of each j <= L; at the
-    top multiplet j = L + 1, which the grid does not keep invariant, it is
-    within top_defect of the block.  The coupling basis is unitary, A0's
+    with the preconditioner's closed-form block B_j for every m of each
+    j <= L, each block to 1e-12 of its own scale; at the top multiplet
+    j = L + 1, which the grid does not keep invariant, it is within
+    top_defect of the block.  The coupling basis is unitary, A0's
     only null values are the nine gauge directions in j = 1, and solve
     applies the real matrix P^-1, P = U^H blockdiag(B_j) U with the j = 1
     block lifted to sigma I."""
@@ -253,6 +255,10 @@ def test_multiplet_blocks_match_round_normal_matrix(L, top_defect):
     defect = np.abs(dense - blockdiag(pre.blocks))
     low = (j[:, None] <= L) & (j[None] <= L)
     assert np.max(defect[low]) <= 1e-12 * np.max(np.abs(A0))
+    # each closed-form block B_j on its own scale
+    for jj in range(L + 1):
+        scale = max(np.max(np.abs(pre.blocks[jj])), 1.0)
+        assert np.max(defect[same & (j[:, None] == jj)]) <= 1e-12 * scale
     top = pre.blocks[L + 1, 0, 0].real
     assert np.max(defect[~low]) <= top_defect * top
     # nine null values, all in the three j = 1 field slots
@@ -376,9 +382,9 @@ def count_transforms(monkeypatch):
 def test_accepted_full_step_evaluates_residual_once(monkeypatch):
     """A step accepted at alpha = 1 evaluates the iterate once, at the trial
     point, which becomes the new state; the start residual, the Jacobian and
-    the gauge columns read the state's evaluation.  Once the preconditioner
-    is built, the step synthesizes one jet per CG product, one for the CG
-    start and one for the evaluation: linear_iters + 2."""
+    the gauge columns read the state's evaluation.  The step synthesizes
+    one jet per CG product, one for the CG start and one for the
+    evaluation: linear_iters + 2."""
     g = SphericalGrid(10)
     ws = _workspace(g.L)
     rng = np.random.default_rng(5)
@@ -386,7 +392,6 @@ def test_accepted_full_step_evaluates_residual_once(monkeypatch):
     coeffs = ws.unpack(x + 1e-3 * rng.uniform(-1, 1, x.size))[0]
     H = np.full((g.n_theta, g.n_phi), 2.0)
     state = ContinuationState.at(1.0, coeffs, np.zeros(3), H)
-    ws.preconditioner  # the preconditioner's own round-sphere evaluation is not counted
     calls, at = [], ContinuationState.at.__func__
 
     def counted(cls, *args, **kwargs):
@@ -401,6 +406,23 @@ def test_accepted_full_step_evaluates_residual_once(monkeypatch):
     assert transforms["synthesize_jet"] == new.newton_log[-1]["linear_iters"] + 2
     assert new.residual_norm < 1e-2 * state.residual_norm
     assert new.residual_norm == np.linalg.norm(new.residual)
+
+
+def test_preconditioner_build_evaluates_nothing(monkeypatch):
+    """The preconditioner's blocks are closed forms in j: building it at
+    L = 16 evaluates no state and runs neither transform."""
+    calls, at = [], ContinuationState.at.__func__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return at(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ContinuationState, "at", classmethod(counted))
+    transforms = count_transforms(monkeypatch)
+    pre = _MultipletPreconditioner(_workspace(16))
+    assert pre.blocks.shape == (18, 4, 4)
+    assert calls == []
+    assert transforms == {"synthesize_jet": 0, "synthesize_jet_adjoint": 0}
 
 
 def test_polish_center_check_runs_no_transform(monkeypatch):
@@ -675,8 +697,7 @@ def test_stall_report_scans_branches_once(monkeypatch):
     assert res.status == "stalled" and rep["conformality_sup"] <= 1e-6
     assert scans == conformality == {None: 1}
     assert rep["unresolved_singular_points"] == [] and rep["branch_points"] == []
-    assert set(rep["stall_diagnostics"]) == {"note", "top_degree_norms",
-                                             "suggested_degree"}
+    assert set(rep["stall_diagnostics"]) == {"top_degree_norms", "suggested_degree"}
 
 
 def test_verify_and_solve_report_evaluate_conformality_once(monkeypatch):
