@@ -45,8 +45,6 @@ def _build_parser() -> _Parser:
     ps.add_argument("--h-target", required=True, help="scalar HarmonicField JSON")
     ps.add_argument("--L", type=int, default=24)
     ps.add_argument("--tol", type=float, default=1e-8)
-    ps.add_argument("--steps", type=int, default=10,
-                    help="initial continuation step count (first step 1/steps)")
     ps.add_argument("--out-dir", default="pmc_out")
 
     pv = sub.add_parser("verify", help="verification report for an immersion")
@@ -102,12 +100,12 @@ def _cmd_solve(args) -> int:
     field = load_field(args.h_target)
     if field.n_components != 1:
         raise InputError("--h-target must be a scalar (1-component) field")
-    config = SolverConfig(degree=args.L, tol=args.tol, steps=args.steps)
+    config = SolverConfig(degree=args.L, tol=args.tol)
     result = solve_pmc(field, config)
 
     _write_outputs(
         args.out_dir, "solve",
-        {"L": args.L, "tol": args.tol, "steps": args.steps},
+        {"L": args.L, "tol": args.tol},
         [args.h_target],
         [("solution.json", field_to_dict(result.field)),
          ("affine.json", affine_to_dict(result.affine)),

@@ -2,10 +2,12 @@
 Gauge-fixed Gauss-Newton continuation for prescribed mean curvature.
 
 Solves for a conformal immersion F: S^2 -> R^3 and an affine parameter b such
-that the mean curvature of F equals H_target + ell_b, following the straight
-homotopy H_s = (1-s) 2 + s H_target from the round sphere with a secant
-predictor and an adaptive step in s, coarse to fine: the path is followed at
-degree COARSEST_DEGREE and finished at the requested degree.
+that the mean curvature of F equals H_target + ell_b by Gauss-Newton from
+the round sphere, coarse to fine: the target is solved at degree
+COARSEST_DEGREE and the solution finished at the requested degree.  Each
+rung solves the target itself (s = 1) first; only where that fails does the
+final rung follow the straight homotopy H_s = (1-s) 2 + s H_target, halving
+its step in s.
 
 The residual is 5 * n_nodes pointwise rows, quadrature-weighted so that the
 Euclidean norm is an L2 norm: conformality q1 = g_tt - g_pp/sin^2 and
@@ -36,7 +38,7 @@ projected conjugate gradients in the constraints' null space
 which splits by total angular momentum j into blocks of at most 4
 (_MultipletPreconditioner: closed forms in rho = (j (j + 1) - 2)^2 and
 tau = (j (j + 1))^2 - 4, O(L^2) per apply), exact off the gauge and below
-the top multiplet (1.6 % off at L = 8): a step takes at most 10 iterations
+the top multiplet (1.6 % off at L = 8): a step takes at most 9 iterations
 at every L from 16 to 128 on target 103 (eps = 0.1).
 Each accepted step appends a newton_log record: the residual and its
 conformality and mean-curvature block norms, the step length, the halving
@@ -109,13 +111,12 @@ MIN_STEP = 1.0 / 160.0      # smallest step in s of the final rung before a stal
 class SolverConfig:
     degree: int = 24
     tol: float = 1e-8
-    steps: int = 10             # initial step count: the first step in s is 1/steps
     noise_amplitude: float = 0.0
     noise_seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.tol < np.inf or self.steps < 1:
-            raise ConfigurationError("tol must be finite and > 0, and steps >= 1")
+        if not 0.0 < self.tol < np.inf:
+            raise ConfigurationError("tol must be finite and > 0")
 
 
 @dataclass
@@ -674,62 +675,48 @@ def _rung_start(state, H_vals, L, config):
 
 
 def _continue(state, H_vals, config, final):
-    """Predictor-corrector continuation on one rung, from state.s to s = 1.
+    """Continuation on one rung, from state.s to s = 1.
 
-    Corrects ``state`` at its own s (logged with ds = 0), then advances s:
-    each stage starts from the secant extrapolation of the last two accepted
-    states and is corrected by Gauss-Newton to 16 tol: on a residual spread
-    evenly over the sphere the uniform row norm reads sqrt(80 / 31) = 1.61
-    times the chart-form norm, in which stages were corrected to 10 tol.
-    The first step is 1 / config.steps; it doubles after a stage that
-    converged in at most two iterations.  On the final rung a failed stage
-    halves the step, and the solve stalls once it falls below MIN_STEP; on a
-    coarse rung a failed stage ends the rung.  Returns (last accepted state,
-    stall reason or None).
+    Corrects ``state`` at its own s (logged with ds = 0), then takes the
+    whole remaining step, ds = 1 - s: each stage starts from the last
+    accepted state and is corrected by Gauss-Newton to 16 tol: on a residual
+    spread evenly over the sphere the uniform row norm reads
+    sqrt(80 / 31) = 1.61 times the chart-form norm, in which stages were
+    corrected to 10 tol.  On the final rung a failed stage halves ds and
+    starts again from the last accepted state, and the solve stalls once ds
+    falls below MIN_STEP; on a coarse rung a failed stage ends the rung.
+    Returns (last accepted state, stall reason or None).
     """
-    ws = state.ws
-
     def correct(trial, ds):
         n_before = len(trial.newton_log)
         trial, reason = _newton_to_tol(trial, _homotopy(trial.s, H_vals), 16.0 * config.tol)
-        iters = len(trial.newton_log) - n_before
         trial.step_log.append(
-            {"degree": ws.L, "s": trial.s, "ds": ds, "converged": reason is None,
-             "residual": trial.residual_norm, "newton_iters": iters}
+            {"degree": trial.ws.L, "s": trial.s, "ds": ds, "converged": reason is None,
+             "residual": trial.residual_norm,
+             "newton_iters": len(trial.newton_log) - n_before}
         )
-        return trial, reason, iters
+        return trial, reason
 
-    state, reason, _ = correct(state, 0.0)
+    state, reason = correct(state, 0.0)
     if reason is not None:
         return state, reason
-    s, ds = state.s, 1.0 / config.steps
-    x = ws.pack(state.coeffs, state.b)
-    previous = None  # (s, x) of the accepted state before (s, x)
-    while s < 1.0 - 1e-14:
-        s_next = min(1.0, s + ds)
-        ds = s_next - s
-        if previous is None:
-            coeffs, b = state.coeffs.copy(), state.b.copy()
-        else:
-            # secant predictor through the last two accepted states
-            s_prev, x_prev = previous
-            coeffs, b = ws.unpack(x + ds / (s - s_prev) * (x - x_prev))
-        trial = ContinuationState.at(s_next, coeffs, b, _homotopy(s_next, H_vals),
+    ds = 1.0 - state.s
+    while state.s < 1.0:
+        s_next = min(1.0, state.s + ds)
+        ds = s_next - state.s
+        trial = ContinuationState.at(s_next, state.coeffs.copy(), state.b.copy(),
+                                     _homotopy(s_next, H_vals),
                                      step_log=state.step_log,
                                      newton_log=state.newton_log)
-        trial, reason, iters = correct(trial, ds)
+        trial, reason = correct(trial, ds)
         if reason is None:
-            previous = (s, x)
-            state, s = trial, s_next
-            x = ws.pack(state.coeffs, state.b)
-            if iters <= 2:
-                ds *= 2.0
-            continue
-        if not final:
+            state = trial
+        elif not final:
             return state, reason
-        ds /= 2.0
-        if ds < MIN_STEP:
-            return state, "min_step"
+        else:
+            ds /= 2.0
+            if ds < MIN_STEP:
+                return state, "min_step"
     return state, None
 
 
@@ -776,8 +763,10 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
     state is returned with status "stalled", the report's "stall_reason" and
     its "stall_diagnostics" (the top degrees' norms and a suggested degree).
 
-    The homotopy is followed coarse to fine over the degrees of
-    ``_ladder(config.degree)`` (``_continue`` on each).  A coarse rung
+    The target is solved coarse to fine over the degrees of
+    ``_ladder(config.degree)`` (``_continue`` on each): each rung first
+    solves the target itself, and the final rung falls back to the
+    homotopy, halving its step in s, where that fails.  A coarse rung
     solves the target truncated to its degree.  It is skipped when the
     target's coefficient norm above that degree exceeds config.tol or the
     truncation is not positive; else its last accepted state, zero-padded,

@@ -289,9 +289,15 @@ def test_thread_cap_reaches_openblas():
 
 
 def test_cli_unknown_flag_exits_1(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli_dispatch(["solve", "--nonsense"])
-    assert exc.value.code == 1
+    """A usage error exits 1 before any file is read: an unknown flag, and
+    --steps, which solve does not take: its first stage is always the whole
+    step to s = 1."""
+    for argv in (["solve", "--nonsense"],
+                 ["solve", "--h-target", "missing.json", "--steps", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli_dispatch(argv)
+        assert exc.value.code == 1
+    assert "unrecognized arguments: --steps 2" in capsys.readouterr().err
 
 
 def test_cli_dispatches_in_one_process_are_independent(tmp_path, capsys):
@@ -327,8 +333,7 @@ def test_cli_solve_hopf(tmp_path, capsys):
     write_field(constant_field(2.0), h_path)
     out = tmp_path / "out"
     code = cli_dispatch([
-        "solve", "--h-target", str(h_path), "--L", "8", "--steps", "2",
-        "--out-dir", str(out),
+        "solve", "--h-target", str(h_path), "--L", "8", "--out-dir", str(out),
     ])
     assert code == 0
     captured = capsys.readouterr().out
@@ -399,8 +404,7 @@ def test_cli_outputs_byte_deterministic(tmp_path, capsys):
     commands = {
         "balance": ["balance", "--h", str(h_path), "--weight", "round",
                     "--L", "12"],
-        "solve": ["solve", "--h-target", str(h_path), "--L", "8",
-                  "--steps", "2"],
+        "solve": ["solve", "--h-target", str(h_path), "--L", "8"],
         "verify": ["verify", "--immersion", str(f_path), "--L", "16"],
     }
     expected = {"balance": ["affine.json", "balanced.json"],
@@ -529,8 +533,8 @@ def test_cli_solve_stall_exit_2(tmp_path, capsys):
     out = tmp_path / "out"
     # an unattainable tolerance forces the stall path
     code = cli_dispatch([
-        "solve", "--h-target", str(h_path), "--L", "6", "--steps", "1",
-        "--tol", "1e-30", "--out-dir", str(out),
+        "solve", "--h-target", str(h_path), "--L", "6", "--tol", "1e-30",
+        "--out-dir", str(out),
     ])
     assert code == 2
     # partial outputs and the manifest are still written in the stall case

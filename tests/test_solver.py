@@ -328,7 +328,7 @@ def test_workspace_cache_one_entry_per_degree():
     g = SphericalGrid(6)
     for _ in range(2):
         solve_pmc(np.full((g.n_theta, g.n_phi), 2.0),
-                  SolverConfig(degree=6, steps=1))
+                  SolverConfig(degree=6))
     info = _workspace.cache_info()
     assert info.misses == info.currsize == 1 and info.hits > 0
 
@@ -524,7 +524,7 @@ def test_step_accepted_at_branched_double_cover():
 def test_solve_hopf_constant_two():
     g = SphericalGrid(12)
     res = solve_pmc(np.full((g.n_theta, g.n_phi), 2.0),
-                    SolverConfig(degree=12, steps=4))
+                    SolverConfig(degree=12))
     assert res.status == "converged"
     radii = centered_radii(res.field, g)
     assert np.max(np.abs(radii - 1.0)) < 1e-7
@@ -534,7 +534,7 @@ def test_solve_hopf_constant_two():
 def test_solve_constant_four_gives_half_sphere():
     g = SphericalGrid(12)
     res = solve_pmc(np.full((g.n_theta, g.n_phi), 4.0),
-                    SolverConfig(degree=12, steps=4))
+                    SolverConfig(degree=12))
     assert res.status == "converged"
     radii = centered_radii(res.field, g)
     assert np.max(np.abs(radii - 0.5)) < 1e-7
@@ -545,7 +545,7 @@ def test_solve_h_two_plus_x3_exact_family():
     """H = 2 + x3 balances to the constant 3 with b = (0,0,-1): the
     radius-2/3 sphere, an exact closed-form solution family."""
     g = SphericalGrid(12)
-    res = solve_pmc(2.0 + g.xyz[2], SolverConfig(degree=12, steps=5))
+    res = solve_pmc(2.0 + g.xyz[2], SolverConfig(degree=12))
     assert res.status == "converged"
     assert np.max(np.abs(res.affine.b - np.array([0, 0, -1.0]))) < 1e-8
     radii = centered_radii(res.field, g)
@@ -601,7 +601,7 @@ def test_monotone_residual_history():
     into stages by each stage's logged Gauss-Newton count (the noise-free
     round start needs no iteration at s = 0)."""
     g = SphericalGrid(12)
-    res = solve_pmc(2.0 + 0.5 * g.xyz[2], SolverConfig(degree=12, steps=2))
+    res = solve_pmc(2.0 + 0.5 * g.xyz[2], SolverConfig(degree=12))
     hist, log = res.report["residual_history"], res.state.step_log
     assert log and all(e["converged"] for e in log) and log[-1]["s"] == 1.0
     start = 0
@@ -615,18 +615,35 @@ def test_monotone_residual_history():
     assert 0 < start <= len(hist)
 
 
-def test_predictor_corrector_step_count():
-    """Secant prediction and step doubling: H = 2 + 0.5 x3 from steps = 10
-    takes at most 15 Gauss-Newton steps (31 with ten fixed stages of two),
-    and still lands on the radius-0.8 sphere."""
+def test_direct_stage_step_count():
+    """The first stage is the target itself (ds = 1): H = 2 + 0.5 x3 takes
+    at most 6 Gauss-Newton steps (5 measured) in one stage from the round
+    sphere, and lands on the radius-0.8 sphere."""
     g = SphericalGrid(12)
-    res = solve_pmc(2.0 + 0.5 * g.xyz[2], SolverConfig(degree=12, steps=10))
+    res = solve_pmc(2.0 + 0.5 * g.xyz[2], SolverConfig(degree=12))
     assert res.status == "converged"
-    assert len(res.report["residual_history"]) <= 15
+    assert len(res.report["residual_history"]) <= 6
     log = res.state.step_log
-    assert log[0]["ds"] == 0.0 and log[0]["newton_iters"] == 0
-    assert log[1]["ds"] == 0.1 and max(e["ds"] for e in log) > 0.1
+    assert [(e["s"], e["ds"]) for e in log] == [(0.0, 0.0), (1.0, 1.0)]
+    assert log[0]["newton_iters"] == 0
     assert abs(res.report["area"] - 4 * np.pi * 0.64) < 1e-7
+
+
+def test_halving_fallback_recovers(monkeypatch):
+    """With 4 Gauss-Newton steps per stage, H = 2 + 0.5 x3 at L = 8 fails
+    its stages at ds = 1 and 0.5; each restarts from the round sphere, and
+    stages of ds = 0.25 then reach s = 1 on the solution of the unpatched
+    solve."""
+    g = SphericalGrid(8)
+    H = 2.0 + 0.5 * g.xyz[2]
+    direct = solve_pmc(H, SolverConfig(degree=8))
+    monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 4)
+    res = solve_pmc(H, SolverConfig(degree=8))
+    assert direct.status == res.status == "converged"
+    stages = [(e["s"], e["ds"], e["converged"]) for e in res.report["step_log"][1:]]
+    assert stages[:2] == [(1.0, 1.0, False), (0.5, 0.5, False)]
+    assert stages[2:] == [(s, 0.25, True) for s in (0.25, 0.5, 0.75, 1.0)]
+    assert np.max(np.abs(res.field.coeffs - direct.field.coeffs)) < 1e-8
 
 
 def test_gauge_invariance_two_seeds():
@@ -636,7 +653,7 @@ def test_gauge_invariance_two_seeds():
     H = 2.0 + 0.1 * g.xyz[2] + 0.05 * (g.xyz[0] ** 2 - g.xyz[1] ** 2)
     outs = []
     for seed in (1, 2):
-        cfg = SolverConfig(degree=16, noise_amplitude=1e-2, noise_seed=seed, steps=5)
+        cfg = SolverConfig(degree=16, noise_amplitude=1e-2, noise_seed=seed)
         res = solve_pmc(H, cfg)
         assert res.status == "converged"
         outs.append(invariant_scalars(res.field, g))
@@ -651,9 +668,9 @@ def test_class_invariance_shifted_target():
     both targets produce the same surface and the returned ells differ by
     exactly the added affine function."""
     g = SphericalGrid(12)
-    res_a = solve_pmc(2.0 + g.xyz[2], SolverConfig(degree=12, steps=5))
+    res_a = solve_pmc(2.0 + g.xyz[2], SolverConfig(degree=12))
     res_b = solve_pmc(np.full((g.n_theta, g.n_phi), 3.0),
-                      SolverConfig(degree=12, steps=5))
+                      SolverConfig(degree=12))
     assert res_a.status == res_b.status == "converged"
     (a1, i1, d1) = invariant_scalars(res_a.field, g)
     (a2, i2, d2) = invariant_scalars(res_b.field, g)
@@ -674,7 +691,7 @@ def one_step_stages(monkeypatch):
 def test_stall_reports_partial_state(monkeypatch):
     one_step_stages(monkeypatch)
     g = SphericalGrid(8)
-    res = solve_pmc(2.0 + 0.9 * g.xyz[2], SolverConfig(degree=8, steps=1))
+    res = solve_pmc(2.0 + 0.9 * g.xyz[2], SolverConfig(degree=8))
     assert res.status == "stalled"
     assert res.report["status"] == "stalled"
     assert "stall_diagnostics" in res.report
@@ -692,7 +709,7 @@ def test_stall_report_scans_branches_once(monkeypatch):
     conformality = _count_calls(monkeypatch, geometry, "conformality_residual")
     one_step_stages(monkeypatch)
     g = SphericalGrid(8)
-    res = solve_pmc(2.0 + 0.9 * g.xyz[2], SolverConfig(degree=8, steps=1))
+    res = solve_pmc(2.0 + 0.9 * g.xyz[2], SolverConfig(degree=8))
     rep = res.report
     assert res.status == "stalled" and rep["conformality_sup"] <= 1e-6
     assert scans == conformality == {None: 1}
@@ -712,7 +729,7 @@ def test_verify_and_solve_report_evaluate_conformality_once(monkeypatch):
     g = SphericalGrid(8)
     geometry.verify(ImmersionField(analyze(g.xyz, g), g))
     assert conformality == scans == {None: 1}
-    res = solve_pmc(2.0 + 0.5 * g.xyz[2], SolverConfig(degree=8, steps=2))
+    res = solve_pmc(2.0 + 0.5 * g.xyz[2], SolverConfig(degree=8))
     assert res.status == "converged"
     assert conformality == scans == {None: 2}
     assert res.report["unresolved_singular_points"] == []
@@ -741,7 +758,7 @@ def test_stall_reason_non_conformal(monkeypatch):
     conformality gate stalls as "non_conformal"."""
     monkeypatch.setattr(solver, "CONFORMALITY_TOL", 0.0)
     g = SphericalGrid(8)
-    res = solve_pmc(2.0 + 0.5 * g.xyz[2], SolverConfig(degree=8, steps=2))
+    res = solve_pmc(2.0 + 0.5 * g.xyz[2], SolverConfig(degree=8))
     assert res.status == res.report["status"] == "stalled"
     assert res.report["stall_reason"] == "non_conformal"
     assert all(e["converged"] for e in res.report["step_log"])
@@ -799,7 +816,7 @@ def test_ladder_matches_single_degree_solution(ladder_vs_direct):
 
 
 def test_ladder_takes_few_top_degree_steps(ladder_vs_direct):
-    """The single-degree path takes 10 Gauss-Newton steps at L = 16 on
+    """The single-degree path takes 4 Gauss-Newton steps at L = 16 on
     target 103; the ladder takes at most 1 there, after the degree-12
     steps, and opens the L = 16 rung with a logged correction at ds = 0."""
     _, ladder, degrees, _ = ladder_vs_direct["103"]
@@ -862,7 +879,7 @@ def test_nonpositive_truncation_skips_its_rung(monkeypatch):
     k = (np.polynomial.legendre.legval(np.einsum("ctp,c->tp", g.xyz, x0), kernel)
          / np.polynomial.legendre.legval(1.0, kernel))
     H = 1.0 - 1.01 * k
-    config = SolverConfig(degree=16, steps=1)
+    config = SolverConfig(degree=16)
     assert np.min(H) > 0
     assert np.linalg.norm(analyze(H, g).coeffs[:, 13:]) <= config.tol
     assert np.min(synthesize(analyze(H, g).truncated(12), coarse)) < 0
@@ -876,7 +893,7 @@ def test_target_unresolved_at_degree_12_skips_its_rung(monkeypatch):
     at L = 16 only; one whose norm there is below tol keeps the degree-12
     rung."""
     one_step_stages(monkeypatch)
-    config = SolverConfig(degree=16, steps=1)
+    config = SolverConfig(degree=16)
     for tail, degrees in ((1e-6, {16}), (1e-10, {12, 16})):
         c = np.zeros((1, 17, 33))
         c[0, 0, 16] = 2.0 * np.sqrt(4.0 * np.pi)
@@ -907,13 +924,13 @@ def test_newton_log_one_record_per_step(ladder_vs_direct):
 
 @pytest.mark.parametrize("L", [24, 48, 96])
 def test_final_step_cg_count_does_not_grow_with_degree(L):
-    """On target 103 (eps = 0.1) the solve takes 9 Gauss-Newton steps at
+    """On target 103 (eps = 0.1) the solve takes 5 Gauss-Newton steps at
     L = 24, 48 and 96, and its final step at most 15 projected-CG
     iterations: the preconditioner is exact off the gauge directions and
     below the top multiplet at every degree."""
     res = solve_pmc(acceptance_target(SphericalGrid(L), 103, 0.1), SolverConfig(degree=L))
     log = res.report["newton_log"]
-    assert res.status == "converged" and len(log) == 9
+    assert res.status == "converged" and len(log) == 5
     assert log[-1]["linear_iters"] <= 15
 
 
