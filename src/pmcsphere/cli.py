@@ -170,19 +170,31 @@ def _cmd_balance(args) -> int:
     return 0
 
 
+def _finite(flag, value) -> float:
+    """The option's value as a finite float, else an InputError."""
+    try:
+        if np.isfinite(number := float(value)):
+            return number
+    except ValueError:
+        pass
+    raise InputError(f"{flag} must be a finite number, not {value}")
+
+
 def _cmd_example(args) -> int:
-    grid = DiskGrid(args.radius, n_r=96, n_phi=96)
+    _finite("--radius", args.radius)
+    _finite("--blowdown", args.blowdown)
     if args.family == "enneper":
-        t = float(args.param)
-        surface = enneper_blowdown(t, grid)
-        label = f"enneper_t{t:g}"
+        param = _finite("--param", args.param)
+        label = f"enneper_t{param:g}"
     else:
         try:
-            k = int(args.param)
+            param = int(args.param)
         except ValueError as err:
             raise InputError("--param must be an integer k for odd/even") from err
-        surface = weierstrass_family(args.family, k, grid, t=args.blowdown)
-        label = f"{args.family}_k{k}"
+        label = f"{args.family}_k{param}"
+    grid = DiskGrid(args.radius, n_r=96, n_phi=96)
+    surface = (enneper_blowdown(param, grid) if args.family == "enneper"
+               else weierstrass_family(args.family, param, grid, t=args.blowdown))
     summary = {
         "family": args.family,
         "param": args.param,

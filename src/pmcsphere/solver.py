@@ -2,12 +2,12 @@
 Gauge-fixed Gauss-Newton continuation for prescribed mean curvature.
 
 Solves for a conformal immersion F: S^2 -> R^3 and an affine parameter b such
-that the mean curvature of F equals H_target + ell_b by Gauss-Newton from
-the round sphere, coarse to fine: the target is solved at degree
-COARSEST_DEGREE and the solution finished at the requested degree.  Each
-rung solves the target itself (s = 1) first; only where that fails does the
-final rung follow the straight homotopy H_s = (1-s) 2 + s H_target, halving
-its step in s.
+that the mean curvature of F equals H_target + ell_b by one continuation
+at the requested degree along the straight homotopy H_s = (1-s) 2 +
+s H_target from the round sphere: its first stage is the target itself
+(s = 1), and only where a stage fails does the step in s halve.  The first
+stage starts from a guess by nested iteration: a solve at s = 1 of the
+target truncated to COARSEST_DEGREE, zero-padded whether it converged or not.
 
 The residual is 5 * n_nodes pointwise rows, quadrature-weighted so that the
 Euclidean norm is an L2 norm: conformality q1 = g_tt - g_pp/sin^2 and
@@ -49,8 +49,8 @@ preconditioner) is that degree's _Workspace, a pure function of L.
 The functions that take a state find it from the state's coefficients
 (ContinuationState.ws): ContinuationState.at(s, coeffs, b, H_values),
 gauge_basis(state) and gauge_projected_step(state, H_values) take no grid.
-A process keeps the workspaces of its two most recent degrees, the two rungs
-of a solve; a degree solved again after eviction builds its workspace again.
+A process keeps the workspaces of its two most recent degrees, a solve's and
+its guess's; a degree solved again after eviction builds its workspace again.
 
 Solutions come in a 3-parameter family (the affine indeterminacy of the
 curvature class, realized as boost reparametrizations).  The centering rows
@@ -99,12 +99,12 @@ from .grid import (
 B_NORM_SMOOTHING = 1e-12
 LINE_SEARCH_FACTOR = 0.5    # step-length factor per line-search halving
 MAX_HALVINGS = 20
-COARSEST_DEGREE = 12        # first rung of the coarse-to-fine degree ladder
+COARSEST_DEGREE = 12        # degree of the coarse solve that seeds a finer one
 CENTER_TOL = 1e-10          # |area center| of a converged solve
 KRYLOV_TOL = 1e-10          # relative residual at which projected CG stops
 KRYLOV_MAX_ITERS = 100      # projected CG iterations before a step fails
-MAX_NEWTON_ITERS = 30       # Gauss-Newton steps per correction or polish
-MIN_STEP = 1.0 / 160.0      # smallest step in s of the final rung before a stall
+MAX_NEWTON_ITERS = 30       # Gauss-Newton steps per stage or polish
+MIN_STEP = 1.0 / 160.0      # smallest step in s before a stall
 
 
 @dataclass(frozen=True)
@@ -237,8 +237,8 @@ class _Workspace:
 
 @lru_cache(maxsize=2)
 def _workspace(L: int) -> _Workspace:
-    """The workspace of degree L, a pure function of L.  A solve has at most
-    two rungs, so the two most recent degrees stay built."""
+    """The workspace of degree L, a pure function of L.  A solve works at
+    two degrees at most, so the two most recent stay built."""
     return _Workspace(L)
 
 
@@ -617,10 +617,11 @@ def gauge_projected_step(state: ContinuationState, H_values) -> ContinuationStat
 # continuation driver
 # ----------------------------------------------------------------------
 
-def _round_start(L, config):
+def _round_start(L, config=None):
+    """The round sphere at degree L, with the config's start noise if given."""
     grid = _workspace(L).grid
     coeffs = analyze(grid.xyz, grid).coeffs.copy()
-    if config.noise_amplitude > 0:
+    if config is not None and config.noise_amplitude > 0:
         rng = np.random.default_rng(config.noise_seed)
         valid = np.abs(np.arange(-L, L + 1)) <= np.arange(L + 1)[:, None]
         noise = rng.uniform(-1, 1, size=coeffs.shape) * config.noise_amplitude
@@ -655,69 +656,65 @@ def _homotopy(s, H_vals):
     return (1.0 - s) * 2.0 + s * H_vals
 
 
-def _ladder(L: int) -> list:
-    """Degrees of the coarse-to-fine solve: [COARSEST_DEGREE, L], or [L]
-    when L <= COARSEST_DEGREE."""
-    return [COARSEST_DEGREE, L] if L > COARSEST_DEGREE else [L]
+def _stage(trial, H_vals, ds, tol):
+    """Gauss-Newton from ``trial`` against H_s at its s, to 16 tol: on a
+    residual spread evenly over the sphere the uniform row norm reads
+    sqrt(80 / 31) = 1.61 times the chart-form norm.  Appends one step_log
+    record.  Returns (last accepted state, stall reason or None)."""
+    n_before = len(trial.newton_log)
+    trial, reason = _newton_to_tol(trial, _homotopy(trial.s, H_vals), 16.0 * tol)
+    trial.step_log.append({"degree": trial.ws.L, "s": trial.s, "ds": ds,
+                           "converged": reason is None, "residual": trial.residual_norm,
+                           "newton_iters": len(trial.newton_log) - n_before})
+    return trial, reason
 
 
-def _rung_start(state, H_vals, L, config):
-    """The first rung starts from the round sphere at s = 0; a later rung
-    starts from the previous rung's state, zero-padded to degree L."""
-    if state is None:
-        coeffs, b, s = _round_start(L, config), np.zeros(3), 0.0
-        logs = {}
-    else:
-        coeffs = HarmonicField(state.coeffs).truncated(L).coeffs
-        b, s = state.b.copy(), state.s
-        logs = dict(step_log=state.step_log, newton_log=state.newton_log)
-    return ContinuationState.at(s, coeffs, b, _homotopy(s, H_vals), **logs)
+def _coarse_guess(H_target, H_vals, config):
+    """The last iterate, converged or not, of a solve at s = 1 from the round
+    sphere of the target truncated to COARSEST_DEGREE (nested iteration).
+    None at config.degree <= COARSEST_DEGREE, and on a target it does not
+    resolve: a norm above that degree over config.tol, or a truncation <= 0."""
+    if config.degree <= COARSEST_DEGREE:
+        return None
+    if not isinstance(H_target, HarmonicField):
+        H_target = analyze(H_vals, _workspace(config.degree).grid)
+    if np.linalg.norm(H_target.coeffs[:, COARSEST_DEGREE + 1:]) > config.tol:
+        return None
+    coarse_H = synthesize(H_target.truncated(COARSEST_DEGREE),
+                          _workspace(COARSEST_DEGREE).grid)
+    if not np.all(coarse_H > 0):
+        return None
+    start = ContinuationState.at(1.0, _round_start(COARSEST_DEGREE, config),
+                                 np.zeros(3), coarse_H)
+    return _stage(start, coarse_H, 1.0, config.tol)[0]
 
 
-def _continue(state, H_vals, config, final):
-    """Continuation on one rung, from state.s to s = 1.
-
-    Corrects ``state`` at its own s (logged with ds = 0), then takes the
-    whole remaining step, ds = 1 - s: each stage starts from the last
-    accepted state and is corrected by Gauss-Newton to 16 tol: on a residual
-    spread evenly over the sphere the uniform row norm reads
-    sqrt(80 / 31) = 1.61 times the chart-form norm, in which stages were
-    corrected to 10 tol.  On the final rung a failed stage halves ds and
-    starts again from the last accepted state, and the solve stalls once ds
-    falls below MIN_STEP; on a coarse rung a failed stage ends the rung.
-    Returns (last accepted state, stall reason or None).
-    """
-    def correct(trial, ds):
-        n_before = len(trial.newton_log)
-        trial, reason = _newton_to_tol(trial, _homotopy(trial.s, H_vals), 16.0 * config.tol)
-        trial.step_log.append(
-            {"degree": trial.ws.L, "s": trial.s, "ds": ds, "converged": reason is None,
-             "residual": trial.residual_norm,
-             "newton_iters": len(trial.newton_log) - n_before}
-        )
-        return trial, reason
-
-    state, reason = correct(state, 0.0)
-    if reason is not None:
-        return state, reason
-    ds = 1.0 - state.s
-    while state.s < 1.0:
+def _continue(start, H_vals, tol):
+    """Continuation at start's degree to s = 1: the first stage is ds = 1
+    from ``start``.  Where a stage fails, ds halves and the next stage
+    starts from the last accepted state, at first the exact round sphere
+    at s = 0; the solve stalls once ds falls below MIN_STEP.  Returns (last
+    accepted state, stall reason or None)."""
+    state, reason = _stage(start, H_vals, 1.0, tol)
+    if reason is None:
+        return state, None
+    logs = dict(step_log=start.step_log, newton_log=start.newton_log)
+    state = ContinuationState.at(0.0, _round_start(start.ws.L), np.zeros(3),
+                                 _homotopy(0.0, H_vals), **logs)
+    ds = 0.5
+    while ds >= MIN_STEP:
         s_next = min(1.0, state.s + ds)
         ds = s_next - state.s
         trial = ContinuationState.at(s_next, state.coeffs.copy(), state.b.copy(),
-                                     _homotopy(s_next, H_vals),
-                                     step_log=state.step_log,
-                                     newton_log=state.newton_log)
-        trial, reason = correct(trial, ds)
+                                     _homotopy(s_next, H_vals), **logs)
+        trial, reason = _stage(trial, H_vals, ds, tol)
         if reason is None:
             state = trial
-        elif not final:
-            return state, reason
+            if state.s == 1.0:
+                return state, None
         else:
             ds /= 2.0
-            if ds < MIN_STEP:
-                return state, "min_step"
-    return state, None
+    return state, "min_step"
 
 
 def _step_bytes(L: int) -> int:
@@ -763,15 +760,12 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
     state is returned with status "stalled", the report's "stall_reason" and
     its "stall_diagnostics" (the top degrees' norms and a suggested degree).
 
-    The target is solved coarse to fine over the degrees of
-    ``_ladder(config.degree)`` (``_continue`` on each): each rung first
-    solves the target itself, and the final rung falls back to the
-    homotopy, halving its step in s, where that fails.  A coarse rung
-    solves the target truncated to its degree.  It is skipped when the
-    target's coefficient norm above that degree exceeds config.tol or the
-    truncation is not positive; else its last accepted state, zero-padded,
-    starts the final rung at the same s.  Only config.degree is polished, to
-    tol / 2 and an area center of at most CENTER_TOL.
+    One continuation at config.degree (``_continue``) first solves the
+    target itself and halves its step in s where that fails.  Its first
+    stage starts from the ``_coarse_guess``, zero-padded, or from the round
+    sphere where no guess runs; the config's start noise perturbs only the
+    round sphere that starts the solve.  The end is polished to tol / 2 and
+    an area center of at most CENTER_TOL.
 
     Raises ConfigurationError, before any work, when config.degree would
     need more bytes than the physical memory (check_memory).
@@ -790,22 +784,14 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
     if not np.all(H_vals > 0):
         raise DataError("H_target must be positive everywhere")
 
-    rungs = _ladder(grid.L)
-    if len(rungs) > 1 and not isinstance(H_target, HarmonicField):
-        H_target = analyze(H_vals, grid)
-    state = None
-    for L in rungs:
-        final = L == grid.L
-        rung_H = H_vals
-        if not final:
-            # a coarse rung pays off only on a target it resolves
-            if np.linalg.norm(H_target.coeffs[:, L + 1:]) > config.tol:
-                continue
-            rung_H = synthesize(H_target.truncated(L), _workspace(L).grid)
-            if not np.all(rung_H > 0):
-                continue
-        state = _rung_start(state, rung_H, L, config)
-        state, reason = _continue(state, rung_H, config, final)
+    guess = _coarse_guess(H_target, H_vals, config)
+    if guess is None:
+        start = ContinuationState.at(1.0, _round_start(grid.L, config), np.zeros(3), H_vals)
+    else:
+        start = ContinuationState.at(1.0, HarmonicField(guess.coeffs).truncated(grid.L).coeffs,
+                                     guess.b.copy(), H_vals, step_log=guess.step_log,
+                                     newton_log=guess.newton_log)
+    state, reason = _continue(start, H_vals, config.tol)
 
     if reason is None:
         # final polish; the row norm is at least the chart-form L2 norm, so

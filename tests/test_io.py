@@ -392,6 +392,23 @@ def test_cli_example_and_export(tmp_path):
     assert obj_path.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--family", "enneper", "--param", "abc"],
+    ["--family", "enneper", "--param", "nan"],
+    ["--family", "enneper", "--param", "inf"],
+    ["--family", "odd", "--param", "1", "--blowdown", "nan"],
+    ["--family", "enneper", "--param", "0.5", "--radius", "inf"],
+])
+def test_cli_example_rejects_bad_numbers(tmp_path, capsys, flags):
+    """A non-numeric or non-finite --param, --blowdown or --radius exits 1
+    with an error line naming the flag, and writes no out-dir."""
+    out = tmp_path / "ex"
+    assert cli_dispatch(["example", *flags, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flags[-2] in err
+    assert not out.exists()
+
+
 def test_cli_outputs_byte_deterministic(tmp_path, capsys):
     """Every JSON output but the manifest is byte-identical across runs."""
     h_path = tmp_path / "h.json"
@@ -540,9 +557,10 @@ def test_cli_solve_stall_exit_2(tmp_path, capsys):
     # partial outputs and the manifest are still written in the stall case
     assert (out / "manifest.json").exists()
     assert (out / "solution.json").exists()
-    # no Gauss-Newton step decreases the residual of the round start enough
+    # no stage meets the tolerance, so halving runs down to MIN_STEP
     report = json.loads((out / "report.json").read_text())
-    assert report["stall_reason"] == "line_search_exhausted"
+    assert report["stall_reason"] == "min_step"
+    assert not any(e["converged"] for e in report["step_log"])
 
 
 def test_cli_solve_nan_target_exits_1_before_solving(tmp_path, monkeypatch, capsys):

@@ -29,7 +29,6 @@ from pmcsphere.solver import (
     _area_center,
     _center_gradient,
     _jvp,
-    _ladder,
     _linearization,
     _projected_cg,
     _round_start,
@@ -146,10 +145,10 @@ def test_residual_rejects_nan_h():
 def test_solve_rejects_nan_target_before_any_step(monkeypatch):
     """A node-valued target with one NaN node raises DataError before the
     continuation starts."""
-    def no_rung(*args):
+    def no_start(*args):
         raise AssertionError("the continuation started")
 
-    monkeypatch.setattr(solver, "_rung_start", no_rung)
+    monkeypatch.setattr(solver, "_round_start", no_start)
     g = SphericalGrid(8)
     H = np.full((g.n_theta, g.n_phi), 2.0)
     H[3, 4] = np.nan
@@ -598,8 +597,7 @@ def test_solver_outputs_satisfy_obstruction_identity():
 def test_monotone_residual_history():
     """Within each continuation stage the accepted norms strictly decrease;
     stage boundaries re-evaluate against a new target.  The history splits
-    into stages by each stage's logged Gauss-Newton count (the noise-free
-    round start needs no iteration at s = 0)."""
+    into stages by each stage's logged Gauss-Newton count."""
     g = SphericalGrid(12)
     res = solve_pmc(2.0 + 0.5 * g.xyz[2], SolverConfig(degree=12))
     hist, log = res.report["residual_history"], res.state.step_log
@@ -623,9 +621,7 @@ def test_direct_stage_step_count():
     res = solve_pmc(2.0 + 0.5 * g.xyz[2], SolverConfig(degree=12))
     assert res.status == "converged"
     assert len(res.report["residual_history"]) <= 6
-    log = res.state.step_log
-    assert [(e["s"], e["ds"]) for e in log] == [(0.0, 0.0), (1.0, 1.0)]
-    assert log[0]["newton_iters"] == 0
+    assert [(e["s"], e["ds"]) for e in res.state.step_log] == [(1.0, 1.0)]
     assert abs(res.report["area"] - 4 * np.pi * 0.64) < 1e-7
 
 
@@ -640,7 +636,7 @@ def test_halving_fallback_recovers(monkeypatch):
     monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 4)
     res = solve_pmc(H, SolverConfig(degree=8))
     assert direct.status == res.status == "converged"
-    stages = [(e["s"], e["ds"], e["converged"]) for e in res.report["step_log"][1:]]
+    stages = [(e["s"], e["ds"], e["converged"]) for e in res.report["step_log"]]
     assert stages[:2] == [(1.0, 1.0, False), (0.5, 0.5, False)]
     assert stages[2:] == [(s, 0.25, True) for s in (0.25, 0.5, 0.75, 1.0)]
     assert np.max(np.abs(res.field.coeffs - direct.field.coeffs)) < 1e-8
@@ -682,8 +678,8 @@ def test_class_invariance_shifted_target():
 
 
 def one_step_stages(monkeypatch):
-    """One Gauss-Newton step per correction, and a final rung that stalls
-    once its step in s falls below 0.6."""
+    """One Gauss-Newton step per stage or polish, and a continuation that
+    stalls once its step in s falls below 0.6."""
     monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
     monkeypatch.setattr(solver, "MIN_STEP", 0.6)
 
@@ -741,10 +737,13 @@ def test_stall_report_serializable(monkeypatch):
     residual as null with its reason, and the report serializes."""
     monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
     g = SphericalGrid(8)
-    res = solve_pmc(2.0 + 0.5 * g.xyz[2], SolverConfig(degree=8, noise_amplitude=0.05))
+    config = SolverConfig(degree=8, tol=0.2, noise_amplitude=0.05)
+    res = solve_pmc(2.0 + 0.5 * g.xyz[2], config)
     rep = res.report
     assert res.status == "stalled"
-    # one iteration cannot correct the noisy start at s = 0
+    # the loose stage accepts one step from the noisy start, and one polish
+    # step cannot correct it
+    assert [e["converged"] for e in rep["step_log"]] == [True]
     assert rep["stall_reason"] == "iteration_cap"
     assert rep["conformality_sup"] > 1e-6
     assert rep["mc_l2"] is None and rep["mc_sup"] is None
@@ -764,10 +763,15 @@ def test_stall_reason_non_conformal(monkeypatch):
     assert all(e["converged"] for e in res.report["step_log"])
 
 
-def test_ladder_schedule():
-    assert [_ladder(L) for L in (8, 12, 16, 24, 32)] == [
-        [8], [12], [12, 16], [12, 24], [12, 32]
-    ]
+@pytest.mark.parametrize("L", [8, 12, 16, 24])
+def test_ladder_schedule(L):
+    """A solve above COARSEST_DEGREE logs its degree-12 guess and its own
+    stages; at or below it, its own stages only."""
+    g = SphericalGrid(L)
+    res = solve_pmc(2.0 + 0.5 * g.xyz[2], SolverConfig(degree=L))
+    assert res.status == "converged"
+    degrees = {8: {8}, 12: {12}, 16: {12, 16}, 24: {12, 24}}[L]
+    assert {e["degree"] for e in res.report["step_log"]} == degrees
 
 
 def _solve_counting_steps(H, config):
@@ -785,8 +789,9 @@ def _solve_counting_steps(H, config):
 
 @pytest.fixture(scope="module")
 def ladder_vs_direct():
-    """L = 16 solves of acceptance target 103 (eps = 0.1) and of 2 + x3, by
-    the ladder 12 -> 16 and by the single-degree path."""
+    """L = 16 solves of acceptance target 103 (eps = 0.1) and of 2 + x3,
+    seeded by the degree-12 guess (the ladder) and by the single-degree
+    path."""
     g = SphericalGrid(16)
     out = {}
     for name, H in (("103", acceptance_target(g, 103, 0.1)), ("2+x3", 2.0 + g.xyz[2])):
@@ -817,14 +822,14 @@ def test_ladder_matches_single_degree_solution(ladder_vs_direct):
 
 def test_ladder_takes_few_top_degree_steps(ladder_vs_direct):
     """The single-degree path takes 4 Gauss-Newton steps at L = 16 on
-    target 103; the ladder takes at most 1 there, after the degree-12
-    steps, and opens the L = 16 rung with a logged correction at ds = 0."""
+    target 103; seeded by the degree-12 guess, the solve takes at most 1
+    there, after the degree-12 steps, in one L = 16 stage at s = 1."""
     _, ladder, degrees, _ = ladder_vs_direct["103"]
     assert degrees.count(16) <= 1
     assert degrees == sorted(degrees) and set(degrees) == {12, 16}
     log = ladder.report["step_log"]
     assert sum(e["newton_iters"] for e in log if e["degree"] == 12) == degrees.count(12)
-    assert [e["ds"] for e in log if e["degree"] == 16][0] == 0.0
+    assert [(e["s"], e["ds"]) for e in log if e["degree"] == 16] == [(1.0, 1.0)]
 
 
 def test_polish_centers_without_stall(ladder_vs_direct):
@@ -850,21 +855,75 @@ def test_polish_centers_without_stall(ladder_vs_direct):
 
 def test_bad_coarse_rung_is_harmless(ladder_vs_direct, monkeypatch):
     """At COARSEST_DEGREE = 8 the degree-8 truncation floor of target 103 is
-    above the stage tolerance: the coarse rung ends at its first failed
-    stage, L = 16 continues from the last accepted s, and the solve
-    converges to the same solution."""
+    above the stage tolerance, so the coarse solve fails.  Its last iterate
+    still starts the L = 16 stage at s = 1, which takes at most 2 steps (1
+    measured; 4 from the round sphere) to the same solution."""
     H, _, _, direct = ladder_vs_direct["103"]
     monkeypatch.setattr(solver, "COARSEST_DEGREE", 8)
-    res = solve_pmc(H, SolverConfig(degree=16))
+    res, degrees = _solve_counting_steps(H, SolverConfig(degree=16))
     assert res.status == "converged"
-    log = res.report["step_log"]
-    coarse = [e for e in log if e["degree"] == 8]
-    assert not coarse[-1]["converged"] and all(e["converged"] for e in coarse[:-1])
-    opening = log[len(coarse)]
-    assert opening["degree"] == 16 and opening["ds"] == 0.0
-    assert opening["s"] == coarse[-2]["s"] < 1.0
+    log = [(e["degree"], e["s"], e["ds"], e["converged"]) for e in res.report["step_log"]]
+    assert log == [(8, 1.0, 1.0, False), (16, 1.0, 1.0, True)]
+    assert degrees.count(16) <= 2
     assert np.max(np.abs(res.field.coeffs - direct.field.coeffs)) < 1e-8
     assert np.max(np.abs(res.affine.b - direct.affine.b)) < 1e-8
+
+
+def test_failed_guess_seeds_the_stage(monkeypatch):
+    """With 4 Gauss-Newton steps per stage, the degree-12 guess for
+    H = 2 + 0.5 x3 fails, and the L = 16 stage at s = 1 from its last
+    iterate converges in at most 2 steps (1 measured), with no halving."""
+    g = SphericalGrid(16)
+    monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 4)
+    res, degrees = _solve_counting_steps(2.0 + 0.5 * g.xyz[2], SolverConfig(degree=16))
+    assert res.status == "converged"
+    log = [(e["degree"], e["s"], e["ds"], e["converged"]) for e in res.report["step_log"]]
+    assert log == [(12, 1.0, 1.0, False), (16, 1.0, 1.0, True)]
+    assert degrees.count(16) <= 2
+    assert abs(res.report["area"] - 4 * np.pi * 0.64) < 1e-7
+
+
+def test_failed_stage_from_guess_halves_from_round_sphere(monkeypatch):
+    """With 2 Gauss-Newton steps per stage, the stage from the failed guess
+    fails too, and the next stage is (s 0.5, ds 0.5) from the exact round
+    sphere, whose residual is that of the round sphere against H_0.5."""
+    g = SphericalGrid(16)
+    H = 2.0 + 0.5 * g.xyz[2]
+    monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 2)
+    starts = []
+    stage = solver._stage
+
+    def recorded(trial, H_vals, ds, tol):
+        starts.append(trial.residual_norm)
+        return stage(trial, H_vals, ds, tol)
+
+    monkeypatch.setattr(solver, "_stage", recorded)
+    res = solve_pmc(H, SolverConfig(degree=16))
+    log = [(e["degree"], e["s"], e["ds"], e["converged"]) for e in res.report["step_log"]]
+    assert log[:2] == [(12, 1.0, 1.0, False), (16, 1.0, 1.0, False)]
+    assert log[2][:3] == (16, 0.5, 0.5)
+    round_half = ContinuationState.at(0.5, _round_start(16), np.zeros(3),
+                                      solver._homotopy(0.5, H))
+    assert starts[2] == round_half.residual_norm
+
+
+def test_hard_target_seeded_by_failed_guess():
+    """Target 103 at eps = 1.5, L = 32: the degree-12 guess fails, the
+    L = 32 stage from it takes at most 2 Gauss-Newton steps (5 from the
+    round sphere), and b and the area agree with the single-degree solve
+    within 1e-8."""
+    g = SphericalGrid(32)
+    H = acceptance_target(g, 103, 1.5)
+    res, degrees = _solve_counting_steps(H, SolverConfig(degree=32))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "COARSEST_DEGREE", 32)
+        direct = solve_pmc(H, SolverConfig(degree=32))
+    assert res.status == direct.status == "converged"
+    assert [(e["degree"], e["converged"]) for e in res.report["step_log"]] == [
+        (12, False), (32, True)]
+    assert degrees.count(32) <= 2
+    assert np.max(np.abs(res.affine.b - direct.affine.b)) < 1e-8
+    assert abs(res.report["area"] - direct.report["area"]) < 1e-8 * direct.report["area"]
 
 
 def test_nonpositive_truncation_skips_its_rung(monkeypatch):
@@ -872,7 +931,7 @@ def test_nonpositive_truncation_skips_its_rung(monkeypatch):
     degree-12 grid dip below zero is solved at L = 16 only.  H = 1 - 1.01 k,
     k the normalized degree-12 reproducing kernel at an L = 12 node: its
     coefficient norm above degree 12 is rounding, so the tail rule keeps
-    the rung, and the positivity rule skips it."""
+    the coarse guess, and the positivity rule skips it."""
     g, coarse = SphericalGrid(16), SphericalGrid(12)
     x0 = coarse.xyz[:, 6, 5]
     kernel = (2.0 * np.arange(13) + 1.0) / (4.0 * np.pi)
@@ -891,7 +950,7 @@ def test_nonpositive_truncation_skips_its_rung(monkeypatch):
 def test_target_unresolved_at_degree_12_skips_its_rung(monkeypatch):
     """A target whose coefficient norm above degree 12 exceeds tol is solved
     at L = 16 only; one whose norm there is below tol keeps the degree-12
-    rung."""
+    guess."""
     one_step_stages(monkeypatch)
     config = SolverConfig(degree=16)
     for tail, degrees in ((1e-6, {16}), (1e-10, {12, 16})):
