@@ -111,13 +111,13 @@ def _cmd_solve(args) -> int:
          ("affine.json", affine_to_dict(result.affine)),
          ("report.json", result.report)],
         {"status": result.status,
-         "residual_norm": result.state.residual_norm,
+         "residual_norm": result.report["residual_norm"],
          "wall_time": result.wall_time},
     )
     b = result.affine.b
     print(f"status: {result.status}")
     print(f"ell: a={np.linalg.norm(b):.12g} b=({b[0]:.12g}, {b[1]:.12g}, {b[2]:.12g})")
-    print(f"final residual: {result.state.residual_norm:.3e}")
+    print(f"final residual: {result.report['residual_norm']:.3e}")
     return 0 if result.status == "converged" else 2
 
 

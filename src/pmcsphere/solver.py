@@ -38,11 +38,17 @@ projected conjugate gradients in the constraints' null space
 which splits by total angular momentum j into blocks of at most 4
 (_MultipletPreconditioner: closed forms in rho = (j (j + 1) - 2)^2 and
 tau = (j (j + 1))^2 - 4, O(L^2) per apply), exact off the gauge and below
-the top multiplet (1.6 % off at L = 8): a step takes at most 9 iterations
-at every L from 16 to 128 on target 103 (eps = 0.1).
+the top multiplet (1.6 % off at L = 8).  The steps are inexact (Dembo,
+Eisenstat & Steihaug 1982): CG stops at a relative forcing term eta_k
+(_forcing), Eisenstat & Walker's (1996) choice 2, gamma (|r_k| / |r_k-1|)^2,
+capped at FORCING_MAX and raised to FORCING_TARGET * target / |r_k|, so a
+step neither solves its normal equations past what Gauss-Newton's
+convergence rate can use nor past the stage or polish target.  Target 103
+(eps = 0.1) takes 5 steps and 16 iterations in all at every L from 24 to
+128, at most 5 a step (41 and 9 at a fixed relative tolerance of 1e-10).
 Each accepted step appends a newton_log record: the residual and its
 conformality and mean-curvature block norms, the step length, the halving
-count and the CG iteration count.
+count, the CG iteration count and the forcing term.
 
 Everything a step needs at one degree (grid, packing, row weights and the
 preconditioner) is that degree's _Workspace, a pure function of L.
@@ -101,7 +107,16 @@ LINE_SEARCH_FACTOR = 0.5    # step-length factor per line-search halving
 MAX_HALVINGS = 20
 COARSEST_DEGREE = 12        # degree of the coarse solve that seeds a finer one
 CENTER_TOL = 1e-10          # |area center| of a converged solve
-KRYLOV_TOL = 1e-10          # relative residual at which projected CG stops
+# projected CG stops each Gauss-Newton step at a relative forcing term eta
+# (_forcing); the measured reasons below are totals over the 52 benchmark
+# solves (L = 16 and 24) and 48 hard targets (eps 0.5 to 1.9, L = 32 and 40)
+FORCING_MIN = 1e-10         # floor of eta: the fixed tolerance it replaces
+FORCING_MAX = 1e-2          # cap of eta: 0.1 took 17 % more steps on the 52,
+                            # 3e-3 14 % more CG on the 48
+FORCING_GAMMA = 0.9         # Eisenstat-Walker choice 2's gamma; 0.5 took 4 %
+                            # more CG on the 48
+FORCING_TARGET = 0.01       # eta >= this * target / |r_k|: 0.1 took one more
+                            # final-degree step on 24 of the 48, 0.003 2 % more CG
 KRYLOV_MAX_ITERS = 100      # projected CG iterations before a step fails
 MAX_NEWTON_ITERS = 30       # Gauss-Newton steps per stage or polish
 MIN_STEP = 1.0 / 160.0      # smallest step in s before a stall
@@ -527,7 +542,7 @@ def gauge_basis(state: ContinuationState) -> GaugeBasis:
     return GaugeBasis(matrix=G, rhs=rhs, center=center, gram_condition=cond)
 
 
-def _projected_cg(lin, basis, g, ws):
+def _projected_cg(lin, basis, g, ws, eta=FORCING_MIN):
     """Solve the gauge-constrained normal equations
     [J^T J, G; G^T, 0] [delta; mu] = [-g; rhs] (g = J^T r) without forming
     J: projected preconditioned CG (Gould, Hribar & Nocedal 2001) with the
@@ -541,9 +556,10 @@ def _projected_cg(lin, basis, g, ws):
     The particular solution x0 = P^-1 G S^-1 rhs (S = G^T P^-1 G, 9 x 9)
     meets the constraints; CG then runs in their null space, each residual
     projected by P^-1 (I - G S^-1 G^T P^-1) and stripped of its range-of-G
-    part.  Each iteration costs one J v and one J^T w.  Returns (delta,
-    iterations); delta is None when CG does not reach KRYLOV_TOL within
-    KRYLOV_MAX_ITERS iterations."""
+    part.  Each iteration costs one J v and one J^T w.  CG stops once the
+    projected residual, in the norm of P^-1, is at most ``eta`` times the
+    one at x0.  Returns (delta, iterations); delta is None when CG does not
+    stop within KRYLOV_MAX_ITERS iterations."""
     pre, G = ws.preconditioner, basis.matrix
     PG = pre.solve(G)
     S_inv = np.linalg.inv(G.T @ PG)
@@ -558,7 +574,7 @@ def _projected_cg(lin, basis, g, ws):
     x = PG @ (S_inv @ basis.rhs)
     res, y = project(normal(x) + g)
     rho = res @ y
-    stop = KRYLOV_TOL**2 * rho
+    stop = eta**2 * rho
     p = -y
     for it in range(KRYLOV_MAX_ITERS):
         if rho <= stop:
@@ -575,12 +591,14 @@ def _projected_cg(lin, basis, g, ws):
     return (x if rho <= stop else None), KRYLOV_MAX_ITERS
 
 
-def gauge_projected_step(state: ContinuationState, H_values) -> ContinuationState:
+def gauge_projected_step(state: ContinuationState, H_values,
+                         eta: float = FORCING_MIN) -> ContinuationState:
     """One Gauss-Newton update under the gauge constraints.
 
     Solves the KKT system of the undamped normal equations subject to
     G^T delta = rhs (gauge_basis: no rigid motion, and the linearized area
-    center cancelled) matrix-free by projected CG, then line-searches with
+    center cancelled) matrix-free by projected CG to the relative tolerance
+    ``eta`` (the forcing term), then line-searches with
     halving factor LINE_SEARCH_FACTOR, at most MAX_HALVINGS times.  Raises
     StepFailure when CG fails or no trial point decreases the residual.  The
     state must have been evaluated against H_values; the Jacobian and the
@@ -592,7 +610,7 @@ def gauge_projected_step(state: ContinuationState, H_values) -> ContinuationStat
     n0 = state.residual_norm
     lin = _linearization(state)
     delta, linear_iters = _projected_cg(lin, gauge_basis(state),
-                                        _vjp(lin, state.residual, ws), ws)
+                                        _vjp(lin, state.residual, ws), ws, eta)
     if delta is None:
         raise StepFailure("krylov_failure", f"projected CG failed at residual {n0:.3e}")
     x0 = ws.pack(state.coeffs, state.b)
@@ -607,6 +625,7 @@ def gauge_projected_step(state: ContinuationState, H_values) -> ContinuationStat
                 "residual_conformality": float(np.linalg.norm(new.residual[:n_conf])),
                 "residual_mc": float(np.linalg.norm(new.residual[n_conf:])),
                 "alpha": alpha, "halvings": halvings, "linear_iters": linear_iters,
+                "forcing": eta,
             })
             return new
         alpha *= LINE_SEARCH_FACTOR
@@ -629,6 +648,17 @@ def _round_start(L, config=None):
     return coeffs
 
 
+def _forcing(norm, previous, target):
+    """The relative tolerance of a step's projected CG from the residual norm
+    |r_k| and the previous step's |r_k-1|: Eisenstat-Walker choice 2,
+    gamma (|r_k| / |r_k-1|)^2, raised to FORCING_TARGET * target / |r_k| so
+    that a step from near ``target`` does not solve past it, and kept in
+    [FORCING_MIN, FORCING_MAX].  Their safeguard max(eta, gamma eta_k-1^2)
+    acts only where that exceeds 0.1, never under this cap."""
+    eta = FORCING_GAMMA * (norm / previous) ** 2
+    return max(FORCING_MIN, min(FORCING_MAX, max(eta, FORCING_TARGET * target / norm)))
+
+
 def _newton_to_tol(state, H_values, target, center=False):
     """Gauss-Newton until the residual norm is at most ``target`` and, with
     ``center``, the area center is at most CENTER_TOL from 0.
@@ -642,13 +672,21 @@ def _newton_to_tol(state, H_values, target, center=False):
             center and np.linalg.norm(_area_center(state)[0]) > CENTER_TOL
         )
 
+    # a call's first step reads |r_-1| = 1, the order of the round sphere's
+    # residual against H = 2 + eps Y (1.1 to 1.3 eps, sup |Y| = 1): loose far from
+    # a solution, tight from a close guess.  A fixed first eta of 1e-6 took
+    # 15 % more CG on the 52 and 11 % on the 48; 1e-2 took 34 more
+    # final-degree steps on the 48
+    previous = 1.0
     for _ in range(MAX_NEWTON_ITERS):
         if met():
             return state, None
+        norm = state.residual_norm
         try:
-            state = gauge_projected_step(state, H_values)
+            state = gauge_projected_step(state, H_values, _forcing(norm, previous, target))
         except StepFailure as err:
             return state, err.reason
+        previous = norm
     return state, None if met() else "iteration_cap"
 
 
@@ -802,6 +840,11 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
     affine = AffineFunction(state.b)
     F = ImmersionField(field, grid)
     report = _solution_report(F, affine, H_vals, grid, reason, config.tol)
+    # a stall before s = 1 holds a state measured against H_s: the report
+    # reads its residual against the target
+    report["s"] = state.s
+    report["residual_norm"] = (state if state.s == 1.0 else ContinuationState.at(
+        1.0, state.coeffs, state.b, H_vals)).residual_norm
     report["residual_history"] = [e["residual"] for e in state.newton_log]
     report["step_log"] = list(state.step_log)
     report["newton_log"] = list(state.newton_log)

@@ -27,6 +27,7 @@ from pmcsphere.serialize import (
     load_field,
     write_json,
 )
+from pmcsphere.solver import ContinuationState
 
 
 def random_field(L, ncomp=1, seed=0):
@@ -561,6 +562,18 @@ def test_cli_solve_stall_exit_2(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["stall_reason"] == "min_step"
     assert not any(e["converged"] for e in report["step_log"])
+    # the returned state is the round sphere at s = 0; the manifest, the
+    # report and the printed line give its residual against the target
+    assert report["s"] == 0.0
+    g = SphericalGrid(6)
+    solution = load_field(str(out / "solution.json"))
+    b = affine_from_dict(json.loads((out / "affine.json").read_text())).b
+    at_target = ContinuationState.at(1.0, solution.coeffs, b,
+                                     synthesize(x3_plus_two_field(), g)).residual_norm
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["diagnostics"]["residual_norm"] == report["residual_norm"] == at_target
+    assert at_target > 0.1
+    assert f"final residual: {at_target:.3e}" in capsys.readouterr().out
 
 
 def test_cli_solve_nan_target_exits_1_before_solving(tmp_path, monkeypatch, capsys):

@@ -778,9 +778,9 @@ def _solve_counting_steps(H, config):
     """solve_pmc, with the degree of every Gauss-Newton step recorded."""
     step, degrees = solver.gauge_projected_step, []
 
-    def counted(state, H_values):
+    def counted(state, H_values, eta):
         degrees.append(state.ws.L)
-        return step(state, H_values)
+        return step(state, H_values, eta)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "gauge_projected_step", counted)
@@ -964,8 +964,9 @@ def test_target_unresolved_at_degree_12_skips_its_rung(monkeypatch):
 def test_newton_log_one_record_per_step(ladder_vs_direct):
     """report["newton_log"] has one record per accepted Gauss-Newton step
     (as many as residual_history), in step order, its conformality and
-    mean-curvature block norms combine to the residual, and the L = 16
-    solve's projected-CG steps take 1..15 iterations each."""
+    mean-curvature block norms combine to the residual, its forcing term
+    lies in [FORCING_MIN, FORCING_MAX], and the L = 16 solve's projected-CG
+    steps take 1..15 iterations each."""
     _, ladder, degrees, _ = ladder_vs_direct["103"]
     log = ladder.report["newton_log"]
     assert len(log) == len(ladder.report["residual_history"]) == len(degrees)
@@ -973,12 +974,54 @@ def test_newton_log_one_record_per_step(ladder_vs_direct):
     assert [e["residual"] for e in log] == ladder.report["residual_history"]
     for e in log:
         assert set(e) == {"degree", "residual", "residual_conformality", "residual_mc",
-                          "alpha", "halvings", "linear_iters"}
+                          "alpha", "halvings", "linear_iters", "forcing"}
+        assert solver.FORCING_MIN <= e["forcing"] <= solver.FORCING_MAX
         blocks = np.hypot(e["residual_conformality"], e["residual_mc"])
         assert abs(blocks - e["residual"]) <= 1e-15 * e["residual"]
         assert e["alpha"] == 0.5 ** e["halvings"]
         assert 1 <= e["linear_iters"] <= 15
     assert json.loads(dumps(ladder.report))["newton_log"] == log
+
+
+def _projected_rho(lin, basis, g, ws, x):
+    """The projected residual of the KKT update x in the preconditioner's
+    norm, as projected CG measures it: r = J^T J x + g stripped of its
+    range-of-G part, then r . P^-1 r."""
+    pre, G = ws.preconditioner, basis.matrix
+    PG = pre.solve(G)
+    r = _vjp(lin, _jvp(lin, x, ws), ws) + g
+    r = r - G @ np.linalg.solve(G.T @ PG, PG.T @ r)
+    return r @ pre.solve(r)
+
+
+def test_projected_cg_stops_at_each_steps_forcing_term():
+    """Every step of the L = 16 solve of target 103 (eps = 0.1) ran projected
+    CG at its record's forcing term: re-run from the step's state at that
+    eta, CG takes the record's iteration count and leaves a projected
+    residual of at most eta times the one at its particular solution."""
+    g = SphericalGrid(16)
+    step, calls = solver.gauge_projected_step, []
+
+    def recorded(state, H_values, eta):
+        calls.append((state, eta))
+        return step(state, H_values, eta)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "gauge_projected_step", recorded)
+        res = solve_pmc(acceptance_target(g, 103, 0.1), SolverConfig(degree=16))
+    log = res.report["newton_log"]
+    assert res.status == "converged" and len(calls) == len(log) >= 4
+    for (state, eta), e in zip(calls, log):
+        assert e["forcing"] == eta
+        ws, lin, basis = state.ws, _linearization(state), gauge_basis(state)
+        g_vec = _vjp(lin, state.residual, ws)
+        delta, iters = _projected_cg(lin, basis, g_vec, ws, eta)
+        assert iters == e["linear_iters"]
+        PG = ws.preconditioner.solve(basis.matrix)
+        x0 = PG @ np.linalg.solve(basis.matrix.T @ PG, basis.rhs)
+        rel = np.sqrt(_projected_rho(lin, basis, g_vec, ws, delta)
+                      / _projected_rho(lin, basis, g_vec, ws, x0))
+        assert rel <= eta
 
 
 @pytest.mark.parametrize("L", [24, 48, 96])
@@ -991,6 +1034,16 @@ def test_final_step_cg_count_does_not_grow_with_degree(L):
     log = res.report["newton_log"]
     assert res.status == "converged" and len(log) == 5
     assert log[-1]["linear_iters"] <= 15
+
+
+def test_forcing_terms_cut_baseline_cg():
+    """Target 103 (eps = 0.1) at L = 24 takes 5 Gauss-Newton steps and at
+    most 20 projected-CG iterations in all: 16 measured with each step
+    stopped at its forcing term, 41 with every step solved to 1e-10."""
+    res = solve_pmc(acceptance_target(SphericalGrid(24), 103, 0.1), SolverConfig(degree=24))
+    log = res.report["newton_log"]
+    assert res.status == "converged" and len(log) == 5
+    assert sum(e["linear_iters"] for e in log) <= 20
 
 
 def test_truncation_floor_named():
