@@ -1,7 +1,7 @@
 """Spectral toolkit for conformal immersions of S^2 with prescribed mean
 curvature: harmonic analysis on the sphere, immersion geometry and its
 structure-equation residuals, explicit minimal families, and a gauge-fixed
-Gauss-Newton continuation solver.
+Gauss-Newton solver.
 
 PMC_THREADS, when set, caps BLAS-level parallelism.  BLAS reads its thread
 variables when numpy is first imported, so the cap is applied here, before

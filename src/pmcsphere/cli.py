@@ -41,7 +41,7 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="pmc", description=__doc__.strip().splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("solve", help="continuation solve for a target H")
+    ps = sub.add_parser("solve", help="Gauss-Newton solve for a target H")
     ps.add_argument("--h-target", required=True, help="scalar HarmonicField JSON")
     ps.add_argument("--L", type=int, default=24)
     ps.add_argument("--tol", type=float, default=1e-8)

@@ -1,13 +1,13 @@
 """
-Gauge-fixed Gauss-Newton continuation for prescribed mean curvature.
+Gauge-fixed Gauss-Newton solver for prescribed mean curvature.
 
 Solves for a conformal immersion F: S^2 -> R^3 and an affine parameter b such
-that the mean curvature of F equals H_target + ell_b by one continuation
-at the requested degree along the straight homotopy H_s = (1-s) 2 +
-s H_target from the round sphere: its first stage is the target itself
-(s = 1), and only where a stage fails does the step in s halve.  The first
-stage starts from a guess by nested iteration: a solve at s = 1 of the
-target truncated to COARSEST_DEGREE, zero-padded whether it converged or not.
+that the mean curvature of F equals H_target + ell_b by one Gauss-Newton
+stage at the requested degree against the target itself, scaled by a power
+of two that brings its round mean near 2 (_round_scale), then a polish.  The
+stage starts from a guess by nested iteration: a solve of the target
+truncated to COARSEST_DEGREE, zero-padded whether it converged or not.  A
+failed stage ends the solve with its own stall reason.
 
 The residual is 5 * n_nodes pointwise rows, quadrature-weighted so that the
 Euclidean norm is an L2 norm: conformality q1 = g_tt - g_pp/sin^2 and
@@ -53,7 +53,7 @@ count, the CG iteration count and the forcing term.
 Everything a step needs at one degree (grid, packing, row weights and the
 preconditioner) is that degree's _Workspace, a pure function of L.
 The functions that take a state find it from the state's coefficients
-(ContinuationState.ws): ContinuationState.at(s, coeffs, b, H_values),
+(ContinuationState.ws): ContinuationState.at(coeffs, b, H_values),
 gauge_basis(state) and gauge_projected_step(state, H_values) take no grid.
 A process keeps the workspaces of its two most recent degrees, a solve's and
 its guess's; a degree solved again after eviction builds its workspace again.
@@ -69,6 +69,7 @@ AffineFunction uses the exact norm.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field as dataclass_field
@@ -119,7 +120,6 @@ FORCING_TARGET = 0.01       # eta >= this * target / |r_k|: 0.1 took one more
                             # final-degree step on 24 of the 48, 0.003 2 % more CG
 KRYLOV_MAX_ITERS = 100      # projected CG iterations before a step fails
 MAX_NEWTON_ITERS = 30       # Gauss-Newton steps per stage or polish
-MIN_STEP = 1.0 / 160.0      # smallest step in s before a stall
 
 
 @dataclass(frozen=True)
@@ -136,9 +136,8 @@ class SolverConfig:
 
 @dataclass
 class ContinuationState:
-    """An iterate and its one evaluation against the H of its next step."""
+    """An iterate and its one evaluation against a target H."""
 
-    s: float
     coeffs: np.ndarray          # (3, L+1, 2L+1)
     b: np.ndarray               # (3,)
     residual: np.ndarray        # the 5 * n_nodes rows
@@ -147,8 +146,8 @@ class ContinuationState:
     newton_log: list = dataclass_field(default_factory=list)  # one record per step
 
     @classmethod
-    def at(cls, s, coeffs, b, H_values, **logs):
-        """The iterate (s, coeffs, b), evaluated once against node values of
+    def at(cls, coeffs, b, H_values, **logs):
+        """The iterate (coeffs, b), evaluated once against node values of
         H: the residual rows, and the evaluation flat over the nodes.  |b| in
         ell_b is smoothed to sqrt(|b|^2 + eps^2) - eps."""
         ws, eps = _workspace(coeffs.shape[1] - 1), B_NORM_SMOOTHING
@@ -164,7 +163,7 @@ class ContinuationState:
                 (rmc * ws.mc_row_w).ravel()]
         ev = {k: v.reshape(*v.shape[:-2], -1) for k, v in {**jet, **p}.items()
               if k in ("ft", "fp", "cross", "cross_norm", "normal")}
-        return cls(s, coeffs, b, np.concatenate(rows), dict(ev, h_total=h_total), **logs)
+        return cls(coeffs, b, np.concatenate(rows), dict(ev, h_total=h_total), **logs)
 
     @property
     def residual_norm(self) -> float:
@@ -203,8 +202,9 @@ class SolveResult:
 
 class StepFailure(RuntimeError):
     """A Gauss-Newton step could not decrease the residual; ``reason`` is the
-    stall reason it ends a solve with: "krylov_failure" (projected CG did not
-    converge) or "line_search_exhausted" (no trial point decreased it)."""
+    stall reason it ends a solve with: "degenerate_gauge" (the gauge columns
+    are not of full rank), "krylov_failure" (projected CG did not converge)
+    or "line_search_exhausted" (no trial point decreased it)."""
 
     def __init__(self, reason: str, message: str):
         super().__init__(message)
@@ -279,7 +279,7 @@ def residual(F, b, H_target_values, grid: SphericalGrid) -> np.ndarray:
     if not np.all(H_flat > 0):
         raise DataError("H_target must be positive everywhere")
     coeffs = F.truncated(grid.L).coeffs if F.degree != grid.L else F.coeffs
-    return ContinuationState.at(1.0, coeffs, np.asarray(b, dtype=float), H_flat).residual
+    return ContinuationState.at(coeffs, np.asarray(b, dtype=float), H_flat).residual
 
 
 # ----------------------------------------------------------------------
@@ -531,13 +531,14 @@ def gauge_basis(state: ContinuationState) -> GaugeBasis:
     center, dc = _center_gradient(state)
     G[:-3, 6:] = dc.T
     norms = np.linalg.norm(G, axis=0)
+    if not np.all(norms > 0):
+        raise StepFailure("degenerate_gauge", "a gauge direction vanishes")
     G /= norms
     sv = np.linalg.svd(G, compute_uv=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     if cond >= 1e10:
-        raise ConfigurationError(
-            f"gauge directions degenerate (condition {cond:.2e})"
-        )
+        raise StepFailure("degenerate_gauge",
+                          f"gauge directions degenerate (condition {cond:.2e})")
     rhs = np.concatenate([np.zeros(6), -center]) / norms
     return GaugeBasis(matrix=G, rhs=rhs, center=center, gram_condition=cond)
 
@@ -600,11 +601,11 @@ def gauge_projected_step(state: ContinuationState, H_values,
     center cancelled) matrix-free by projected CG to the relative tolerance
     ``eta`` (the forcing term), then line-searches with
     halving factor LINE_SEARCH_FACTOR, at most MAX_HALVINGS times.  Raises
-    StepFailure when CG fails or no trial point decreases the residual.  The
-    state must have been evaluated against H_values; the Jacobian and the
-    gauge columns read its evaluation, each trial point is evaluated once,
-    and the accepted trial is the new state.  Appends one record to the
-    state's newton_log.
+    StepFailure when the gauge columns degenerate, CG fails or no trial
+    point decreases the residual.  The state must have been evaluated
+    against H_values; the Jacobian and the gauge columns read its
+    evaluation, each trial point is evaluated once, and the accepted trial
+    is the new state.  Appends one record to the state's newton_log.
     """
     ws = state.ws
     n0 = state.residual_norm
@@ -616,7 +617,7 @@ def gauge_projected_step(state: ContinuationState, H_values,
     x0 = ws.pack(state.coeffs, state.b)
     alpha = 1.0
     for halvings in range(MAX_HALVINGS + 1):
-        new = ContinuationState.at(state.s, *ws.unpack(x0 + alpha * delta), H_values,
+        new = ContinuationState.at(*ws.unpack(x0 + alpha * delta), H_values,
                                    step_log=state.step_log, newton_log=state.newton_log)
         if new.residual_norm < n0:
             n_conf = 2 * ws.n_nodes
@@ -633,14 +634,14 @@ def gauge_projected_step(state: ContinuationState, H_values,
 
 
 # ----------------------------------------------------------------------
-# continuation driver
+# solve driver
 # ----------------------------------------------------------------------
 
-def _round_start(L, config=None):
-    """The round sphere at degree L, with the config's start noise if given."""
+def _round_start(L, config):
+    """The round sphere at degree L, with the config's start noise."""
     grid = _workspace(L).grid
     coeffs = analyze(grid.xyz, grid).coeffs.copy()
-    if config is not None and config.noise_amplitude > 0:
+    if config.noise_amplitude > 0:
         rng = np.random.default_rng(config.noise_seed)
         valid = np.abs(np.arange(-L, L + 1)) <= np.arange(L + 1)[:, None]
         noise = rng.uniform(-1, 1, size=coeffs.shape) * config.noise_amplitude
@@ -664,7 +665,7 @@ def _newton_to_tol(state, H_values, target, center=False):
     ``center``, the area center is at most CENTER_TOL from 0.
 
     Returns (state, None) on success, else the last accepted state and the
-    stall reason: a StepFailure's ("krylov_failure" or
+    stall reason: a StepFailure's ("degenerate_gauge", "krylov_failure" or
     "line_search_exhausted") or "iteration_cap".
     """
     def met():
@@ -690,26 +691,22 @@ def _newton_to_tol(state, H_values, target, center=False):
     return state, None if met() else "iteration_cap"
 
 
-def _homotopy(s, H_vals):
-    return (1.0 - s) * 2.0 + s * H_vals
-
-
-def _stage(trial, H_vals, ds, tol):
-    """Gauss-Newton from ``trial`` against H_s at its s, to 16 tol: on a
-    residual spread evenly over the sphere the uniform row norm reads
+def _stage(trial, H_vals, tol):
+    """Gauss-Newton from ``trial`` against H_vals to 16 tol: on a residual
+    spread evenly over the sphere the uniform row norm reads
     sqrt(80 / 31) = 1.61 times the chart-form norm.  Appends one step_log
     record.  Returns (last accepted state, stall reason or None)."""
     n_before = len(trial.newton_log)
-    trial, reason = _newton_to_tol(trial, _homotopy(trial.s, H_vals), 16.0 * tol)
-    trial.step_log.append({"degree": trial.ws.L, "s": trial.s, "ds": ds,
-                           "converged": reason is None, "residual": trial.residual_norm,
+    trial, reason = _newton_to_tol(trial, H_vals, 16.0 * tol)
+    trial.step_log.append({"degree": trial.ws.L, "converged": reason is None,
+                           "residual": trial.residual_norm,
                            "newton_iters": len(trial.newton_log) - n_before})
     return trial, reason
 
 
 def _coarse_guess(H_target, H_vals, config):
-    """The last iterate, converged or not, of a solve at s = 1 from the round
-    sphere of the target truncated to COARSEST_DEGREE (nested iteration).
+    """The last iterate, converged or not, of a solve from the round sphere
+    of the target truncated to COARSEST_DEGREE (nested iteration).
     None at config.degree <= COARSEST_DEGREE, and on a target it does not
     resolve: a norm above that degree over config.tol, or a truncation <= 0."""
     if config.degree <= COARSEST_DEGREE:
@@ -722,37 +719,18 @@ def _coarse_guess(H_target, H_vals, config):
                           _workspace(COARSEST_DEGREE).grid)
     if not np.all(coarse_H > 0):
         return None
-    start = ContinuationState.at(1.0, _round_start(COARSEST_DEGREE, config),
+    start = ContinuationState.at(_round_start(COARSEST_DEGREE, config),
                                  np.zeros(3), coarse_H)
-    return _stage(start, coarse_H, 1.0, config.tol)[0]
+    return _stage(start, coarse_H, config.tol)[0]
 
 
-def _continue(start, H_vals, tol):
-    """Continuation at start's degree to s = 1: the first stage is ds = 1
-    from ``start``.  Where a stage fails, ds halves and the next stage
-    starts from the last accepted state, at first the exact round sphere
-    at s = 0; the solve stalls once ds falls below MIN_STEP.  Returns (last
-    accepted state, stall reason or None)."""
-    state, reason = _stage(start, H_vals, 1.0, tol)
-    if reason is None:
-        return state, None
-    logs = dict(step_log=start.step_log, newton_log=start.newton_log)
-    state = ContinuationState.at(0.0, _round_start(start.ws.L), np.zeros(3),
-                                 _homotopy(0.0, H_vals), **logs)
-    ds = 0.5
-    while ds >= MIN_STEP:
-        s_next = min(1.0, state.s + ds)
-        ds = s_next - state.s
-        trial = ContinuationState.at(s_next, state.coeffs.copy(), state.b.copy(),
-                                     _homotopy(s_next, H_vals), **logs)
-        trial, reason = _stage(trial, H_vals, ds, tol)
-        if reason is None:
-            state = trial
-            if state.s == 1.0:
-                return state, None
-        else:
-            ds /= 2.0
-    return state, "min_step"
+def _round_scale(H_vals, grid):
+    """The power of two c with c m in [sqrt 2, 2 sqrt 2), m the round mean
+    of H.  Against a constant c m the sphere F = R x has the mean-curvature
+    residual R (c m R - 2) / 4, which grows with R at R = 1 only where
+    c m > 1: below that, Gauss-Newton from the round sphere heads for F = 0."""
+    mean = integrate(H_vals, grid) / FOUR_PI
+    return 2.0 ** -math.floor(math.log2(0.5 * mean) + 0.5)
 
 
 def _step_bytes(L: int) -> int:
@@ -789,7 +767,7 @@ def check_memory(L: int) -> None:
 
 
 def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
-    """Continuation solve of the prescribed mean curvature problem.
+    """Gauss-Newton solve of the prescribed mean curvature problem.
 
     ``H_target`` is a scalar HarmonicField (degree <= config.degree) or node
     values on the solver grid; it must be positive everywhere.  Returns the
@@ -798,12 +776,17 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
     state is returned with status "stalled", the report's "stall_reason" and
     its "stall_diagnostics" (the top degrees' norms and a suggested degree).
 
-    One continuation at config.degree (``_continue``) first solves the
-    target itself and halves its step in s where that fails.  Its first
-    stage starts from the ``_coarse_guess``, zero-padded, or from the round
-    sphere where no guess runs; the config's start noise perturbs only the
-    round sphere that starts the solve.  The end is polished to tol / 2 and
-    an area center of at most CENTER_TOL.
+    The solve is exact in scale: H(c F) = H(F) / c and ell_b / c = ell_(b / c),
+    so it solves c H_target, c = _round_scale, and returns c F and b / c.
+    One stage at config.degree solves c H_target from the ``_coarse_guess``,
+    zero-padded, or from the round sphere where no guess runs; the config's
+    start noise perturbs only the round sphere that starts the solve.  A
+    failed stage ends the solve with its own stall reason.  A converged one
+    is polished to tol / (2 max(1, c)^2), which bounds both residual blocks
+    of the returned F by tol / 2 (the conformality rows scale by c^2, the
+    mean-curvature rows by c), and to an area center of at most CENTER_TOL.
+    The returned state is evaluated against H_target; its logs measure the
+    scaled solve.
 
     Raises ConfigurationError, before any work, when config.degree would
     need more bytes than the physical memory (check_memory).
@@ -822,29 +805,35 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
     if not np.all(H_vals > 0):
         raise DataError("H_target must be positive everywhere")
 
-    guess = _coarse_guess(H_target, H_vals, config)
+    # powers of two scale exactly: at c = 1 the solve is that of H_target
+    scale = _round_scale(H_vals, grid)
+    H_solve = scale * H_vals
+    if isinstance(H_target, HarmonicField):
+        H_target = HarmonicField(scale * H_target.coeffs)
+    guess = _coarse_guess(H_target, H_solve, config)
     if guess is None:
-        start = ContinuationState.at(1.0, _round_start(grid.L, config), np.zeros(3), H_vals)
+        start = ContinuationState.at(_round_start(grid.L, config), np.zeros(3), H_solve)
     else:
-        start = ContinuationState.at(1.0, HarmonicField(guess.coeffs).truncated(grid.L).coeffs,
-                                     guess.b.copy(), H_vals, step_log=guess.step_log,
+        start = ContinuationState.at(HarmonicField(guess.coeffs).truncated(grid.L).coeffs,
+                                     guess.b.copy(), H_solve, step_log=guess.step_log,
                                      newton_log=guess.newton_log)
-    state, reason = _continue(start, H_vals, config.tol)
+    state, reason = _stage(start, H_solve, config.tol)
 
     if reason is None:
         # final polish; the row norm is at least the chart-form L2 norm, so
-        # driving it to tol/2 bounds both reported block residuals by tol
-        state, reason = _newton_to_tol(state, H_vals, 0.5 * config.tol, center=True)
+        # driving it to tol/2, in the rows of c F, bounds both reported block
+        # residuals by tol
+        polish = 0.5 * config.tol / max(1.0, scale) ** 2
+        state, reason = _newton_to_tol(state, H_solve, polish, center=True)
+    if scale != 1.0:
+        state = ContinuationState.at(scale * state.coeffs, state.b / scale, H_vals,
+                                     step_log=state.step_log, newton_log=state.newton_log)
 
     field = HarmonicField(state.coeffs)
     affine = AffineFunction(state.b)
     F = ImmersionField(field, grid)
     report = _solution_report(F, affine, H_vals, grid, reason, config.tol)
-    # a stall before s = 1 holds a state measured against H_s: the report
-    # reads its residual against the target
-    report["s"] = state.s
-    report["residual_norm"] = (state if state.s == 1.0 else ContinuationState.at(
-        1.0, state.coeffs, state.b, H_vals)).residual_norm
+    report["residual_norm"] = state.residual_norm
     report["residual_history"] = [e["residual"] for e in state.newton_log]
     report["step_log"] = list(state.step_log)
     report["newton_log"] = list(state.newton_log)

@@ -1,4 +1,4 @@
-"""Tests for the gauge-fixed Gauss-Newton continuation solver."""
+"""Tests for the gauge-fixed Gauss-Newton solver."""
 
 import gc
 import json
@@ -144,9 +144,9 @@ def test_residual_rejects_nan_h():
 
 def test_solve_rejects_nan_target_before_any_step(monkeypatch):
     """A node-valued target with one NaN node raises DataError before the
-    continuation starts."""
+    solve starts."""
     def no_start(*args):
-        raise AssertionError("the continuation started")
+        raise AssertionError("the solve started")
 
     monkeypatch.setattr(solver, "_round_start", no_start)
     g = SphericalGrid(8)
@@ -165,7 +165,7 @@ def perturbed_sphere_linearization():
     coeffs = analyze(vals, g).coeffs
     b = np.array([0.2, -0.1, 0.3])
     H = (2.0 + 0.2 * g.xyz[2] + 0.1 * g.xyz[0] ** 2).ravel()
-    state = ContinuationState.at(1.0, coeffs, b, H)
+    state = ContinuationState.at(coeffs, b, H)
     return _linearization(state), coeffs, b, H, ws
 
 
@@ -186,8 +186,8 @@ def test_jacobian_matches_centred_differences():
     for j in range(x0.size):
         step = np.zeros_like(x0)
         step[j] = h
-        rp = ContinuationState.at(1.0, *ws.unpack(x0 + step), H).residual
-        rm = ContinuationState.at(1.0, *ws.unpack(x0 - step), H).residual
+        rp = ContinuationState.at(*ws.unpack(x0 + step), H).residual
+        rm = ContinuationState.at(*ws.unpack(x0 - step), H).residual
         fd[:, j] = (rp - rm)[:rows] / (2 * h)
     J = jacobian_columns(lin, ws)
     assert np.max(np.abs(J - fd)) <= 1e-8
@@ -205,7 +205,7 @@ def test_jacobian_products_are_adjoint(L, seed):
     x += 0.05 * rng.standard_normal(x.size)
     coeffs, b = ws.unpack(x)
     H = 2.0 + 0.1 * rng.standard_normal(ws.n_nodes)
-    lin = _linearization(ContinuationState.at(1.0, coeffs, b, H))
+    lin = _linearization(ContinuationState.at(coeffs, b, H))
     v = rng.standard_normal(ws.n_unknowns)
     w = rng.standard_normal(5 * ws.n_nodes)
     Jv, JTw = _jvp(lin, v, ws), _vjp(lin, w, ws)
@@ -226,7 +226,7 @@ def test_multiplet_blocks_match_round_normal_matrix(L, top_defect):
     ws = _workspace(g.L)
     pre = ws.preconditioner
     n = ws.n_unknowns
-    lin0 = _linearization(ContinuationState.at(1.0, analyze(g.xyz, g).coeffs, np.zeros(3),
+    lin0 = _linearization(ContinuationState.at(analyze(g.xyz, g).coeffs, np.zeros(3),
                                                np.full(ws.n_nodes, 2.0)))
     J0 = jacobian_columns(lin0, ws)
     A0 = J0.T @ J0
@@ -306,7 +306,7 @@ def test_krylov_update_matches_dense_kkt():
     noisy, b_noisy = ws.unpack(x)
     for coeffs, b, H in ((round_start, np.zeros(3), acceptance_target(g, 103, 0.1)),
                          (noisy, b_noisy, 2.0 + g.xyz[2])):
-        state = ContinuationState.at(1.0, coeffs, b, H)
+        state = ContinuationState.at(coeffs, b, H)
         dense, (krylov, iters) = kkt_reference(state)
         assert 1 <= iters <= 40
         assert np.linalg.norm(krylov - dense) <= 1e-9 * np.linalg.norm(dense)
@@ -335,7 +335,7 @@ def test_workspace_cache_one_entry_per_degree():
 def test_gauge_basis_independent():
     g = SphericalGrid(10)
     H = np.full((g.n_theta, g.n_phi), 2.0)
-    state = ContinuationState.at(1.0, based_sphere_coeffs(g), np.zeros(3), H)
+    state = ContinuationState.at(based_sphere_coeffs(g), np.zeros(3), H)
     basis = gauge_basis(state)
     assert basis.matrix.shape[1] == 9
     assert basis.gram_condition < 1e10
@@ -352,7 +352,7 @@ def test_step_basin_of_attraction():
         valid[:, l, g.L - l : g.L + l + 1] = True
     coeffs = coeffs + 1e-3 * rng.uniform(-1, 1, coeffs.shape) * valid
     H = np.full((g.n_theta, g.n_phi), 2.0)
-    state = ContinuationState.at(1.0, coeffs, np.zeros(3), H)
+    state = ContinuationState.at(coeffs, np.zeros(3), H)
     for _ in range(10):
         if state.residual_norm < 1e-8:
             break
@@ -390,7 +390,7 @@ def test_accepted_full_step_evaluates_residual_once(monkeypatch):
     x = ws.pack(based_sphere_coeffs(g), np.zeros(3))
     coeffs = ws.unpack(x + 1e-3 * rng.uniform(-1, 1, x.size))[0]
     H = np.full((g.n_theta, g.n_phi), 2.0)
-    state = ContinuationState.at(1.0, coeffs, np.zeros(3), H)
+    state = ContinuationState.at(coeffs, np.zeros(3), H)
     calls, at = [], ContinuationState.at.__func__
 
     def counted(cls, *args, **kwargs):
@@ -429,7 +429,7 @@ def test_polish_center_check_runs_no_transform(monkeypatch):
     target (the based round sphere, H = 2) it runs neither transform."""
     g = SphericalGrid(10)
     H = np.full((g.n_theta, g.n_phi), 2.0)
-    state = ContinuationState.at(1.0, based_sphere_coeffs(g), np.zeros(3), H)
+    state = ContinuationState.at(based_sphere_coeffs(g), np.zeros(3), H)
     assert np.linalg.norm(_area_center(state)[0]) <= CENTER_TOL
     calls = count_transforms(monkeypatch)
     done, reason = solver._newton_to_tol(state, H, 1e-8, center=True)
@@ -444,7 +444,7 @@ def test_cg_failure_is_its_own_stall_reason(monkeypatch):
     not with "line_search_exhausted"."""
     g = SphericalGrid(8)
     H = (2.0 + 0.5 * g.xyz[2]).ravel()
-    state = ContinuationState.at(1.0, based_sphere_coeffs(g), np.zeros(3), H)
+    state = ContinuationState.at(based_sphere_coeffs(g), np.zeros(3), H)
     monkeypatch.setattr(solver, "KRYLOV_MAX_ITERS", 1)
     lin = _linearization(state)
     delta, iters = _projected_cg(lin, gauge_basis(state),
@@ -462,7 +462,7 @@ def test_step_zero_update_at_solution():
     g = SphericalGrid(10)
     coeffs = based_sphere_coeffs(g)
     H = np.full((g.n_theta, g.n_phi), 2.0)
-    state = ContinuationState.at(1.0, coeffs, np.zeros(3), H)
+    state = ContinuationState.at(coeffs, np.zeros(3), H)
     ws = state.ws
     try:
         new = gauge_projected_step(state, H)
@@ -486,7 +486,7 @@ def test_step_update_orthogonal_to_gauge():
             valid[:, l, g.L - l : g.L + l + 1] = True
         coeffs = coeffs + 2e-3 * rng.uniform(-1, 1, coeffs.shape) * valid
         H = np.full((g.n_theta, g.n_phi), 2.0)
-        state = ContinuationState.at(1.0, coeffs, np.zeros(3), H)
+        state = ContinuationState.at(coeffs, np.zeros(3), H)
         basis = gauge_basis(state)
         new = gauge_projected_step(state, H)
         ws = state.ws
@@ -514,7 +514,7 @@ def test_step_accepted_at_branched_double_cover():
     A, B = (1 + x[2]) ** 2, (1 - x[2]) ** 2
     coeffs = analyze(np.stack([2 * P.real, 2 * P.imag, A - B]) / (A + B), g).coeffs
     H = np.full((g.n_theta, g.n_phi), 2.0)
-    state = ContinuationState.at(1.0, coeffs, np.zeros(3), H)
+    state = ContinuationState.at(coeffs, np.zeros(3), H)
     new = gauge_projected_step(state, H)
     assert new.residual_norm < state.residual_norm
     assert new.newton_log[-1]["residual"] == new.residual_norm
@@ -595,13 +595,12 @@ def test_solver_outputs_satisfy_obstruction_identity():
 
 
 def test_monotone_residual_history():
-    """Within each continuation stage the accepted norms strictly decrease;
-    stage boundaries re-evaluate against a new target.  The history splits
-    into stages by each stage's logged Gauss-Newton count."""
+    """Within each stage the accepted norms strictly decrease.  The history
+    splits into stages by each stage's logged Gauss-Newton count."""
     g = SphericalGrid(12)
     res = solve_pmc(2.0 + 0.5 * g.xyz[2], SolverConfig(degree=12))
     hist, log = res.report["residual_history"], res.state.step_log
-    assert log and all(e["converged"] for e in log) and log[-1]["s"] == 1.0
+    assert log and all(e["converged"] for e in log)
     start = 0
     for e in log:
         stage = hist[start : start + e["newton_iters"]]
@@ -614,32 +613,15 @@ def test_monotone_residual_history():
 
 
 def test_direct_stage_step_count():
-    """The first stage is the target itself (ds = 1): H = 2 + 0.5 x3 takes
-    at most 6 Gauss-Newton steps (5 measured) in one stage from the round
-    sphere, and lands on the radius-0.8 sphere."""
+    """The stage is the target itself: H = 2 + 0.5 x3 takes at most 6
+    Gauss-Newton steps (5 measured) in one stage from the round sphere, and
+    lands on the radius-0.8 sphere."""
     g = SphericalGrid(12)
     res = solve_pmc(2.0 + 0.5 * g.xyz[2], SolverConfig(degree=12))
     assert res.status == "converged"
     assert len(res.report["residual_history"]) <= 6
-    assert [(e["s"], e["ds"]) for e in res.state.step_log] == [(1.0, 1.0)]
+    assert [(e["degree"], e["converged"]) for e in res.state.step_log] == [(12, True)]
     assert abs(res.report["area"] - 4 * np.pi * 0.64) < 1e-7
-
-
-def test_halving_fallback_recovers(monkeypatch):
-    """With 4 Gauss-Newton steps per stage, H = 2 + 0.5 x3 at L = 8 fails
-    its stages at ds = 1 and 0.5; each restarts from the round sphere, and
-    stages of ds = 0.25 then reach s = 1 on the solution of the unpatched
-    solve."""
-    g = SphericalGrid(8)
-    H = 2.0 + 0.5 * g.xyz[2]
-    direct = solve_pmc(H, SolverConfig(degree=8))
-    monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 4)
-    res = solve_pmc(H, SolverConfig(degree=8))
-    assert direct.status == res.status == "converged"
-    stages = [(e["s"], e["ds"], e["converged"]) for e in res.report["step_log"]]
-    assert stages[:2] == [(1.0, 1.0, False), (0.5, 0.5, False)]
-    assert stages[2:] == [(s, 0.25, True) for s in (0.25, 0.5, 0.75, 1.0)]
-    assert np.max(np.abs(res.field.coeffs - direct.field.coeffs)) < 1e-8
 
 
 def test_gauge_invariance_two_seeds():
@@ -678,10 +660,8 @@ def test_class_invariance_shifted_target():
 
 
 def one_step_stages(monkeypatch):
-    """One Gauss-Newton step per stage or polish, and a continuation that
-    stalls once its step in s falls below 0.6."""
+    """One Gauss-Newton step per stage or polish."""
     monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
-    monkeypatch.setattr(solver, "MIN_STEP", 0.6)
 
 
 def test_stall_reports_partial_state(monkeypatch):
@@ -691,8 +671,10 @@ def test_stall_reports_partial_state(monkeypatch):
     assert res.status == "stalled"
     assert res.report["status"] == "stalled"
     assert "stall_diagnostics" in res.report
-    # the one-iteration stage at ds = 1 fails, and ds = 0.5 is below MIN_STEP
-    assert res.report["stall_reason"] == "min_step"
+    # the one-step stage fails, and the solve ends with the stage's reason
+    assert res.report["stall_reason"] == "iteration_cap"
+    assert [(e["converged"], e["newton_iters"]) for e in res.report["step_log"]] == [
+        (False, 1)]
 
 
 def test_stall_report_scans_branches_once(monkeypatch):
@@ -703,9 +685,9 @@ def test_stall_report_scans_branches_once(monkeypatch):
 
     scans = _count_calls(monkeypatch, geometry, "detect_branch_points")
     conformality = _count_calls(monkeypatch, geometry, "conformality_residual")
-    one_step_stages(monkeypatch)
     g = SphericalGrid(8)
-    res = solve_pmc(2.0 + 0.9 * g.xyz[2], SolverConfig(degree=8))
+    # an unattainable tolerance stalls the stage near the solution
+    res = solve_pmc(2.0 + 0.9 * g.xyz[2], SolverConfig(degree=8, tol=1e-30))
     rep = res.report
     assert res.status == "stalled" and rep["conformality_sup"] <= 1e-6
     assert scans == conformality == {None: 1}
@@ -804,7 +786,7 @@ def ladder_vs_direct():
 
 
 def _center_norm(field):
-    state = ContinuationState.at(1.0, field.coeffs, np.zeros(3),
+    state = ContinuationState.at(field.coeffs, np.zeros(3),
                                  np.full(_workspace(field.degree).n_nodes, 2.0))
     return np.linalg.norm(_area_center(state)[0])
 
@@ -823,13 +805,13 @@ def test_ladder_matches_single_degree_solution(ladder_vs_direct):
 def test_ladder_takes_few_top_degree_steps(ladder_vs_direct):
     """The single-degree path takes 4 Gauss-Newton steps at L = 16 on
     target 103; seeded by the degree-12 guess, the solve takes at most 1
-    there, after the degree-12 steps, in one L = 16 stage at s = 1."""
+    there, after the degree-12 steps, in one L = 16 stage."""
     _, ladder, degrees, _ = ladder_vs_direct["103"]
     assert degrees.count(16) <= 1
     assert degrees == sorted(degrees) and set(degrees) == {12, 16}
     log = ladder.report["step_log"]
     assert sum(e["newton_iters"] for e in log if e["degree"] == 12) == degrees.count(12)
-    assert [(e["s"], e["ds"]) for e in log if e["degree"] == 16] == [(1.0, 1.0)]
+    assert [e["converged"] for e in log if e["degree"] == 16] == [True]
 
 
 def test_polish_centers_without_stall(ladder_vs_direct):
@@ -842,7 +824,7 @@ def test_polish_centers_without_stall(ladder_vs_direct):
     boosted = _mobius_reparametrize(ladder.field, g, g, v, np.eye(3)).coeffs
     coeffs = boosted
     b = ladder.affine.b
-    state = ContinuationState.at(1.0, coeffs, b, H)
+    state = ContinuationState.at(coeffs, b, H)
     config = SolverConfig(degree=16)
     assert state.residual_norm <= 0.5 * config.tol
     assert _center_norm(HarmonicField(coeffs)) > CENTER_TOL
@@ -856,14 +838,14 @@ def test_polish_centers_without_stall(ladder_vs_direct):
 def test_bad_coarse_rung_is_harmless(ladder_vs_direct, monkeypatch):
     """At COARSEST_DEGREE = 8 the degree-8 truncation floor of target 103 is
     above the stage tolerance, so the coarse solve fails.  Its last iterate
-    still starts the L = 16 stage at s = 1, which takes at most 2 steps (1
+    still starts the L = 16 stage, which takes at most 2 steps (1
     measured; 4 from the round sphere) to the same solution."""
     H, _, _, direct = ladder_vs_direct["103"]
     monkeypatch.setattr(solver, "COARSEST_DEGREE", 8)
     res, degrees = _solve_counting_steps(H, SolverConfig(degree=16))
     assert res.status == "converged"
-    log = [(e["degree"], e["s"], e["ds"], e["converged"]) for e in res.report["step_log"]]
-    assert log == [(8, 1.0, 1.0, False), (16, 1.0, 1.0, True)]
+    log = [(e["degree"], e["converged"]) for e in res.report["step_log"]]
+    assert log == [(8, False), (16, True)]
     assert degrees.count(16) <= 2
     assert np.max(np.abs(res.field.coeffs - direct.field.coeffs)) < 1e-8
     assert np.max(np.abs(res.affine.b - direct.affine.b)) < 1e-8
@@ -871,40 +853,16 @@ def test_bad_coarse_rung_is_harmless(ladder_vs_direct, monkeypatch):
 
 def test_failed_guess_seeds_the_stage(monkeypatch):
     """With 4 Gauss-Newton steps per stage, the degree-12 guess for
-    H = 2 + 0.5 x3 fails, and the L = 16 stage at s = 1 from its last
-    iterate converges in at most 2 steps (1 measured), with no halving."""
+    H = 2 + 0.5 x3 fails, and the L = 16 stage from its last iterate
+    converges in at most 2 steps (1 measured)."""
     g = SphericalGrid(16)
     monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 4)
     res, degrees = _solve_counting_steps(2.0 + 0.5 * g.xyz[2], SolverConfig(degree=16))
     assert res.status == "converged"
-    log = [(e["degree"], e["s"], e["ds"], e["converged"]) for e in res.report["step_log"]]
-    assert log == [(12, 1.0, 1.0, False), (16, 1.0, 1.0, True)]
+    log = [(e["degree"], e["converged"]) for e in res.report["step_log"]]
+    assert log == [(12, False), (16, True)]
     assert degrees.count(16) <= 2
     assert abs(res.report["area"] - 4 * np.pi * 0.64) < 1e-7
-
-
-def test_failed_stage_from_guess_halves_from_round_sphere(monkeypatch):
-    """With 2 Gauss-Newton steps per stage, the stage from the failed guess
-    fails too, and the next stage is (s 0.5, ds 0.5) from the exact round
-    sphere, whose residual is that of the round sphere against H_0.5."""
-    g = SphericalGrid(16)
-    H = 2.0 + 0.5 * g.xyz[2]
-    monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 2)
-    starts = []
-    stage = solver._stage
-
-    def recorded(trial, H_vals, ds, tol):
-        starts.append(trial.residual_norm)
-        return stage(trial, H_vals, ds, tol)
-
-    monkeypatch.setattr(solver, "_stage", recorded)
-    res = solve_pmc(H, SolverConfig(degree=16))
-    log = [(e["degree"], e["s"], e["ds"], e["converged"]) for e in res.report["step_log"]]
-    assert log[:2] == [(12, 1.0, 1.0, False), (16, 1.0, 1.0, False)]
-    assert log[2][:3] == (16, 0.5, 0.5)
-    round_half = ContinuationState.at(0.5, _round_start(16), np.zeros(3),
-                                      solver._homotopy(0.5, H))
-    assert starts[2] == round_half.residual_norm
 
 
 def test_hard_target_seeded_by_failed_guess():
@@ -1068,6 +1026,63 @@ def test_truncation_floor_named():
     assert res.status == "converged"
 
 
+def test_unresolved_stall_ends_early():
+    """Target 103 at eps = 1.9 does not resolve at L = 24: the one stage
+    stalls as "truncation_floor" within 40 Gauss-Newton steps in all (17
+    measured), with no second stage at L = 24."""
+    g = SphericalGrid(24)
+    res = solve_pmc(acceptance_target(g, 103, 1.9), SolverConfig(degree=24))
+    assert res.status == "stalled"
+    assert res.report["stall_reason"] == "truncation_floor"
+    assert len(res.report["newton_log"]) <= 40
+    assert [e["degree"] for e in res.report["step_log"]] == [12, 24]
+
+
+@pytest.mark.parametrize("L", [8, 16])
+@pytest.mark.parametrize("c", [0.1, 0.5, 1.0])
+def test_small_constant_is_a_large_sphere(c, L):
+    """H = c with c <= 1 converges to the sphere of radius 2 / c, with b = 0:
+    the solve runs on a power-of-two multiple of H whose round mean is
+    near 2, so it does not collapse to a point."""
+    g = SphericalGrid(L)
+    res = solve_pmc(np.full((g.n_theta, g.n_phi), c), SolverConfig(degree=L))
+    assert res.status == "converged"
+    area = 4 * np.pi * (2 / c) ** 2
+    assert abs(res.report["area"] - area) <= 1e-10 * area
+    assert np.max(np.abs(res.affine.b)) < 1e-10
+    assert max(res.report["conformality_l2"], res.report["mc_l2"]) <= SolverConfig().tol
+
+
+def test_quarter_target_scales_the_solution():
+    """H(4 F) = H(F) / 4 and ell_b / 4 = ell_(b / 4): solving H / 4 returns
+    b / 4 and 16 times the area of the solve of H (target 103, eps = 0.5,
+    L = 24).  Both converge; H / 4 is polished 16 times further, in the
+    rows of the solve of H, so that the rows of 4 F meet tol / 2."""
+    g = SphericalGrid(24)
+    H = acceptance_target(g, 103, 0.5)
+    res, quarter = (solve_pmc(h, SolverConfig(degree=24)) for h in (H, 0.25 * H))
+    assert res.status == quarter.status == "converged"
+    b = res.affine.b
+    assert np.max(np.abs(4 * quarter.affine.b - b)) <= 1e-8 * np.linalg.norm(b)
+    area = quarter.report["area"]
+    assert abs(area - 16 * res.report["area"]) <= 1e-8 * area
+
+
+def test_degenerate_gauge_is_a_step_failure():
+    """At F = (x, 0, 0) the rotation about x_1 is the zero column: the step
+    raises StepFailure("degenerate_gauge"), which a solve stalls on, rather
+    than an input error."""
+    g = SphericalGrid(8)
+    coeffs = np.zeros((3, 9, 17))
+    coeffs[0] = analyze(g.xyz[0], g).coeffs[0]
+    H = np.full(g.n_theta * g.n_phi, 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        state = ContinuationState.at(coeffs, np.zeros(3), H)
+        with pytest.raises(StepFailure) as err:
+            gauge_projected_step(state, H)
+    assert err.value.reason == "degenerate_gauge"
+
+
 def test_resolved_branch_point_is_reported_and_blocks_truncation_floor(monkeypatch):
     """With the branch scan stubbed to find one resolved branch point, the
     L = 12 stall of target 103 (eps = 0.1) reports the point's entry and a
@@ -1119,7 +1134,7 @@ def test_step_bytes_bounds_traced_first_step(L):
     tracemalloc.start()
     try:
         coeffs = _round_start(L, SolverConfig(degree=L))
-        state = ContinuationState.at(1.0, coeffs, np.zeros(3), H)
+        state = ContinuationState.at(coeffs, np.zeros(3), H)
         gauge_projected_step(state, H)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
