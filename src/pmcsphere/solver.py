@@ -3,11 +3,11 @@ Gauge-fixed Gauss-Newton solver for prescribed mean curvature.
 
 Solves for a conformal immersion F: S^2 -> R^3 and an affine parameter b such
 that the mean curvature of F equals H_target + ell_b by one Gauss-Newton
-stage at the requested degree against the target itself, scaled by a power
-of two that brings its round mean near 2 (_round_scale), then a polish.  The
-stage starts from a guess by nested iteration: a solve of the target
+run (_newton_to_tol) at the requested degree against the target itself,
+scaled by a power of two that brings its round mean near 2 (_round_scale).
+The run starts from a guess by nested iteration: a run on the target
 truncated to COARSEST_DEGREE, zero-padded whether it converged or not.  A
-failed stage ends the solve with its own stall reason.
+failed run ends the solve with its own stall reason.
 
 The residual is 5 * n_nodes pointwise rows, quadrature-weighted so that the
 Euclidean norm is an L2 norm: conformality q1 = g_tt - g_pp/sin^2 and
@@ -43,12 +43,13 @@ Eisenstat & Steihaug 1982): CG stops at a relative forcing term eta_k
 (_forcing), Eisenstat & Walker's (1996) choice 2, gamma (|r_k| / |r_k-1|)^2,
 capped at FORCING_MAX and raised to FORCING_TARGET * target / |r_k|, so a
 step neither solves its normal equations past what Gauss-Newton's
-convergence rate can use nor past the stage or polish target.  Target 103
-(eps = 0.1) takes 5 steps and 16 iterations in all at every L from 24 to
-128, at most 5 a step (41 and 9 at a fixed relative tolerance of 1e-10).
-Each accepted step appends a newton_log record: the residual and its
-conformality and mean-curvature block norms, the step length, the halving
-count, the CG iteration count and the forcing term.
+convergence rate can use nor past the run's target; |r_-1| = 1 at the start
+of each run.  Target 103 (eps = 0.1) takes 5 steps and 16 iterations in all
+at every L from 24 to 128, at most 5 a step.  Each accepted step appends a
+newton_log record: the residual and its conformality and mean-curvature
+block norms, the step length, the halving count, the CG iteration count and
+the forcing term.  Each run appends one step_log record, so the step_log
+entries partition newton_log.
 
 Everything a step needs at one degree (grid, packing, row weights and the
 preconditioner) is that degree's _Workspace, a pure function of L.
@@ -61,10 +62,10 @@ its guess's; a degree solved again after eviction builds its workspace again.
 Solutions come in a 3-parameter family (the affine indeterminacy of the
 curvature class, realized as boost reparametrizations).  The centering rows
 keep every iterate near the Mobius-centered member (area center
-c = int p dV / int dV = 0), and the final polish runs until |c| <= CENTER_TOL,
-so results do not depend on the starting noise or the path.  |b| is smoothed
-as sqrt(|b|^2 + eps^2) - eps (eps = 1e-12) inside the solve; the returned
-AffineFunction uses the exact norm.
+c = int p dV / int dV = 0), and the run at the requested degree goes on
+until |c| <= CENTER_TOL, so results do not depend on the starting noise or
+the path.  |b| is smoothed as sqrt(|b|^2 + eps^2) - eps (eps = 1e-12)
+inside the solve; the returned AffineFunction uses the exact norm.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ FORCING_GAMMA = 0.9         # Eisenstat-Walker choice 2's gamma; 0.5 took 4 %
 FORCING_TARGET = 0.01       # eta >= this * target / |r_k|: 0.1 took one more
                             # final-degree step on 24 of the 48, 0.003 2 % more CG
 KRYLOV_MAX_ITERS = 100      # projected CG iterations before a step fails
-MAX_NEWTON_ITERS = 30       # Gauss-Newton steps per stage or polish
+MAX_NEWTON_ITERS = 30       # Gauss-Newton steps per run
 
 
 @dataclass(frozen=True)
@@ -651,68 +652,66 @@ def _round_start(L, config):
 
 def _forcing(norm, previous, target):
     """The relative tolerance of a step's projected CG from the residual norm
-    |r_k| and the previous step's |r_k-1|: Eisenstat-Walker choice 2,
-    gamma (|r_k| / |r_k-1|)^2, raised to FORCING_TARGET * target / |r_k| so
-    that a step from near ``target`` does not solve past it, and kept in
-    [FORCING_MIN, FORCING_MAX].  Their safeguard max(eta, gamma eta_k-1^2)
-    acts only where that exceeds 0.1, never under this cap."""
+    |r_k| and the previous step's |r_k-1| (1 at the start of a run):
+    Eisenstat-Walker choice 2, gamma (|r_k| / |r_k-1|)^2, raised to
+    FORCING_TARGET * target / |r_k| so that a step from near the run's
+    ``target`` does not solve past it, and kept in [FORCING_MIN, FORCING_MAX].
+    Their safeguard max(eta, gamma eta_k-1^2) acts only where that exceeds
+    0.1, never under this cap."""
     eta = FORCING_GAMMA * (norm / previous) ** 2
     return max(FORCING_MIN, min(FORCING_MAX, max(eta, FORCING_TARGET * target / norm)))
 
 
 def _newton_to_tol(state, H_values, target, center=False):
-    """Gauss-Newton until the residual norm is at most ``target`` and, with
-    ``center``, the area center is at most CENTER_TOL from 0.
+    """One Gauss-Newton run: steps until the residual norm is at most
+    ``target`` and, with ``center``, the area center is at most CENTER_TOL
+    from 0, within MAX_NEWTON_ITERS steps.  Its forcing sequence starts at
+    |r_-1| = 1.  Appends one step_log record for the run (its degree,
+    whether it converged, its last residual and its step count), so the
+    step_log entries partition newton_log.
 
     Returns (state, None) on success, else the last accepted state and the
     stall reason: a StepFailure's ("degenerate_gauge", "krylov_failure" or
-    "line_search_exhausted") or "iteration_cap".
+    "line_search_exhausted") or "iteration_cap" (the run used its steps).
     """
     def met():
         return state.residual_norm <= target and not (
             center and np.linalg.norm(_area_center(state)[0]) > CENTER_TOL
         )
 
-    # a call's first step reads |r_-1| = 1, the order of the round sphere's
+    # a run's first step reads |r_-1| = 1, the order of the round sphere's
     # residual against H = 2 + eps Y (1.1 to 1.3 eps, sup |Y| = 1): loose far from
     # a solution, tight from a close guess.  A fixed first eta of 1e-6 took
     # 15 % more CG on the 52 and 11 % on the 48; 1e-2 took 34 more
     # final-degree steps on the 48
-    previous = 1.0
+    previous, n_before, reason = 1.0, len(state.newton_log), None
     for _ in range(MAX_NEWTON_ITERS):
         if met():
-            return state, None
+            break
         norm = state.residual_norm
         try:
             state = gauge_projected_step(state, H_values, _forcing(norm, previous, target))
         except StepFailure as err:
-            return state, err.reason
+            reason = err.reason
+            break
         previous = norm
-    return state, None if met() else "iteration_cap"
+    else:
+        reason = None if met() else "iteration_cap"
+    state.step_log.append({"degree": state.ws.L, "converged": reason is None,
+                           "residual": state.residual_norm,
+                           "newton_iters": len(state.newton_log) - n_before})
+    return state, reason
 
 
-def _stage(trial, H_vals, tol):
-    """Gauss-Newton from ``trial`` against H_vals to 16 tol: on a residual
-    spread evenly over the sphere the uniform row norm reads
-    sqrt(80 / 31) = 1.61 times the chart-form norm.  Appends one step_log
-    record.  Returns (last accepted state, stall reason or None)."""
-    n_before = len(trial.newton_log)
-    trial, reason = _newton_to_tol(trial, H_vals, 16.0 * tol)
-    trial.step_log.append({"degree": trial.ws.L, "converged": reason is None,
-                           "residual": trial.residual_norm,
-                           "newton_iters": len(trial.newton_log) - n_before})
-    return trial, reason
-
-
-def _coarse_guess(H_target, H_vals, config):
-    """The last iterate, converged or not, of a solve from the round sphere
-    of the target truncated to COARSEST_DEGREE (nested iteration).
-    None at config.degree <= COARSEST_DEGREE, and on a target it does not
-    resolve: a norm above that degree over config.tol, or a truncation <= 0."""
+def _coarse_guess(H_target, config):
+    """The last iterate, converged or not, of a run from the round sphere on
+    the target truncated to COARSEST_DEGREE (nested iteration), to 16 tol:
+    on a residual spread evenly over the sphere the uniform row norm reads
+    sqrt(80 / 31) = 1.61 times the chart-form norm.  None at
+    config.degree <= COARSEST_DEGREE, and on a target it does not resolve:
+    a norm above that degree over config.tol, or a truncation <= 0."""
     if config.degree <= COARSEST_DEGREE:
         return None
-    if not isinstance(H_target, HarmonicField):
-        H_target = analyze(H_vals, _workspace(config.degree).grid)
     if np.linalg.norm(H_target.coeffs[:, COARSEST_DEGREE + 1:]) > config.tol:
         return None
     coarse_H = synthesize(H_target.truncated(COARSEST_DEGREE),
@@ -721,7 +720,7 @@ def _coarse_guess(H_target, H_vals, config):
         return None
     start = ContinuationState.at(_round_start(COARSEST_DEGREE, config),
                                  np.zeros(3), coarse_H)
-    return _stage(start, coarse_H, config.tol)[0]
+    return _newton_to_tol(start, coarse_H, 16.0 * config.tol)[0]
 
 
 def _round_scale(H_vals, grid):
@@ -778,15 +777,16 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
 
     The solve is exact in scale: H(c F) = H(F) / c and ell_b / c = ell_(b / c),
     so it solves c H_target, c = _round_scale, and returns c F and b / c.
-    One stage at config.degree solves c H_target from the ``_coarse_guess``,
-    zero-padded, or from the round sphere where no guess runs; the config's
-    start noise perturbs only the round sphere that starts the solve.  A
-    failed stage ends the solve with its own stall reason.  A converged one
-    is polished to tol / (2 max(1, c)^2), which bounds both residual blocks
-    of the returned F by tol / 2 (the conformality rows scale by c^2, the
-    mean-curvature rows by c), and to an area center of at most CENTER_TOL.
-    The returned state is evaluated against H_target; its logs measure the
-    scaled solve.
+    One Gauss-Newton run at config.degree solves c H_target from the
+    ``_coarse_guess``, zero-padded, or from the round sphere where no guess
+    runs; the config's start noise perturbs only the round sphere that
+    starts the solve.  The run goes to a residual of tol / (2 max(1, c)^2),
+    which bounds both residual blocks of the returned F by tol / 2 (the
+    conformality rows scale by c^2, the mean-curvature rows by c), and to an
+    area center of at most CENTER_TOL; a failed run ends the solve with its
+    own stall reason.  The report's step_log holds one entry per run, the
+    guess's first, and the entries partition its newton_log.  The returned
+    state is evaluated against H_target; its logs measure the scaled solve.
 
     Raises ConfigurationError, before any work, when config.degree would
     need more bytes than the physical memory (check_memory).
@@ -804,27 +804,23 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
             raise ConfigurationError("H_target values do not match solver grid")
     if not np.all(H_vals > 0):
         raise DataError("H_target must be positive everywhere")
+    if not isinstance(H_target, HarmonicField):
+        H_target = analyze(H_vals, grid)
 
     # powers of two scale exactly: at c = 1 the solve is that of H_target
     scale = _round_scale(H_vals, grid)
     H_solve = scale * H_vals
-    if isinstance(H_target, HarmonicField):
-        H_target = HarmonicField(scale * H_target.coeffs)
-    guess = _coarse_guess(H_target, H_solve, config)
+    guess = _coarse_guess(HarmonicField(scale * H_target.coeffs), config)
     if guess is None:
         start = ContinuationState.at(_round_start(grid.L, config), np.zeros(3), H_solve)
     else:
         start = ContinuationState.at(HarmonicField(guess.coeffs).truncated(grid.L).coeffs,
                                      guess.b.copy(), H_solve, step_log=guess.step_log,
                                      newton_log=guess.newton_log)
-    state, reason = _stage(start, H_solve, config.tol)
-
-    if reason is None:
-        # final polish; the row norm is at least the chart-form L2 norm, so
-        # driving it to tol/2, in the rows of c F, bounds both reported block
-        # residuals by tol
-        polish = 0.5 * config.tol / max(1.0, scale) ** 2
-        state, reason = _newton_to_tol(state, H_solve, polish, center=True)
+    # the row norm is at least the chart-form L2 norm, so a residual of
+    # tol/2, in the rows of c F, bounds both reported block residuals by tol
+    state, reason = _newton_to_tol(start, H_solve, 0.5 * config.tol / max(1.0, scale) ** 2,
+                                   center=True)
     if scale != 1.0:
         state = ContinuationState.at(scale * state.coeffs, state.b / scale, H_vals,
                                      step_log=state.step_log, newton_log=state.newton_log)
@@ -849,13 +845,14 @@ def solve_pmc(H_target, config: SolverConfig = SolverConfig()) -> SolveResult:
 
 def _spectral_tail(coeffs, tol):
     """Truncation diagnostic of an iterate: the coefficient norms of its top
-    three degrees, the degree at which a geometric decay fitted over the
-    upper half of the spectrum brings their joint norm below both tol / 2
-    and the rounding level 1e3 eps |coeffs|, and whether it exceeds both
-    now (a truncation floor)."""
+    three degrees from degree 2 up (degree 1 is the round sphere itself),
+    the degree at which a geometric decay fitted over the upper half of the
+    spectrum brings their joint norm below both tol / 2 and the rounding
+    level 1e3 eps |coeffs|, and whether it exceeds both now (a truncation
+    floor)."""
     L = coeffs.shape[1] - 1
     per_degree = np.linalg.norm(coeffs, axis=(0, 2))
-    top = per_degree[max(L - 2, 0):]
+    top = per_degree[max(L - 2, 2):]
     tail = np.linalg.norm(top)
     rounding = 1e3 * np.finfo(float).eps * np.linalg.norm(coeffs)
     floor = max(0.5 * tol, rounding)

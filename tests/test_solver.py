@@ -595,8 +595,8 @@ def test_solver_outputs_satisfy_obstruction_identity():
 
 
 def test_monotone_residual_history():
-    """Within each stage the accepted norms strictly decrease.  The history
-    splits into stages by each stage's logged Gauss-Newton count."""
+    """Within each run the accepted norms strictly decrease.  The history
+    splits into runs by each run's logged Gauss-Newton count."""
     g = SphericalGrid(12)
     res = solve_pmc(2.0 + 0.5 * g.xyz[2], SolverConfig(degree=12))
     hist, log = res.report["residual_history"], res.state.step_log
@@ -608,8 +608,7 @@ def test_monotone_residual_history():
             assert stage[-1] == e["residual"]
             assert np.all(np.diff(stage) < 0)
         start += e["newton_iters"]
-    # iterations of the final polish and the canonicalization follow
-    assert 0 < start <= len(hist)
+    assert start == len(hist)
 
 
 def test_direct_stage_step_count():
@@ -723,9 +722,9 @@ def test_stall_report_serializable(monkeypatch):
     res = solve_pmc(2.0 + 0.5 * g.xyz[2], config)
     rep = res.report
     assert res.status == "stalled"
-    # the loose stage accepts one step from the noisy start, and one polish
-    # step cannot correct it
-    assert [e["converged"] for e in rep["step_log"]] == [True]
+    # the one run takes its one step from the noisy start and ends at a
+    # non-conformal iterate
+    assert [(e["converged"], e["newton_iters"]) for e in rep["step_log"]] == [(False, 1)]
     assert rep["stall_reason"] == "iteration_cap"
     assert rep["conformality_sup"] > 1e-6
     assert rep["mc_l2"] is None and rep["mc_sup"] is None
@@ -941,6 +940,35 @@ def test_newton_log_one_record_per_step(ladder_vs_direct):
     assert json.loads(dumps(ladder.report))["newton_log"] == log
 
 
+def _assert_runs_partition_newton_log(report):
+    """The step_log entries, one per Gauss-Newton run, partition newton_log,
+    and each run's last newton_log residual is its entry's residual."""
+    log, start = report["newton_log"], 0
+    for e in report["step_log"]:
+        start += e["newton_iters"]
+        if e["newton_iters"]:
+            assert log[start - 1]["residual"] == e["residual"]
+    assert start == len(log)
+
+
+def test_step_log_partitions_newton_log(ladder_vs_direct):
+    """On the converged L = 16 solve of target 103 from its degree-12 guess,
+    and on an L = 16 stall (H = 2 + 0.9 x3 at tol = 1e-30, whose guess and
+    final run both stall), every Gauss-Newton step belongs to one run's
+    step_log entry."""
+    _, ladder, _, _ = ladder_vs_direct["103"]
+    assert [e["degree"] for e in ladder.report["step_log"]] == [12, 16]
+    _assert_runs_partition_newton_log(ladder.report)
+    c = np.zeros((1, 2, 3))
+    c[0, 0, 1] = 2.0 * np.sqrt(4.0 * np.pi)
+    c[0, 1, 1] = 0.9 * np.sqrt(4.0 * np.pi / 3.0)
+    res = solve_pmc(HarmonicField(c), SolverConfig(degree=16, tol=1e-30))
+    assert res.status == "stalled"
+    assert [(e["degree"], e["converged"]) for e in res.report["step_log"]] == [
+        (12, False), (16, False)]
+    _assert_runs_partition_newton_log(res.report)
+
+
 def _projected_rho(lin, basis, g, ws, x):
     """The projected residual of the KKT update x in the preconditioner's
     norm, as projected CG measures it: r = J^T J x + g stripped of its
@@ -1024,6 +1052,21 @@ def test_truncation_floor_named():
     res = solve_pmc(acceptance_target(fine, 103, 0.1),
                     SolverConfig(degree=diag["suggested_degree"]))
     assert res.status == "converged"
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_round_degree_is_no_truncation_floor(L):
+    """At L = 2 and 3 the top degrees of the diagnostic start at degree 2:
+    degree 1 is the sphere itself.  H = 2 + x3 at an unattainable tolerance
+    stalls near rounding (a residual of 1e-15) as "line_search_exhausted",
+    suggesting the degree it ran at."""
+    g = SphericalGrid(L)
+    res = solve_pmc(2.0 + g.xyz[2], SolverConfig(degree=L, tol=1e-30))
+    assert res.report["stall_reason"] == "line_search_exhausted"
+    assert res.report["residual_norm"] < 1e-14
+    diag = res.report["stall_diagnostics"]
+    assert len(diag["top_degree_norms"]) == L - 1
+    assert diag["suggested_degree"] == L
 
 
 def test_unresolved_stall_ends_early():
